@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +54,8 @@ SUPPORT_EPS = 1e-7
 KKT_TOL = 1e-6
 # A blended information matrix counts as singular below this spectral ratio.
 SINGULAR_RATIO = 1e-12
+# Relaxed counts this close to an integer round to it instead of down.
+INTEGER_SNAP = 1e-9
 
 
 class InfeasibleDesignError(Exception):
@@ -99,10 +102,32 @@ class Design:
         """Relaxed participant counts w_t = v_t * C / c_t."""
         return self.fractions * self.budget / self.costs
 
-    @property
+    @cached_property
     def integer_counts(self) -> np.ndarray:
-        """Participant counts rounded to the nearest integer per pattern."""
-        return np.rint(self.counts).astype(np.int64)
+        """Budget-feasible participant counts, each within one of ``counts``.
+
+        Every count is floored, except that a count within INTEGER_SNAP of
+        an integer is that integer, so a split whose arithmetic lands a hair
+        off a whole count keeps it.  Patterns then gain one participant
+        each, largest remainder first, wherever the spend stays within the
+        budget.  Computed once per design and read-only.
+        """
+        w = self.counts
+        nearest = np.rint(w)
+        snapped = np.abs(w - nearest) <= INTEGER_SNAP
+        ints = np.where(snapped, nearest, np.floor(w))
+        remainder = np.where(snapped, 0.0, w - ints)
+        costs = self.costs
+        spend = float(ints @ costs)
+        for t in np.argsort(-remainder, kind="stable"):
+            if remainder[t] <= 0.0:
+                break
+            if spend + costs[t] <= self.budget:
+                ints[t] += 1.0
+                spend += costs[t]
+        ints = ints.astype(np.int64)
+        ints.setflags(write=False)
+        return ints
 
     @property
     def realized_cost(self) -> float:

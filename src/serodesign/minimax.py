@@ -4,11 +4,22 @@ The design that minimizes the worst-case variance over a parameter
 uncertainty region is the minimizing player's equilibrium strategy in the
 game whose payoff is the variance criterion: the payoff is convex in the
 budget fractions and concave in the parameter, so a saddle point exists.
-The maximizer is located by exhaustive grid search over the feasible box
-(the uncertainty regions here are small boxes intersected with the
-simplex), the inner minimization reuses the c-optimal solver, and the
-returned pair is certified by re-evaluating the design across the whole
-grid.
+The maximizer is the grid point of the feasible box (a small box
+intersected with the simplex) with the largest inner optimum
+``min_v a(v; p)``; the inner minimization reuses the c-optimal solver, and
+the returned pair is certified by re-evaluating the design across the
+whole grid.
+
+The grid is scanned best-first instead of exhaustively.  Every solved
+design ``v`` bounds the inner optimum from above at every grid point,
+``min_w a(w; p) <= a(v; p)``, with no appeal to concavity, and one batched
+evaluation gives that bound over the whole grid.  The scan solves the open
+point with the largest bound and closes every point whose bound falls
+below the best solved value by more than PRUNE_MARGIN relative.  Because
+each solve is deterministic and reaches its optimum to within FW_GAP_TOL,
+far inside that margin, no closed point could have beaten or tied the
+incumbent, so the scan returns exactly the point, fractions and iteration
+count that solving every grid point would.
 """
 
 from __future__ import annotations
@@ -47,6 +58,11 @@ __all__ = ["SaddleReport", "payoff", "worst_case_design", "saddle_check"]
 SADDLE_TOL = 1e-3
 # Cap on alternating-best-response refinement rounds.
 REFINE_MAX_ROUNDS = 200
+# Relative margin by which a grid point's envelope bound must fall below
+# the best solved value before the scan closes it unsolved.  It sits far
+# above the inner solver's relative duality-gap target (FW_GAP_TOL, 1e-9),
+# so a point whose solve could reach or tie the incumbent is never closed.
+PRUNE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +117,32 @@ def _payoff_over_grid(v: np.ndarray, grid_infos: np.ndarray, u: np.ndarray) -> n
     return values
 
 
+def _envelope_argmax(grid_infos: np.ndarray, u: np.ndarray, solve_at) -> int:
+    """Grid index with the largest inner optimum, ties to the smallest index.
+
+    Best-first scan: ``bound[i]`` is the least ``a(v; p_i)`` over the designs
+    solved so far, an upper bound on the inner optimum at ``p_i``.  The open
+    point with the largest bound is solved next, and points whose bound
+    falls below the incumbent by more than PRUNE_MARGIN are closed.
+    """
+    bound = np.full(grid_infos.shape[1], math.inf)
+    open_idx = np.arange(grid_infos.shape[1])
+    best_index, best_value = -1, -math.inf
+    while open_idx.size:
+        pos = int(np.argmax(bound[open_idx]))
+        i = int(open_idx[pos])
+        v, mu, _, _ = solve_at(i)
+        if mu > best_value or (mu == best_value and i < best_index):
+            best_index, best_value = i, mu
+        open_idx = np.delete(open_idx, pos)
+        if open_idx.size:
+            bound[open_idx] = np.minimum(
+                bound[open_idx], _payoff_over_grid(v, grid_infos[:, open_idx], u)
+            )
+            open_idx = open_idx[bound[open_idx] >= (1.0 - PRUNE_MARGIN) * best_value]
+    return best_index
+
+
 def worst_case_design(
     box: ParameterBox,
     model: DiseaseModel,
@@ -113,12 +155,17 @@ def worst_case_design(
 
     The worst case p* maximizes the lower envelope ``min_v a(v; p)`` over
     the feasible grid and the returned fractions are the inner minimizer
-    at p*.  The saddle gap ``max_p a(v*; p) - a(v*; p*)`` is re-evaluated
-    over the grid; if it exceeds ``saddle_tol`` relative, the fractions
-    are refined by alternating best responses with uniform averaging of
-    the minimizing player's iterates until the gap closes or the round cap
-    is reached.  Grid argmax ties break toward the lexicographically
-    smallest point.
+    at p*.  p* is found by a best-first scan that solves only the grid
+    points whose envelope bound (the least payoff of the designs solved so
+    far) could still reach the best solved value; the result is the one an
+    exhaustive scan gives, including its tie-break toward the
+    lexicographically smallest point.  The saddle gap
+    ``max_p a(v*; p) - a(v*; p*)`` is evaluated over the grid; if it
+    exceeds ``saddle_tol`` relative, the fractions are refined by
+    alternating best responses with uniform averaging of the minimizing
+    player's iterates until the gap closes or the round cap is reached.
+    Inner solves are memoized per grid point across the scan and the
+    refinement.
     """
     patterns = list(patterns) if patterns is not None else all_patterns(model)
     a2 = check_a2(box, patterns, model, grid_step=grid_step)
@@ -131,38 +178,34 @@ def worst_case_design(
     grid_infos = _grid_infos(pts, model, patterns)
     u = model.u
 
-    best_value = -math.inf
-    best_index = -1
-    best = None
-    for i in range(pts.shape[0]):
-        v, mu, residual, iterations = _solve_simplex(grid_infos[:, i], u)
-        if mu > best_value:
-            best_value = mu
-            best_index = i
-            best = (v, mu, residual, iterations)
+    solves: dict[int, tuple] = {}
 
-    v_star, game_value, residual, iterations = best
+    def solve_at(i: int) -> tuple:
+        if i not in solves:
+            solves[i] = _solve_simplex(grid_infos[:, i], u)
+        return solves[i]
+
+    best_index = _envelope_argmax(grid_infos, u, solve_at)
+    v_star, game_value, residual, iterations = solve_at(best_index)
     p_star = pts[best_index]
 
-    def certified_gap(v: np.ndarray) -> float:
-        values = _payoff_over_grid(v, grid_infos, u)
-        return float(values.max() - values[best_index])
-
-    gap = certified_gap(v_star)
+    values = _payoff_over_grid(v_star, grid_infos, u)
+    gap = float(values.max() - values[best_index])
     if gap > saddle_tol * game_value:
         # Fictitious-play fallback: the maximizer best-responds on the grid,
         # the minimizer best-responds exactly, and the minimizer's iterates
         # are averaged; convex-concave payoffs make the averages converge.
+        # ``values`` always holds the payoff of the current average.
         iterates = [v_star]
         v_best, gap_best = v_star, gap
         for _ in range(REFINE_MAX_ROUNDS):
+            reply_idx = int(np.argmax(values))
+            iterates.append(solve_at(reply_idx)[0])
             v_avg = np.mean(iterates, axis=0)
-            reply_idx = int(np.argmax(_payoff_over_grid(v_avg, grid_infos, u)))
-            v_reply, _, _, _ = _solve_simplex(grid_infos[:, reply_idx], u)
-            iterates.append(v_reply)
-            gap_avg = certified_gap(np.mean(iterates, axis=0))
+            values = _payoff_over_grid(v_avg, grid_infos, u)
+            gap_avg = float(values.max() - values[best_index])
             if gap_avg < gap_best:
-                v_best, gap_best = np.mean(iterates, axis=0), gap_avg
+                v_best, gap_best = v_avg, gap_avg
             if gap_best <= saddle_tol * game_value:
                 break
         v_star, gap = v_best, gap_best

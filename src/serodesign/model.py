@@ -367,7 +367,13 @@ def mixture_prob(y: Outcome, t: TestPattern, p, model: DiseaseModel) -> float:
     return float(total)
 
 
-@lru_cache(maxsize=None)
+# Entries kept by the pattern-table cache: all 63 patterns of 16 six-test
+# models.  The cache is keyed by model identity, so a bound keeps models
+# parsed and discarded by a long-running caller from staying alive.
+PATTERN_TABLE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=PATTERN_TABLE_CACHE_SIZE)
 def _pattern_tables(model: DiseaseModel, mask: tuple[int, ...]):
     """Per-outcome conditional probabilities of one pattern, vectorized.
 

@@ -115,6 +115,32 @@ class TestRun:
         assert counts["101"] == pytest.approx(13125, abs=2)
         assert report["currency"] == "Rs"
 
+    def test_fixture_integer_designs_within_budget(self):
+        def designs(node):
+            if isinstance(node, dict):
+                if "realized_cost" in node:
+                    yield node
+                for value in node.values():
+                    yield from designs(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from designs(value)
+
+        subcommands = {"point": "c-optimal", "box": "worst-case", "groups": "groups"}
+        for row in range(1, 6):
+            config = load_config(fixture_path(f"table1_row{row}"))
+            report = run(config, subcommands[config.scenario_kind])
+            found = list(designs(report))
+            assert found
+            for design in found:
+                assert design["realized_cost"] <= design["budget"]
+            if row == 1:
+                # the published 521 / 13,125 spends 10,000,050; rounding down
+                # 101 (cost 750) frees room for one more 001 (cost 300)
+                counts = {k: n for k, n in found[0]["integer_counts"].items() if n}
+                assert counts == {"001": 522, "101": 13124}
+                assert found[0]["realized_cost"] == 9_999_600
+
     def test_worst_case_small_box(self):
         config = parse_config(tiny_box_config())
         report = run(config, "worst-case")

@@ -183,6 +183,20 @@ class TestDesignFromFractions:
         # fractional counts spend the budget exactly
         assert float(design.counts @ design.costs) == pytest.approx(1e7, rel=1e-12)
 
+    def test_integer_design_never_overspends(self, model_row1):
+        pats = all_patterns(model_row1)
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            v = rng.dirichlet(np.full(len(pats), 0.5))
+            budget = float(rng.integers(1_000, 100_000_000))
+            design = design_from_fractions(v, budget, pats)
+            assert design.realized_cost <= budget
+            assert (np.abs(design.integer_counts - design.counts) < 1.0).all()
+            # no pattern left short could still be afforded
+            short = design.integer_counts < design.counts - 1e-9
+            left = budget - design.realized_cost
+            assert not (short & (design.costs <= left)).any()
+
     def test_linear_in_budget(self, model_row1):
         pats = all_patterns(model_row1)
         rng = np.random.default_rng(3)

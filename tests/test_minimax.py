@@ -1,21 +1,30 @@
 """Worst-case design tests: the game payoff's curvature, the grid search
-against the published worst case, and equilibrium certification."""
+against the published worst case and against an exhaustive scan, and
+equilibrium certification."""
 
 import math
 
 import numpy as np
 import pytest
 
+import serodesign.minimax as minimax
 from serodesign import (
     ParameterBox,
     all_patterns,
+    default_model,
     objective,
     payoff,
     saddle_check,
     solve_c_optimal,
     worst_case_design,
 )
-from serodesign.minimax import SADDLE_TOL, _grid_infos, _payoff_over_grid
+from serodesign.coptimal import _solve_simplex
+from serodesign.minimax import (
+    REFINE_MAX_ROUNDS,
+    SADDLE_TOL,
+    _grid_infos,
+    _payoff_over_grid,
+)
 from _suites import random_interior_points, random_pd_fractions, worst_concavity_slack
 
 from conftest import ROW1_POINT, ROW4_BOX
@@ -167,3 +176,100 @@ class TestGridBehavior:
         assert report_fine.game_value >= report_coarse.game_value - (
             SADDLE_TOL * report_coarse.game_value
         )
+
+
+def exhaustive_worst_case(box, model, grid_step, saddle_tol=SADDLE_TOL):
+    """Reference worst case: an inner solve at every grid point, strict
+    improvement so ties keep the smallest index, then the averaged
+    best-response fallback without memoized solves.  Returns
+    (p*, fractions, game value, saddle gap, iterations, fallback ran)."""
+    pts = box.grid(grid_step)
+    infos = _grid_infos(pts, model, all_patterns(model))
+    u = model.u
+    best_index, best = -1, None
+    for i in range(len(pts)):
+        solve = _solve_simplex(infos[:, i], u)
+        if best is None or solve[1] > best[1]:
+            best_index, best = i, solve
+    v_star, value, _, iterations = best
+
+    def gap_of(v):
+        values = _payoff_over_grid(v, infos, u)
+        return float(values.max() - values[best_index])
+
+    gap = gap_of(v_star)
+    refined = gap > saddle_tol * value
+    if refined:
+        iterates = [v_star]
+        v_best, gap_best = v_star, gap
+        for _ in range(REFINE_MAX_ROUNDS):
+            v_avg = np.mean(iterates, axis=0)
+            reply = int(np.argmax(_payoff_over_grid(v_avg, infos, u)))
+            iterates.append(_solve_simplex(infos[:, reply], u)[0])
+            gap_avg = gap_of(np.mean(iterates, axis=0))
+            if gap_avg < gap_best:
+                v_best, gap_best = np.mean(iterates, axis=0), gap_avg
+            if gap_best <= saddle_tol * value:
+                break
+        v_star, gap = v_best, gap_best
+        value = float(_payoff_over_grid(v_star, infos, u)[best_index])
+    return pts[best_index], v_star, value, gap, iterations, refined
+
+
+def assert_matches_exhaustive(report, reference):
+    p_star, fractions, value, gap, iterations, _ = reference
+    assert np.array_equal(report.p_star, p_star)
+    assert np.array_equal(report.design.fractions, fractions)
+    assert report.game_value == value
+    assert report.saddle_gap == gap
+    assert report.inner.iterations == iterations
+
+
+def random_box(rng):
+    lower = rng.uniform([0.0, 0.05, 0.0], [0.15, 0.40, 0.05]).round(4)
+    upper = lower + rng.uniform(0.01, 0.04, 3).round(4)
+    return ParameterBox(lower=lower, upper=upper)
+
+
+class TestBoundPrunedSearch:
+    """The best-first scan returns exactly what solving every point gives."""
+
+    def test_row4_fine_grid_matches_exhaustive(self, model_row4, row4_worst_case):
+        report, _ = row4_worst_case
+        reference = exhaustive_worst_case(ROW4_BOX, model_row4, 0.01)
+        assert not reference[-1]
+        assert_matches_exhaustive(report, reference)
+
+    def test_row4_coarse_grid_with_fallback_matches_exhaustive(self, model_row4):
+        reference = exhaustive_worst_case(ROW4_BOX, model_row4, 0.02)
+        assert reference[-1]  # certification fails and the averaging runs
+        report = worst_case_design(ROW4_BOX, model_row4, grid_step=0.02)
+        assert_matches_exhaustive(report, reference)
+
+    def test_support_switch_box_matches_exhaustive(self):
+        model = default_model(rtpcr_cost=1053.0)
+        box = ParameterBox(lower=[0.0673, 0.0754, 0.0131], upper=[0.0973, 0.1054, 0.0231])
+        report = worst_case_design(box, model, grid_step=0.01)
+        assert_matches_exhaustive(report, exhaustive_worst_case(box, model, 0.01))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_boxes_match_exhaustive(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        model = default_model(rtpcr_cost=float(rng.choice([100.0, 1000.0, 1600.0])))
+        box = random_box(rng)
+        report = worst_case_design(box, model, grid_step=0.01)
+        assert_matches_exhaustive(report, exhaustive_worst_case(box, model, 0.01))
+
+    @pytest.mark.parametrize("grid_step", [0.01, 0.02])
+    def test_row4_solves_a_handful_of_points(self, model_row4, monkeypatch, grid_step):
+        solves = []
+        real = minimax._solve_simplex
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(minimax, "_solve_simplex", counted)
+        worst_case_design(ROW4_BOX, model_row4, grid_step=grid_step)
+        assert len(ROW4_BOX.grid(grid_step)) > 300
+        assert len(solves) <= 50

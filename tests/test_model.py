@@ -18,6 +18,7 @@ from serodesign import (
     mixture_prob,
     outcome_space,
 )
+from serodesign.model import PATTERN_TABLE_CACHE_SIZE, _pattern_tables
 from _suites import finite_difference_fisher, random_interior_points
 
 NA = None
@@ -245,6 +246,19 @@ class TestFisherInfo:
         for small, big in pairs:
             gap = fisher_info(patterns[big], p, m) - fisher_info(patterns[small], p, m)
             assert np.linalg.eigvalsh(gap)[0] >= -1e-10
+
+
+class TestPatternTableCache:
+    def test_fresh_models_keep_the_cache_bounded(self):
+        # tables are keyed by model identity, so every parsed model would
+        # stay alive in an unbounded cache
+        for i in range(200):
+            model = default_model(rtpcr_cost=100.0 + i)
+            for t in all_patterns(model):
+                fisher_info(t, P0, model)
+        info = _pattern_tables.cache_info()
+        assert info.maxsize == PATTERN_TABLE_CACHE_SIZE
+        assert info.currsize <= info.maxsize
 
 
 class TestAssumptionChecks:
