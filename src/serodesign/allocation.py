@@ -149,13 +149,6 @@ class AllocationReport:
         }
 
 
-def _check_fractions(names: Sequence[str], fractions: np.ndarray) -> None:
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate stratum names: {list(names)}")
-    if abs(fractions.sum() - 1.0) > 1e-9:
-        raise ValueError(f"population fractions must sum to 1, got {fractions.sum()!r}")
-
-
 def _split_budget(
     budget: float, fractions: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
@@ -175,6 +168,46 @@ def _rescale(report, budget: float):
     return replace(report, design=design, min_variance=report.objective / budget)
 
 
+def _allocate(specs, kind: str, budget: float, solve) -> AllocationReport:
+    """Solve each entry with ``solve(spec)``, split the budget, price each design.
+
+    ``kind`` ("stratum" or "group") names the entries in error messages.
+    """
+    specs = list(specs)
+    if not specs:
+        raise ValueError(f"need at least one {kind}")
+    if not budget > 0:
+        raise ValueError(f"budget must be positive, got {budget}")
+    names = [s.name for s in specs]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate {kind} names: {names}")
+    fractions = np.array([s.fraction for s in specs])
+    if abs(fractions.sum() - 1.0) > 1e-9:
+        raise ValueError(f"population fractions must sum to 1, got {fractions.sum()!r}")
+
+    reports = []
+    for s in specs:
+        try:
+            reports.append(solve(s))
+        except InfeasibleDesignError as err:
+            raise InfeasibleDesignError(f"{kind} {s.name!r}: {err}") from err
+    values = np.array(
+        [r.game_value if isinstance(r, SaddleReport) else r.objective for r in reports]
+    )
+    budgets = _split_budget(budget, fractions, values)
+    entries = tuple(
+        StratumAllocation(
+            name=s.name,
+            fraction=s.fraction,
+            budget=float(b),
+            criterion_value=float(a),
+            report=_rescale(r, float(b)),
+        )
+        for s, b, a, r in zip(specs, budgets, values, reports)
+    )
+    return AllocationReport(entries=entries, budget=budget)
+
+
 def allocate_districts(
     strata: Sequence[StratumSpec],
     model: DiseaseModel,
@@ -190,43 +223,14 @@ def allocate_districts(
     priced at its share.  This minimizes the variance of the
     population-weighted estimate across strata.
     """
-    strata = list(strata)
-    if not strata:
-        raise ValueError("need at least one stratum")
-    if not budget > 0:
-        raise ValueError(f"budget must be positive, got {budget}")
-    fractions = np.array([s.fraction for s in strata])
-    _check_fractions([s.name for s in strata], fractions)
 
-    reports = []
-    for s in strata:
-        try:
-            if s.point is not None:
-                p = validate_parameter(s.point, model.k)
-                reports.append(solve_c_optimal(p, model, patterns=patterns))
-            else:
-                reports.append(
-                    worst_case_design(
-                        s.box, model, grid_step=grid_step, patterns=patterns
-                    )
-                )
-        except InfeasibleDesignError as err:
-            raise InfeasibleDesignError(f"stratum {s.name!r}: {err}") from err
-    values = np.array(
-        [r.game_value if isinstance(r, SaddleReport) else r.objective for r in reports]
-    )
-    budgets = _split_budget(budget, fractions, values)
-    entries = tuple(
-        StratumAllocation(
-            name=s.name,
-            fraction=s.fraction,
-            budget=float(b),
-            criterion_value=float(a),
-            report=_rescale(r, float(b)),
-        )
-        for s, b, a, r in zip(strata, budgets, values, reports)
-    )
-    return AllocationReport(entries=entries, budget=budget)
+    def solve(s: StratumSpec):
+        if s.point is not None:
+            p = validate_parameter(s.point, model.k)
+            return solve_c_optimal(p, model, patterns=patterns)
+        return worst_case_design(s.box, model, grid_step=grid_step, patterns=patterns)
+
+    return _allocate(strata, "stratum", budget, solve)
 
 
 def allocate_groups(
@@ -242,35 +246,13 @@ def allocate_groups(
     overrides (for example a rapid test that is more sensitive on
     symptomatic participants).
     """
-    groups = list(groups)
-    if not groups:
-        raise ValueError("need at least one group")
-    if not budget > 0:
-        raise ValueError(f"budget must be positive, got {budget}")
-    fractions = np.array([g.fraction for g in groups])
-    _check_fractions([g.name for g in groups], fractions)
 
-    reports = []
-    for g in groups:
+    def solve(g: GroupSpec):
         group_model = model.with_test_overrides(g.overrides) if g.overrides else model
         p = validate_parameter(g.point, group_model.k)
-        try:
-            reports.append(solve_c_optimal(p, group_model, patterns=patterns))
-        except InfeasibleDesignError as err:
-            raise InfeasibleDesignError(f"group {g.name!r}: {err}") from err
-    values = np.array([r.objective for r in reports])
-    budgets = _split_budget(budget, fractions, values)
-    entries = tuple(
-        StratumAllocation(
-            name=g.name,
-            fraction=g.fraction,
-            budget=float(b),
-            criterion_value=float(a),
-            report=_rescale(r, float(b)),
-        )
-        for g, b, a, r in zip(groups, budgets, values, reports)
-    )
-    return AllocationReport(entries=entries, budget=budget)
+        return solve_c_optimal(p, group_model, patterns=patterns)
+
+    return _allocate(groups, "group", budget, solve)
 
 
 def weighted_variance(report: AllocationReport) -> float:

@@ -15,12 +15,12 @@ the first-order optimality conditions of the simplex-constrained program.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .model import (
     DiseaseModel,
@@ -63,7 +63,10 @@ class InfeasibleDesignError(Exception):
 
 
 class ConvergenceError(Exception):
-    """The solver hit its iteration cap; carries the best iterate found."""
+    """The solver could not certify an optimum; carries the best iterate found.
+
+    ``best`` is the uncertified SolveReport when one exists, else None.
+    """
 
     def __init__(self, message: str, best=None):
         super().__init__(message)
@@ -196,46 +199,64 @@ def _pattern_infos(p, model: DiseaseModel, patterns: Sequence[TestPattern]) -> n
 
 
 def _blend(v: np.ndarray, infos: np.ndarray) -> np.ndarray:
-    return np.einsum("t,tij->ij", v, infos)
+    """sum_t v_t infos[t]; infos is (T, k, k) or (T, m, k, k)."""
+    return np.einsum("t,t...->...", v, infos)
 
 
-def _spd_solve(a: np.ndarray, u: np.ndarray):
-    """Cholesky solve of a @ x = u; None if a is not numerically SPD."""
+def _inv_chol(a: np.ndarray):
+    """Inverse Cholesky factor L^{-1} of a = L L' (also stacked); None if not SPD.
+
+    Then ``a^{-1} u = L^{-T} (L^{-1} u)`` and ``u' a^{-1} u = |L^{-1} u|^2``.
+    """
     try:
-        factor = cho_factor(a, lower=True, check_finite=False)
+        return np.linalg.inv(np.linalg.cholesky(a))
     except np.linalg.LinAlgError:
         return None
-    return cho_solve(factor, u, check_finite=False)
 
 
-def _objective_from_infos(v: np.ndarray, infos: np.ndarray, u: np.ndarray) -> float:
+def _criterion(v: np.ndarray, infos: np.ndarray, u: np.ndarray):
+    """(a, x): the criterion a = u' A^{-1} u and x = A^{-1} u of A = sum_t v_t infos[t].
+
+    ``infos`` is (T, k, k), or (T, m, k, k) to evaluate m parameter points
+    at once, in which case a has shape (m,) and x shape (m, k).  Where A
+    is numerically singular (smallest eigenvalue at most SINGULAR_RATIO
+    times the largest) a is +inf and x is nan.
+    """
     a = _blend(v, infos)
     lam = np.linalg.eigvalsh(a)
-    if lam[-1] <= 0.0 or lam[0] <= SINGULAR_RATIO * lam[-1]:
-        return math.inf
-    x = _spd_solve(a, u)
-    if x is None:
-        return math.inf
-    return float(u @ x)
+    good = (lam[..., -1] > 0.0) & (lam[..., 0] > SINGULAR_RATIO * lam[..., -1])
+    values = np.full(good.shape, math.inf)
+    x = np.full(a.shape[:-1], math.nan)
+    linv = _inv_chol(a[good]) if good.any() else None
+    if linv is not None:
+        x[good] = np.einsum("nji,nj->ni", linv, linv @ u)
+        values[good] = x[good] @ u
+    return values[()], x
 
 
-def objective(v, p, model: DiseaseModel, patterns: Sequence[TestPattern] | None = None) -> float:
-    """Variance criterion a(v; p) = u' (sum_t v_t I_t(p)/c_t)^{-1} u.
-
-    Computed through a symmetric positive-definite solve, never an explicit
-    inverse.  Returns +inf when the blended information matrix is
-    numerically singular (smallest eigenvalue at most 1e-12 times the
-    largest), which happens when v is supported on patterns that cannot
-    jointly identify the parameter.
-    """
+def _evaluate(v, p, model: DiseaseModel, patterns: Sequence[TestPattern] | None):
+    """Validated fractions, pattern informations and _criterion at p."""
     patterns = list(patterns) if patterns is not None else all_patterns(model)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (len(patterns),):
         raise ValueError(f"need one fraction per pattern, got shape {v.shape}")
     if (v < -1e-12).any():
         raise ValueError(f"fractions must be nonnegative, got {v}")
-    p = validate_parameter(p, model.k)
-    return _objective_from_infos(np.maximum(v, 0.0), _pattern_infos(p, model, patterns), model.u)
+    v = np.maximum(v, 0.0)
+    infos = _pattern_infos(validate_parameter(p, model.k), model, patterns)
+    return (v, infos) + _criterion(v, infos, model.u)
+
+
+def objective(v, p, model: DiseaseModel, patterns: Sequence[TestPattern] | None = None) -> float:
+    """Variance criterion a(v; p) = u' (sum_t v_t I_t(p)/c_t)^{-1} u.
+
+    Computed through the Cholesky factor of the blended information
+    matrix, never an explicit inverse of it.  Returns +inf when that
+    matrix is numerically singular (smallest eigenvalue at most
+    SINGULAR_RATIO = 1e-12 times the largest), which happens when v is
+    supported on patterns that cannot jointly identify the parameter.
+    """
+    return float(_evaluate(v, p, model, patterns)[2])
 
 
 def objective_gradient(
@@ -246,15 +267,9 @@ def objective_gradient(
     Component t equals ``-u' A^{-1} (I_t/c_t) A^{-1} u`` with A the blended
     information matrix.  Raises when A is singular.
     """
-    patterns = list(patterns) if patterns is not None else all_patterns(model)
-    v = np.asarray(v, dtype=np.float64)
-    p = validate_parameter(p, model.k)
-    infos = _pattern_infos(p, model, patterns)
-    a = _blend(v, infos)
-    lam = np.linalg.eigvalsh(a)
-    if lam[-1] <= 0.0 or lam[0] <= SINGULAR_RATIO * lam[-1]:
+    _, infos, mu, x = _evaluate(v, p, model, patterns)
+    if mu == math.inf:
         raise ValueError("blended information matrix is singular; gradient undefined")
-    x = _spd_solve(a, model.u)
     return -np.einsum("tij,i,j->t", infos, x, x)
 
 
@@ -263,19 +278,19 @@ def objective_gradient(
 # ---------------------------------------------------------------------------
 
 
-def _segment_minimize(a: np.ndarray, d: np.ndarray, u: np.ndarray, gamma_max: float) -> float:
+def _segment_minimize(
+    linv: np.ndarray, y: np.ndarray, d: np.ndarray, gamma_max: float
+) -> float:
     """Minimize gamma -> u' (a + gamma d)^{-1} u over [0, gamma_max], a SPD.
 
+    Takes a's inverse Cholesky factor ``linv`` and ``y = linv @ u``.
     Diagonalizing d in the metric of a turns the objective into the
     rational function sum_i c_i / (1 + gamma * lam_i), whose convex
     minimizer is located by bisection on the derivative.
     """
-    chol = np.linalg.cholesky(a)
-    z = solve_triangular(chol, d, lower=True, check_finite=False)
-    w = solve_triangular(chol, z.T, lower=True, check_finite=False)
+    w = linv @ d @ linv.T
     w = (w + w.T) / 2.0
     lam, q = np.linalg.eigh(w)
-    y = solve_triangular(chol, u, lower=True, check_finite=False)
     coef = (q.T @ y) ** 2
 
     hi = gamma_max
@@ -336,8 +351,9 @@ def _polish_support(
 
     Solves the equality-constrained Newton system on the active support,
     backtracking to stay feasible; support patterns driven to zero are
-    dropped.  The Hessian is 2 W' A^{-1} W with W_t = (I_t/c_t) A^{-1} u,
-    so the system stays tiny (support size by support size).
+    dropped.  The Hessian is 2 W' A^{-1} W = 2 (L^{-1} W)' (L^{-1} W) with
+    W_t = (I_t/c_t) A^{-1} u, so the system stays tiny (support size by
+    support size).
     """
     v = v.copy()
     v[v <= support_eps] = 0.0
@@ -346,17 +362,16 @@ def _polish_support(
         support = np.flatnonzero(v > 0.0)
         if support.size <= 1:
             break
-        a = _blend(v, infos)
-        x = _spd_solve(a, u)
-        if x is None:
+        linv = _inv_chol(_blend(v, infos))
+        if linv is None:
             break
+        x = linv.T @ (linv @ u)
         mu = float(u @ x)
         g_s = np.einsum("tij,i,j->t", infos[support], x, x)
         if np.abs(g_s - mu).max() <= 1e-13 * mu:
             break
-        w = np.einsum("tij,j->it", infos[support], x)  # (k, |S|)
-        winv = cho_solve(cho_factor(a, lower=True, check_finite=False), w, check_finite=False)
-        hess = 2.0 * w.T @ winv
+        z = linv @ np.einsum("tij,j->it", infos[support], x)  # L^{-1} W, (k, |S|)
+        hess = 2.0 * z.T @ z
         n = support.size
         kkt = np.zeros((n + 1, n + 1))
         kkt[:n, :n] = hess
@@ -388,7 +403,7 @@ def _polish_support(
                 t *= 0.5
                 continue
             trial /= total
-            f_trial = _objective_from_infos(trial, infos, u)
+            f_trial = _criterion(trial, infos, u)[0]
             if f_trial <= f0 + 1e-4 * t * slope0 or f_trial < f0:
                 v = trial
                 accepted = True
@@ -423,9 +438,8 @@ def _solve_simplex(
     last_move = 0.0
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        a = _blend(v, infos)
-        x = _spd_solve(a, u)
-        if x is None:
+        linv = _inv_chol(_blend(v, infos))
+        if linv is None:
             # a full drop step can land on a numerically singular blend when
             # the departing pattern carried the only information in some
             # direction u does not need; retreat halfway until solvable
@@ -433,12 +447,13 @@ def _solve_simplex(
             for _ in range(60):
                 retreat = 0.5 * retreat
                 v = v_before + retreat * direction_vec
-                x = _spd_solve(_blend(v, infos), u)
-                if x is not None:
+                linv = _inv_chol(_blend(v, infos))
+                if linv is not None:
                     break
             else:
                 raise InfeasibleDesignError("blended information matrix became singular")
-            a = _blend(v, infos)
+        y = linv @ u
+        x = linv.T @ y
         mu = float(u @ x)
         g = np.einsum("tij,i,j->t", infos, x, x)
         gap = float(g.max() - mu)
@@ -450,7 +465,7 @@ def _solve_simplex(
         if toward == away:
             break
         gamma_max = float(v[away])
-        gamma = _segment_minimize(a, infos[toward] - infos[away], u, gamma_max)
+        gamma = _segment_minimize(linv, y, infos[toward] - infos[away], gamma_max)
         if gamma <= 0.0:
             break
         v_before = v.copy()
@@ -464,8 +479,13 @@ def _solve_simplex(
             v[away] = 0.0
 
     v = _polish_support(v, infos, u, support_eps)
-    a = _blend(v, infos)
-    x = _spd_solve(a, u)
+    linv = _inv_chol(_blend(v, infos))
+    if linv is None:
+        raise ConvergenceError(
+            f"the information matrix of the design found after {iterations} "
+            "iterations is singular"
+        )
+    x = linv.T @ (linv @ u)
     mu = float(u @ x)
     g = np.einsum("tij,i,j->t", infos, x, x)
     residual = _kkt_residual_from(g, mu, v, support_eps)
@@ -485,9 +505,10 @@ def solve_c_optimal(
     The optimal fractions do not depend on the budget; the budget only
     scales the reported design counts and the achieved variance
     ``objective / budget``.  Raises InfeasibleDesignError when no pattern
-    has positive-definite information at p, and ConvergenceError (carrying
-    the best iterate) if the iteration cap is hit before the first-order
-    residual falls below the acceptance threshold.
+    has positive-definite information at p, and ConvergenceError whenever
+    the returned design would not be certified: its first-order residual
+    exceeds ``KKT_TOL`` relative (the error carries that design as
+    ``best``), or its information matrix is singular.
     """
     patterns = list(patterns) if patterns is not None else all_patterns(model)
     p = validate_parameter(p, model.k)
@@ -510,10 +531,10 @@ def solve_c_optimal(
         iterations=iterations,
         mu_star=mu,
     )
-    if residual > KKT_TOL * mu and iterations >= max_iter:
+    if residual > KKT_TOL * mu:
         raise ConvergenceError(
-            f"solver did not reach a first-order residual of {KKT_TOL:g} relative "
-            f"within {max_iter} iterations (residual {residual / mu:.3e} relative)",
+            f"solver stopped after {iterations} of at most {max_iter} iterations at a "
+            f"first-order residual of {residual / mu:.3e} relative, above {KKT_TOL:g}",
             best=report,
         )
     return report
@@ -541,18 +562,11 @@ def kkt_check(
     unsupported patterns must not exceed it; the residual is the largest
     violation of either condition (compare it to ``KKT_TOL * mu``).
     """
-    patterns = list(patterns) if patterns is not None else all_patterns(model)
-    v = np.asarray(v, dtype=np.float64)
-    p = validate_parameter(p, model.k)
-    infos = _pattern_infos(p, model, patterns)
-    a = _blend(v, infos)
-    lam = np.linalg.eigvalsh(a)
-    if lam[-1] <= 0.0 or lam[0] <= SINGULAR_RATIO * lam[-1]:
+    v, infos, mu, x = _evaluate(v, p, model, patterns)
+    if mu == math.inf:
         raise ValueError("blended information matrix is singular; KKT residual undefined")
-    x = _spd_solve(a, model.u)
-    mu = float(model.u @ x)
     g = np.einsum("tij,i,j->t", infos, x, x)
-    return _kkt_residual_from(g, mu, v, support_eps)
+    return _kkt_residual_from(g, float(mu), v, support_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -561,49 +575,13 @@ def kkt_check(
 
 
 def normal_quantile(q: float) -> float:
-    """Inverse standard-normal CDF via Wichura's AS 241 rational minimax fits.
+    """Inverse standard-normal CDF, ``statistics.NormalDist().inv_cdf``.
 
-    Absolute accuracy is far below 1e-10 over (0, 1); for reference,
-    ``normal_quantile(0.025) == -1.9599639845400545``.
+    For reference, ``normal_quantile(0.025) == -1.9599639845400545``.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile argument must lie strictly in (0, 1), got {q}")
-    r = q - 0.5
-    if abs(r) <= 0.425:
-        s = 0.180625 - r * r
-        num = (((((((2.5090809287301226727e3 * s + 3.3430575583588128105e4) * s
-                    + 6.7265770927008700853e4) * s + 4.5921953931549871457e4) * s
-                  + 1.3731693765509461125e4) * s + 1.9715909503065514427e3) * s
-                + 1.3314166789178437745e2) * s + 3.3871328727963666080e0)
-        den = (((((((5.2264952788528545610e3 * s + 2.8729085735721942674e4) * s
-                    + 3.9307895800092710610e4) * s + 2.1213794301586595867e4) * s
-                  + 5.3941960214247511077e3) * s + 6.8718700749205790830e2) * s
-                + 4.2313330701600911252e1) * s + 1.0)
-        return r * num / den
-    s = q if r < 0.0 else 1.0 - q
-    s = math.sqrt(-math.log(s))
-    if s <= 5.0:
-        s -= 1.6
-        num = (((((((7.74545014278341407640e-4 * s + 2.27238449892691845833e-2) * s
-                    + 2.41780725177450611770e-1) * s + 1.27045825245236838258e0) * s
-                  + 3.64784832476320460504e0) * s + 5.76949722146069140550e0) * s
-                + 4.63033784615654529590e0) * s + 1.42343711074968357734e0)
-        den = (((((((1.05075007164441684324e-9 * s + 5.47593808499534494600e-4) * s
-                    + 1.51986665636164571966e-2) * s + 1.48103976427480074590e-1) * s
-                  + 6.89767334985100004550e-1) * s + 1.67638483018380384940e0) * s
-                + 2.05319162663775882187e0) * s + 1.0)
-    else:
-        s -= 5.0
-        num = (((((((2.01033439929228813265e-7 * s + 2.71155556874348757815e-5) * s
-                    + 1.24266094738807843860e-3) * s + 2.65321895265761230930e-2) * s
-                  + 2.96560571828504891230e-1) * s + 1.78482653991729133580e0) * s
-                + 5.46378491116411436990e0) * s + 6.65790464350110377720e0)
-        den = (((((((2.04426310338993978564e-15 * s + 1.42151175831644588870e-7) * s
-                    + 1.84631831751005468180e-5) * s + 7.86869131145613259100e-4) * s
-                  + 1.48753612908506148525e-2) * s + 1.36929880922735805310e-1) * s
-                + 5.99832206555887937690e-1) * s + 1.0)
-    x = num / den
-    return -x if r < 0.0 else x
+    return statistics.NormalDist().inv_cdf(q)
 
 
 def budget_for_margin(

@@ -31,9 +31,11 @@ from typing import Sequence
 import numpy as np
 
 from .coptimal import (
+    SUPPORT_EPS,
     Design,
     InfeasibleDesignError,
     SolveReport,
+    _criterion,
     _kkt_residual_from,
     _pattern_infos,
     _solve_simplex,
@@ -106,15 +108,7 @@ def _grid_infos(
 
 def _payoff_over_grid(v: np.ndarray, grid_infos: np.ndarray, u: np.ndarray) -> np.ndarray:
     """a(v; p) for every grid point; +inf where the blend is singular."""
-    blends = np.einsum("t,tmij->mij", v, grid_infos)
-    lam = np.linalg.eigvalsh(blends)
-    good = (lam[:, -1] > 0.0) & (lam[:, 0] > 1e-12 * lam[:, -1])
-    values = np.full(blends.shape[0], math.inf)
-    if good.any():
-        rhs = np.broadcast_to(u[:, None], (int(good.sum()), u.size, 1)).copy()
-        x = np.linalg.solve(blends[good], rhs)[..., 0]
-        values[good] = x @ u
-    return values
+    return _criterion(v, grid_infos, u)[0]
 
 
 def _envelope_argmax(grid_infos: np.ndarray, u: np.ndarray, solve_at) -> int:
@@ -209,16 +203,13 @@ def worst_case_design(
             if gap_best <= saddle_tol * game_value:
                 break
         v_star, gap = v_best, gap_best
-        game_value = float(
-            _payoff_over_grid(v_star, grid_infos, u)[best_index]
-        )
         # the averaged fractions are no longer the exact inner minimizer at
         # p*, so re-certify their first-order residual there
         infos_star = grid_infos[:, best_index]
-        blend = np.einsum("t,tij->ij", v_star, infos_star)
-        x = np.linalg.solve(blend, u)
+        game_value, x = _criterion(v_star, infos_star, u)
+        game_value = float(game_value)
         g = np.einsum("tij,i,j->t", infos_star, x, x)
-        residual = _kkt_residual_from(g, float(u @ x), v_star, 1e-7)
+        residual = _kkt_residual_from(g, game_value, v_star, SUPPORT_EPS)
 
     design = design_from_fractions(v_star, budget, patterns)
     inner = SolveReport(

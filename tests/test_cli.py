@@ -248,6 +248,27 @@ class TestMain:
         assert code == 2
         assert "solver error" in capsys.readouterr().err
 
+    def test_singular_end_point_exit_two(self, capsys, tmp_path):
+        doc = {
+            "model": {
+                "tests": [
+                    {"id": f"t{j}", "cost": 100 + 50 * j, "sensitivity": 0.9, "specificity": 0.95}
+                    for j in range(7)
+                ],
+                "nominal": [
+                    [int(c) for c in row]
+                    for row in ("1000101", "0100110", "0010011", "0001111", "0000000")
+                ],
+            },
+            "scenario": {"point": [0.1, 0.1, 0.1, 0.1]},
+            "budget": 1e6,
+        }
+        path = tmp_path / "seven.json"
+        path.write_text(json.dumps(doc))
+        code = main(["c-optimal", "--config", str(path)])
+        assert code == 2
+        assert "solver error" in capsys.readouterr().err
+
     def test_simulate_with_design_file(self, capsys, tmp_path):
         config_path = tmp_path / "row1.json"
         config_path.write_text(json.dumps(ROW1))

@@ -9,7 +9,10 @@ import pytest
 import scipy.stats
 
 from serodesign import (
+    ConvergenceError,
+    DiseaseModel,
     InfeasibleDesignError,
+    TestSpec,
     all_patterns,
     budget_for_margin,
     default_model,
@@ -22,6 +25,7 @@ from serodesign import (
     objective_gradient,
     solve_c_optimal,
 )
+from serodesign.coptimal import KKT_TOL
 from _suites import (
     golden_section_two_pattern,
     random_pd_fractions,
@@ -165,6 +169,61 @@ class TestSolver:
         assert report.min_variance == report.objective / 1e7
         assert report.mu_star == report.objective
         assert report.kkt_residual <= 1e-6 * report.mu_star
+
+
+def seven_test_model():
+    """Seven tests whose c-optimal design has a singular information matrix."""
+    tests = [TestSpec(f"t{j}", 100.0 + 50.0 * j, 0.9, 0.95) for j in range(7)]
+    rows = ("1000101", "0100110", "0010011", "0001111", "0000000")
+    return DiseaseModel(tests=tests, nominal=[[int(c) for c in r] for r in rows], u=np.ones(4))
+
+
+def random_model(rng):
+    """3-5 tests, k = 2-4, distinct arbitrary nominal rows, u = 1, Dirichlet p."""
+    n_tests = int(rng.integers(3, 6))
+    k = int(rng.integers(2, 5))
+    tests = [
+        TestSpec(
+            f"t{j}",
+            float(rng.uniform(50.0, 2000.0)),
+            float(rng.uniform(0.55, 0.99)),
+            float(rng.uniform(0.55, 0.99)),
+        )
+        for j in range(n_tests)
+    ]
+    rows = rng.choice(2**n_tests, size=k + 1, replace=False)
+    nominal = [[(int(r) >> j) & 1 for j in range(n_tests)] for r in rows]
+    p = rng.dirichlet(np.ones(k + 1))[:k]
+    return DiseaseModel(tests=tests, nominal=nominal, u=np.ones(k)), p
+
+
+class TestTypedErrors:
+    def test_singular_end_point_raises_convergence_error(self):
+        with pytest.raises(ConvergenceError, match="singular"):
+            solve_c_optimal(np.full(4, 0.1), seven_test_model(), budget=1e6)
+
+    def test_random_models_certify_or_raise_typed(self):
+        # Each solve returns a certified design or raises a typed error.  A
+        # returned design whose information is singular (a singular c-optimal
+        # design) has no criterion-path residual, since kkt_check and objective
+        # treat singular blends as unbounded; the solver's own residual on
+        # its Cholesky path certifies it instead.
+        outcomes = {"certified": 0, "singular": 0, "typed": 0}
+        for seed in range(20):
+            model, p = random_model(np.random.default_rng(seed))
+            try:
+                report = solve_c_optimal(p, model, max_iter=300)
+            except (InfeasibleDesignError, ConvergenceError):
+                outcomes["typed"] += 1
+                continue
+            v = report.design.fractions
+            assert report.kkt_residual <= KKT_TOL * report.objective
+            if objective(v, p, model) == math.inf:
+                outcomes["singular"] += 1
+                continue
+            assert kkt_check(v, p, model) <= KKT_TOL * report.objective
+            outcomes["certified"] += 1
+        assert outcomes["certified"] >= 1 and outcomes["typed"] >= 1
 
 
 class TestDesignFromFractions:
