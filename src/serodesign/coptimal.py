@@ -6,10 +6,17 @@ Scaling a design by the budget reduces the problem to minimizing
 
 over budget fractions v on the probability simplex over test patterns;
 the achievable variance at budget C is then ``a(v*) / C`` and the
-participant counts are ``w_t = v_t C / c_t``.  The minimizer is found by
-pairwise Frank-Wolfe with exact line search, followed by a
-projected-Newton polish on the active support, and is certified through
-the first-order optimality conditions of the simplex-constrained program.
+participant counts are ``w_t = v_t C / c_t``.  The minimizer comes from
+Elfving's theorem (Elfving 1952; multiresponse form in Sagnol 2011, JSPI
+141): with ``B_t = I_t(p) / c_t``,
+
+    sqrt(min_v a(v)) = max { u'y : y' B_t y <= 1 for all t },
+
+a convex program in k unknowns whose normalized constraint multipliers
+are the optimal fractions.  A log-barrier Newton path on that dual ends
+in an exact active-set Newton finish, and a returned design carries the
+dual certificate: nonnegative multipliers, a feasible dual point and a
+vanishing finish residual.
 """
 
 from __future__ import annotations
@@ -45,9 +52,18 @@ __all__ = [
     "normal_quantile",
 ]
 
-# Relative Frank-Wolfe duality-gap target and iteration cap.
-FW_GAP_TOL = 1e-9
-FW_MAX_ITER = 100_000
+# Newton steps allowed per solve, the barrier's and the finish's together.
+MAX_NEWTON_STEPS = 200
+# Growth of the barrier weight tau from one centred point to the next.
+TAU_GROWTH = 30.0
+# Duality gap, relative to u'y, at which the first active-set finish runs.
+FINISH_GAP = 1e-3
+# Least-squares Newton steps allowed per finish.
+FINISH_STEPS = 8
+# Certificate tolerance on dual infeasibility and on the finish residual.
+CERTIFICATE_TOL = 1e-10
+# Halvings allowed to keep a barrier step strictly feasible.
+MAX_BACKTRACKS = 60
 # Fractions at or below this are treated as off-support.
 SUPPORT_EPS = 1e-7
 # Relative first-order residual accepted as optimal.
@@ -214,6 +230,14 @@ def _inv_chol(a: np.ndarray):
         return None
 
 
+def _nonsingular(a: np.ndarray) -> np.ndarray:
+    """Whether the symmetric a (also stacked) is numerically nonsingular: its
+    largest eigenvalue is positive and its smallest exceeds SINGULAR_RATIO
+    times the largest."""
+    lam = np.linalg.eigvalsh(a)
+    return (lam[..., -1] > 0.0) & (lam[..., 0] > SINGULAR_RATIO * lam[..., -1])
+
+
 def _criterion(v: np.ndarray, infos: np.ndarray, u: np.ndarray):
     """(a, x): the criterion a = u' A^{-1} u and x = A^{-1} u of A = sum_t v_t infos[t].
 
@@ -223,8 +247,7 @@ def _criterion(v: np.ndarray, infos: np.ndarray, u: np.ndarray):
     times the largest) a is +inf and x is nan.
     """
     a = _blend(v, infos)
-    lam = np.linalg.eigvalsh(a)
-    good = (lam[..., -1] > 0.0) & (lam[..., 0] > SINGULAR_RATIO * lam[..., -1])
+    good = _nonsingular(a)
     values = np.full(good.shape, math.inf)
     x = np.full(a.shape[:-1], math.nan)
     linv = _inv_chol(a[good]) if good.any() else None
@@ -274,58 +297,8 @@ def objective_gradient(
 
 
 # ---------------------------------------------------------------------------
-# Frank-Wolfe solver
+# Simplex solver on Elfving's dual
 # ---------------------------------------------------------------------------
-
-
-def _segment_minimize(
-    linv: np.ndarray, y: np.ndarray, d: np.ndarray, gamma_max: float
-) -> float:
-    """Minimize gamma -> u' (a + gamma d)^{-1} u over [0, gamma_max], a SPD.
-
-    Takes a's inverse Cholesky factor ``linv`` and ``y = linv @ u``.
-    Diagonalizing d in the metric of a turns the objective into the
-    rational function sum_i c_i / (1 + gamma * lam_i), whose convex
-    minimizer is located by bisection on the derivative.
-    """
-    w = linv @ d @ linv.T
-    w = (w + w.T) / 2.0
-    lam, q = np.linalg.eigh(w)
-    coef = (q.T @ y) ** 2
-
-    hi = gamma_max
-    neg = lam < 0
-    if neg.any():
-        barrier = float((-1.0 / lam[neg]).min())
-        hi = min(hi, (1.0 - 1e-12) * barrier)
-    if hi <= 0.0:
-        return 0.0
-
-    lam_l = lam.tolist()
-    coef_l = coef.tolist()
-
-    def slope(g: float) -> float:
-        total = 0.0
-        for c, l in zip(coef_l, lam_l):
-            r = 1.0 + g * l
-            total -= c * l / (r * r)
-        return total
-
-    if slope(0.0) >= 0.0:
-        return 0.0
-    if slope(hi) <= 0.0:
-        return gamma_max if hi >= gamma_max * (1.0 - 1e-12) else hi
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    gamma = 0.5 * (lo + hi)
-    if gamma >= gamma_max * (1.0 - 1e-12):
-        return gamma_max
-    return gamma
 
 
 def _kkt_residual_from(g: np.ndarray, mu: float, v: np.ndarray, support_eps: float) -> float:
@@ -344,161 +317,142 @@ def _kkt_residual_from(g: np.ndarray, mu: float, v: np.ndarray, support_eps: flo
     return resid
 
 
-def _polish_support(
-    v: np.ndarray, infos: np.ndarray, u: np.ndarray, support_eps: float, max_iter: int = 50
-) -> np.ndarray:
-    """Newton refinement of the support weights on the simplex face.
+def _finish(infos: np.ndarray, u: np.ndarray, y: np.ndarray, lam: np.ndarray, active: np.ndarray):
+    """Active-set Newton finish from a centred point of the barrier path.
 
-    Solves the equality-constrained Newton system on the active support,
-    backtracking to stay feasible; support patterns driven to zero are
-    dropped.  The Hessian is 2 W' A^{-1} W = 2 (L^{-1} W)' (L^{-1} W) with
-    W_t = (I_t/c_t) A^{-1} u, so the system stays tiny (support size by
-    support size).
+    Solves ``2 sum_S lam_t B_t y = u`` and ``y' B_t y = 1`` for t in the
+    active set S by Newton steps in (y, lam_S).  Each step is a least-squares
+    solve truncated at rcond 1e-10, so a singular Jacobian cannot throw y
+    along its null space.  The steps stop once one no longer cuts the
+    residual tenfold: roundoff on the right active set, a stall on a wrong
+    one.  Returns (y, multipliers of every pattern, residual, steps), with
+    the first block of the residual relative to |u|.
     """
-    v = v.copy()
-    v[v <= support_eps] = 0.0
-    v /= v.sum()
-    for _ in range(max_iter):
-        support = np.flatnonzero(v > 0.0)
-        if support.size <= 1:
+    b = infos[active]
+    k, m = u.size, b.shape[0]
+    scale = 1.0 / float(np.linalg.norm(u))
+    lam_s = lam[active]
+    jac = np.zeros((k + m, k + m))
+
+    def conditions(y, lam_s):
+        by = b @ y
+        return by, np.concatenate([(2.0 * lam_s @ by - u) * scale, by @ y - 1.0])
+
+    by, f = conditions(y, lam_s)
+    res = np.abs(f).max()
+    steps = 0
+    for steps in range(1, FINISH_STEPS + 1):
+        jac[:k, :k] = (2.0 * scale) * _blend(lam_s, b)
+        jac[:k, k:] = (2.0 * scale) * by.T
+        jac[k:, :k] = 2.0 * by
+        dz = np.linalg.lstsq(jac, -f, rcond=1e-10)[0]
+        y_new, lam_new = y + dz[:k], lam_s + dz[k:]
+        by_new, f_new = conditions(y_new, lam_new)
+        res_new = np.abs(f_new).max()
+        if res_new < res:
+            y, lam_s, by, f = y_new, lam_new, by_new, f_new
+        if not res_new < 0.1 * res:
             break
-        linv = _inv_chol(_blend(v, infos))
-        if linv is None:
-            break
-        x = linv.T @ (linv @ u)
-        mu = float(u @ x)
-        g_s = np.einsum("tij,i,j->t", infos[support], x, x)
-        if np.abs(g_s - mu).max() <= 1e-13 * mu:
-            break
-        z = linv @ np.einsum("tij,j->it", infos[support], x)  # L^{-1} W, (k, |S|)
-        hess = 2.0 * z.T @ z
-        n = support.size
-        kkt = np.zeros((n + 1, n + 1))
-        kkt[:n, :n] = hess
-        kkt[:n, n] = 1.0
-        kkt[n, :n] = 1.0
-        rhs = np.zeros(n + 1)
-        rhs[:n] = g_s  # -gradient
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        step = sol[:n]
-        if not np.isfinite(step).all() or np.abs(step).max() <= 1e-16:
-            break
-        # largest feasible step, then Armijo backtracking on the objective
-        shrink = step < 0
-        t_max = 1.0
-        if shrink.any():
-            t_max = min(1.0, float((v[support][shrink] / -step[shrink]).min()))
-        f0 = mu
-        slope0 = float(-g_s @ step)  # directional derivative of the objective
-        t = t_max
-        accepted = False
-        for _ in range(60):
-            trial = v.copy()
-            trial[support] = np.maximum(v[support] + t * step, 0.0)
-            total = trial.sum()
-            if total <= 0:
-                t *= 0.5
-                continue
-            trial /= total
-            f_trial = _criterion(trial, infos, u)[0]
-            if f_trial <= f0 + 1e-4 * t * slope0 or f_trial < f0:
-                v = trial
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-    v[v <= support_eps] = 0.0
-    v /= v.sum()
-    return v
+        res = res_new
+    lam = np.zeros(infos.shape[0])
+    lam[active] = lam_s
+    return y, lam, float(np.abs(f).max()), steps
 
 
-def _solve_simplex(
-    infos: np.ndarray,
-    u: np.ndarray,
-    tol: float = FW_GAP_TOL,
-    max_iter: int = FW_MAX_ITER,
-    support_eps: float = SUPPORT_EPS,
-):
-    """Pairwise Frank-Wolfe plus Newton polish; returns (v, objective, residual, iters).
+def _solve_simplex(infos: np.ndarray, u: np.ndarray, max_iter: int = MAX_NEWTON_STEPS):
+    """Minimize a(v) = u' (sum_t v_t B_t)^{-1} u over the simplex; B_t = infos[t].
 
-    Starts at the uniform distribution, which keeps the blended matrix
-    positive definite whenever some pattern's information is; pairwise
-    steps move mass from the worst supported pattern to the best vertex,
-    so iterates never leave the simplex and drop steps zero coordinates
-    exactly.
+    Returns (v, objective, residual, steps).  By Elfving's theorem the
+    minimum is (max u'y)^2 over {y : y' B_t y <= 1 for all t}, and the
+    normalized multipliers of that dual are the optimal fractions.  Newton
+    steps follow the central path of the barrier
+    ``-tau u'y - sum_t log s_t`` with slacks ``s_t = 1 - y' B_t y``.  The
+    path starts at half the largest feasible multiple of
+    ``(sum_t B_t)^{-1} u`` with the most central tau; tau grows by
+    TAU_GROWTH at each centred point (squared Newton decrement at most
+    1/4), steps are damped by 1/(1 + sqrt(decrement)) while the decrement
+    exceeds 1, and halved until every slack stays positive.
+
+    Once the duality gap T/tau is at most FINISH_GAP * u'y, _finish solves
+    the optimality conditions on the patterns whose share of the barrier
+    multipliers 1/(tau s_t) exceeds their slack.  Its result is certified
+    when its multipliers are nonnegative, y is dual feasible and the finish
+    residual is within CERTIFICATE_TOL; otherwise the path continues to a
+    gap a hundred times smaller.  Then v = lam / sum(lam), the objective is
+    (u'y)^2 and, since A(v)^{-1} u = 2 sum(lam) y, every sensitivity is
+    ``g_t = objective * y' B_t y``, with no inverse of A(v).  ``steps``
+    counts the barrier and finish Newton steps.
+
+    Raises InfeasibleDesignError when sum_t B_t is singular, and
+    ConvergenceError when the certified optimum's information matrix is
+    singular by the rule of _criterion, or when no certificate is reached
+    within max_iter steps.
     """
     n = infos.shape[0]
-    v = np.full(n, 1.0 / n)
-    v_before = v.copy()
-    direction_vec = np.zeros(n)
-    last_move = 0.0
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        linv = _inv_chol(_blend(v, infos))
-        if linv is None:
-            # a full drop step can land on a numerically singular blend when
-            # the departing pattern carried the only information in some
-            # direction u does not need; retreat halfway until solvable
-            retreat = last_move
-            for _ in range(60):
-                retreat = 0.5 * retreat
-                v = v_before + retreat * direction_vec
-                linv = _inv_chol(_blend(v, infos))
-                if linv is not None:
-                    break
-            else:
-                raise InfeasibleDesignError("blended information matrix became singular")
-        y = linv @ u
-        x = linv.T @ y
-        mu = float(u @ x)
-        g = np.einsum("tij,i,j->t", infos, x, x)
-        gap = float(g.max() - mu)
-        if gap <= tol * mu:
-            break
-        toward = int(np.argmax(g))
-        support = np.flatnonzero(v > 0.0)
-        away = int(support[np.argmin(g[support])])
-        if toward == away:
-            break
-        gamma_max = float(v[away])
-        gamma = _segment_minimize(linv, y, infos[toward] - infos[away], gamma_max)
-        if gamma <= 0.0:
-            break
-        v_before = v.copy()
-        direction_vec = np.zeros(n)
-        direction_vec[toward] = 1.0
-        direction_vec[away] = -1.0
-        last_move = gamma
-        v[toward] += gamma
-        v[away] -= gamma
-        if v[away] < 1e-15:
-            v[away] = 0.0
-
-    v = _polish_support(v, infos, u, support_eps)
-    linv = _inv_chol(_blend(v, infos))
-    if linv is None:
-        raise ConvergenceError(
-            f"the information matrix of the design found after {iterations} "
-            "iterations is singular"
-        )
-    x = linv.T @ (linv @ u)
-    mu = float(u @ x)
-    g = np.einsum("tij,i,j->t", infos, x, x)
-    residual = _kkt_residual_from(g, mu, v, support_eps)
-    return v, mu, residual, iterations
+    try:
+        y_hat = np.linalg.solve(infos.sum(axis=0), u)
+    except np.linalg.LinAlgError:
+        raise InfeasibleDesignError("the summed pattern information matrix is singular") from None
+    y = 0.5 * y_hat / math.sqrt((infos @ y_hat @ y_hat).max())
+    tau = None
+    gap = FINISH_GAP
+    steps = 0
+    while steps < max_iter:
+        by = infos @ y
+        s = 1.0 - by @ y
+        w = by / s[:, None]
+        grad = 2.0 * w.sum(axis=0)  # of the barrier; the objective adds -tau u
+        hess = 2.0 * _blend(1.0 / s, infos) + 4.0 * w.T @ w
+        h_grad, h_u = np.linalg.solve(hess, np.array([grad, u]).T).T
+        if tau is None:
+            tau = (h_u @ grad) / (h_u @ u)
+        dec = (grad - tau * u) @ (h_grad - tau * h_u)
+        if dec <= 0.25:
+            if n / tau <= gap * (u @ y):
+                lam = 1.0 / (tau * s)
+                y_fin, lam, resid, finish_steps = _finish(infos, u, y, lam, lam / lam.sum() > s)
+                steps += finish_steps
+                q = infos @ y_fin @ y_fin
+                total = lam.sum()
+                if (
+                    lam.min() >= -1e-12 * total
+                    and q.max() <= 1.0 + CERTIFICATE_TOL
+                    and resid <= CERTIFICATE_TOL
+                ):
+                    v = np.maximum(lam, 0.0) / total
+                    if not _nonsingular(_blend(v, infos)):
+                        raise ConvergenceError(
+                            f"the optimal design found after {steps} Newton steps has a "
+                            f"singular information matrix (support of {np.count_nonzero(v)} "
+                            "patterns); singular optima are not returned"
+                        )
+                    mu = float(u @ y_fin) ** 2
+                    return v, mu, _kkt_residual_from(mu * q, mu, v, SUPPORT_EPS), steps
+                gap *= 1e-2
+            tau *= TAU_GROWTH
+            dec = (grad - tau * u) @ (h_grad - tau * h_u)
+        step = tau * h_u - h_grad
+        t = 1.0 / (1.0 + math.sqrt(dec)) if dec > 1.0 else 1.0
+        for _ in range(MAX_BACKTRACKS):
+            trial = y + t * step
+            if (infos @ trial @ trial < 1.0).all():
+                break
+            t *= 0.5
+        else:
+            raise ConvergenceError(
+                f"no strictly feasible barrier step after {steps} Newton steps"
+            )
+        y = trial
+        steps += 1
+    raise ConvergenceError(f"no certified optimum after {steps} of at most {max_iter} Newton steps")
 
 
 def solve_c_optimal(
     p,
     model: DiseaseModel,
     patterns: Sequence[TestPattern] | None = None,
-    tol: float = FW_GAP_TOL,
     budget: float = 1.0,
-    max_iter: int = FW_MAX_ITER,
+    max_iter: int = MAX_NEWTON_STEPS,
 ) -> SolveReport:
     """Minimize the estimate's variance over budget fractions on patterns.
 
@@ -519,9 +473,7 @@ def solve_c_optimal(
             "every design has unbounded variance"
         )
     infos = _pattern_infos(p, model, patterns)
-    v, mu, residual, iterations = _solve_simplex(
-        infos, model.u, tol=tol, max_iter=max_iter, support_eps=SUPPORT_EPS
-    )
+    v, mu, residual, iterations = _solve_simplex(infos, model.u, max_iter=max_iter)
     design = Design(patterns=tuple(patterns), fractions=v, budget=budget)
     report = SolveReport(
         design=design,
@@ -533,7 +485,7 @@ def solve_c_optimal(
     )
     if residual > KKT_TOL * mu:
         raise ConvergenceError(
-            f"solver stopped after {iterations} of at most {max_iter} iterations at a "
+            f"solver stopped after {iterations} of at most {max_iter} Newton steps at a "
             f"first-order residual of {residual / mu:.3e} relative, above {KKT_TOL:g}",
             best=report,
         )

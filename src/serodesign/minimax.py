@@ -15,11 +15,14 @@ design ``v`` bounds the inner optimum from above at every grid point,
 ``min_w a(w; p) <= a(v; p)``, with no appeal to concavity, and one batched
 evaluation gives that bound over the whole grid.  The scan solves the open
 point with the largest bound and closes every point whose bound falls
-below the best solved value by more than PRUNE_MARGIN relative.  Because
-each solve is deterministic and reaches its optimum to within FW_GAP_TOL,
-far inside that margin, no closed point could have beaten or tied the
-incumbent, so the scan returns exactly the point, fractions and iteration
-count that solving every grid point would.
+below the best solved value by more than PRUNE_MARGIN relative.  Each
+solve is deterministic and carries Elfving's dual certificate: its value
+comes from a dual point feasible to within CERTIFICATE_TOL (1e-10), and
+its design meets the optimality conditions to within the same tolerance,
+so every solved value lies within about 1e-10 relative of the inner
+optimum, far inside that margin.  Hence no closed point could have beaten
+or tied the incumbent, and the scan returns exactly the point, fractions
+and iteration count that solving every grid point would.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ SADDLE_TOL = 1e-3
 REFINE_MAX_ROUNDS = 200
 # Relative margin by which a grid point's envelope bound must fall below
 # the best solved value before the scan closes it unsolved.  It sits far
-# above the inner solver's relative duality-gap target (FW_GAP_TOL, 1e-9),
-# so a point whose solve could reach or tie the incumbent is never closed.
+# above the relative accuracy of a certified inner solve (about
+# CERTIFICATE_TOL, 1e-10), so a point whose solve could reach or tie the
+# incumbent is never closed.
 PRUNE_MARGIN = 1e-6
 
 
