@@ -38,7 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -60,7 +60,7 @@ from .model import (
     check_a1,
     check_a2,
 )
-from .simulate import simulation_report
+from .simulate import MIN_REPLICATIONS, simulation_report
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "run", "main", "fixture_path"]
 
@@ -390,12 +390,7 @@ def parse_config(doc: dict) -> RunConfig:
         replications=int(_number(opts_doc.get("replications", 200), "options.replications")),
         currency=str(opts_doc.get("currency", "units")),
     )
-    if not 0.0 < options.alpha < 1.0:
-        raise ConfigError("options.alpha", f"must lie strictly in (0, 1), got {options.alpha}")
-    if options.grid_step <= 0:
-        raise ConfigError("options.grid_step", f"must be positive, got {options.grid_step}")
-    if options.replications < 2:
-        raise ConfigError("options.replications", "need at least 2 replications")
+    _check_options(options)
 
     return RunConfig(
         model=model,
@@ -407,6 +402,21 @@ def parse_config(doc: dict) -> RunConfig:
         strata=strata,
         groups=groups,
     )
+
+
+def _check_options(options: Options) -> None:
+    """Reject option values no subcommand can run with, from a file or a flag."""
+    if not 0.0 < options.alpha < 1.0:
+        raise ConfigError("options.alpha", f"must lie strictly in (0, 1), got {options.alpha}")
+    if not options.grid_step > 0:
+        raise ConfigError("options.grid_step", f"must be positive, got {options.grid_step}")
+    if options.moe is not None and not options.moe > 0:
+        raise ConfigError("options.moe", f"must be positive, got {options.moe}")
+    if options.replications < MIN_REPLICATIONS:
+        raise ConfigError(
+            "options.replications",
+            f"need at least {MIN_REPLICATIONS} replications, got {options.replications}",
+        )
 
 
 def load_config(path: str) -> RunConfig:
@@ -450,12 +460,10 @@ def run(
             f"{' or '.join(_SCENARIO_FOR[subcommand])} scenario, "
             f"got {config.scenario_kind!r}",
         )
-    opts = config.options
-    grid_step = opts.grid_step if grid_step is None else grid_step
-    alpha = opts.alpha if alpha is None else alpha
-    seed = opts.seed if seed is None else seed
-    replications = opts.replications if replications is None else replications
-    moe = opts.moe if moe is None else moe
+    flags = dict(moe=moe, alpha=alpha, grid_step=grid_step, seed=seed, replications=replications)
+    opts = replace(config.options, **{k: v for k, v in flags.items() if v is not None})
+    _check_options(opts)
+    grid_step, alpha, moe = opts.grid_step, opts.alpha, opts.moe
 
     header = {"command": subcommand, "currency": opts.currency, "budget": config.budget}
 
@@ -526,8 +534,8 @@ def run(
             config.model,
             v,
             budget,
-            replications=replications,
-            seed=seed,
+            replications=opts.replications,
+            seed=opts.seed,
         )
         return {**header, "parameter": [float(x) for x in config.point], **report}
 

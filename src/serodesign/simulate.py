@@ -5,7 +5,10 @@ the administered tests given the state), fits the constrained maximum
 likelihood estimate of the state probabilities, and compares the sample
 variance of the estimated target against the variance the design solver
 predicted.  Replications use independent, named counter-based random
-streams so runs are reproducible and order-independent.
+streams so runs are reproducible and order-independent.  The fits of all
+replications run as one batch: Newton's method on the active face of the
+simplex, each row leaving the batch once its projected gradient is
+certified, so a replication's estimate does not depend on the others.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ __all__ = [
 ]
 
 MLE_TOL = 1e-8
-MLE_MAX_ITER = 100_000
+MLE_MAX_STEPS = 100  # Newton steps of one batched fit
+MIN_REPLICATIONS = 8  # the normality test needs 8 estimates
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +93,7 @@ def sample_outcomes(
     (seed, replication).
     """
     p = validate_parameter(p, model.k)
-    state_probs = np.append(p, 1.0 - p.sum())
+    state_probs = np.append(p, max(1.0 - p.sum(), 0.0))  # p may sum to 1 + 1 ulp
     patterns, counts = [], []
     for index, (t, n) in enumerate(zip(design.patterns, design.integer_counts)):
         if n <= 0:
@@ -109,100 +113,146 @@ def sample_outcomes(
 
 
 def _dataset_tables(dataset: SurveyDataset, model: DiseaseModel):
-    """Stack per-outcome rows across patterns: counts n_y, offsets, slopes."""
-    slopes, offsets, weights = [], [], []
-    for t, c in zip(dataset.patterns, dataset.counts):
-        _, d, q_ref = _pattern_tables(model, t.mask)
-        slopes.append(d)
-        offsets.append(q_ref)
-        weights.append(c.astype(np.float64))
-    return np.vstack(slopes), np.concatenate(offsets), np.concatenate(weights)
+    """Stack per-outcome rows across patterns: P(y | state) and the counts n_y."""
+    tables = [_pattern_tables(model, t.mask)[0] for t in dataset.patterns]
+    return np.vstack(tables), np.concatenate(dataset.counts).astype(np.float64)
 
 
 def log_likelihood(dataset: SurveyDataset, p, model: DiseaseModel) -> float:
     """Observed-data log-likelihood of the state probabilities p."""
     p = validate_parameter(p, model.k)
-    slopes, offsets, weights = _dataset_tables(dataset, model)
-    mix = offsets + slopes @ p
-    return float(weights @ np.log(mix))
+    q, weights = _dataset_tables(dataset, model)
+    return float(weights @ np.log(q @ np.append(p, 1.0 - p.sum())))
 
 
 def _project_feasible(q: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {p >= 0, sum(p) <= 1}."""
+    """Euclidean projection of each row of q onto {p >= 0, sum(p) <= 1}."""
     x = np.maximum(q, 0.0)
-    if x.sum() <= 1.0:
-        return x
-    # the sum constraint is active: project onto the unit simplex
-    u = np.sort(q)[::-1]
-    cumulative = np.cumsum(u) - 1.0
-    ranks = np.arange(1, q.size + 1)
-    rho = np.nonzero(u - cumulative / ranks > 0)[0][-1]
-    theta = cumulative[rho] / (rho + 1.0)
-    return np.maximum(q - theta, 0.0)
+    over = x.sum(axis=1) > 1.0
+    if over.any():
+        # the sum constraint is active: project those rows onto the unit simplex
+        s = q[over]
+        u = -np.sort(-s, axis=1)
+        cumulative = np.cumsum(u, axis=1) - 1.0
+        positive = u - cumulative / np.arange(1, s.shape[1] + 1) > 0
+        rho = s.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
+        theta = np.take_along_axis(cumulative, rho[:, None], axis=1) / (rho[:, None] + 1.0)
+        x[over] = np.maximum(s - theta, 0.0)
+    return x
+
+
+def _face_newton(hess, g, free, ridge):
+    """Newton ascent directions on the free faces of the simplex, one per row.
+
+    Solves ``H d + nu 1 = g`` on the free coordinates with ``1'd = 0``;
+    fixed coordinates get identity rows, so their ``d`` is 0.
+    """
+    rows, k1 = g.shape
+    kkt = np.zeros((rows, k1 + 1, k1 + 1))
+    kkt[:, :k1, :k1] = np.where(free[:, :, None] & free[:, None, :], hess, 0.0)
+    diagonal = np.arange(k1)
+    kkt[:, diagonal, diagonal] += np.where(free, ridge[:, None], 1.0)
+    kkt[:, :k1, k1] = free
+    kkt[:, k1, :k1] = free
+    rhs = np.zeros((rows, k1 + 1, 1))
+    rhs[:, :k1, 0] = np.where(free, g, 0.0)
+    return np.where(free, np.linalg.solve(kkt, rhs)[:, :k1, 0], 0.0)
+
+
+def _fit(q: np.ndarray, counts: np.ndarray, tol: float) -> np.ndarray:
+    """Constrained MLEs of many datasets that share one outcome table.
+
+    ``q`` is the stacked ``(n, k+1)`` table ``P(y | state)`` and ``counts``
+    the ``(R, n)`` outcome counts; returns the ``(R, k)`` estimates.  Each
+    row is a Newton ascent of the mean log-likelihood on the free face of
+    the simplex ``pi = (p, 1 - sum(p))``, and leaves the batch once its
+    unit-step projected gradient in ``p`` is at most ``tol``.
+    """
+    n, k1 = q.shape
+    k = k1 - 1
+    outer = (q[:, :, None] * q[:, None, :]).reshape(n, k1 * k1)
+    out = np.empty((counts.shape[0], k))
+    rows = np.arange(counts.shape[0])
+    w = counts / counts.sum(axis=1, keepdims=True)
+    pi = np.full((rows.size, k1), 1.0 / k1)
+    for step in range(MLE_MAX_STEPS + 1):
+        m = pi @ q.T
+        wm = w / m
+        g = wm @ q  # gradient in pi; pi'g = 1 up to rounding
+        p = pi[:, :k]
+        norm = np.linalg.norm(_project_feasible(p + g[:, :k] - g[:, k:]) - p, axis=1)
+        done = norm <= tol
+        out[rows] = p
+        if done.all():
+            return out
+        if step == MLE_MAX_STEPS:
+            break
+        if done.any():
+            keep = ~done
+            rows, w, pi, m, wm, g = rows[keep], w[keep], pi[keep], m[keep], wm[keep], g[keep]
+
+        # free coordinates: positive ones, and zeros whose gradient wants to
+        # enter.  Centring g leaves d unchanged (1'd = 0) and keeps the small
+        # step from being swamped by the solve's error on the multiplier.
+        excess = g - (pi * g).sum(axis=1, keepdims=True)
+        free = (pi > 0) | (excess > 0)
+        hess = ((wm / m) @ outer).reshape(-1, k1, k1)
+        ridge = 1e-13 * np.trace(hess, axis1=1, axis2=2)
+        for _ in range(k1):
+            d = _face_newton(hess, excess, free, ridge)
+            leaving = free & (pi == 0) & (d < 0)
+            if not leaving.any():
+                break
+            free &= ~leaving
+
+        # ratio test to the boundary, then Armijo halving on the exact gain;
+        # the boundary is taken only while the likelihood still rises there
+        shrinking = d < 0
+        ratio = np.where(shrinking, pi / np.where(shrinking, -d, 1.0), np.inf)
+        t_max = ratio.min(axis=1)
+        t = np.minimum(t_max, 1.0)
+        slope = (excess * d).sum(axis=1)
+        relative = (d @ q.T) / m
+        for _ in range(60):
+            step_rel = t[:, None] * relative
+            gain = (w * np.log1p(step_rel)).sum(axis=1)
+            rising = (w * relative / (1.0 + step_rel)).sum(axis=1) > 0
+            accepted = (gain >= 1e-4 * t * slope) & ((t < t_max) | rising)
+            if accepted.all():
+                break
+            t = np.where(accepted, t, 0.5 * t)
+        else:
+            break
+        pi = pi + t[:, None] * d
+        # a coordinate that blocks the step lands exactly on its face
+        pi[(t == t_max)[:, None] & (ratio <= t_max[:, None])] = 0.0
+        pi = np.maximum(pi, 0.0)
+    worst = float(np.max(norm))
+    raise ConvergenceError(
+        f"MLE did not converge on {int(np.sum(~done))} of {out.shape[0]} datasets: "
+        f"projected-gradient norm {worst:.3e} > {tol:g}",
+        best=out,
+    )
 
 
 def mle(dataset: SurveyDataset, model: DiseaseModel, tol: float = MLE_TOL) -> np.ndarray:
     """Maximum-likelihood state probabilities over the feasible simplex.
 
-    Projected gradient ascent on the mean log-likelihood with a
-    Barzilai-Borwein step and Armijo backtracking, started from an
-    interior equal-probability point.  The log-likelihood is concave in p,
-    so the first-order point found is the global maximum; convergence is
-    declared when the unit-step projected gradient falls below ``tol``.
+    Newton's method on the active face of ``{p >= 0, sum(p) <= 1}``, with
+    the exact Hessian of the mean log-likelihood, a ratio test to the
+    boundary and Armijo halving, started from the equal-probability point.
+    The log-likelihood is concave in p, so the first-order point found is
+    the global maximum; it is returned once the unit-step projected
+    gradient is at most ``tol``.  Otherwise ``ConvergenceError`` is raised
+    after ``MLE_MAX_STEPS`` Newton steps, with ``best`` the ``(1, k)``
+    last iterate.
     """
     if not dataset.patterns:
         raise ValueError("dataset is empty")
-    slopes, offsets, weights = _dataset_tables(dataset, model)
-    total = weights.sum()
-    if total <= 0:
+    q, weights = _dataset_tables(dataset, model)
+    if weights.sum() <= 0:
         raise ValueError("dataset has no observations")
-    weights = weights / total
-    k = model.k
-
-    def value_and_grad(p):
-        mix = offsets + slopes @ p
-        return float(weights @ np.log(mix)), slopes.T @ (weights / mix)
-
-    p = np.full(k, 1.0 / (k + 1))
-    value, grad = value_and_grad(p)
-    step = 1.0
-    prev_p, prev_grad = None, None
-    for _ in range(MLE_MAX_ITER):
-        if np.linalg.norm(_project_feasible(p + grad) - p) <= tol:
-            return p
-        if prev_p is not None:
-            dp = p - prev_p
-            dg = grad - prev_grad
-            curvature = -float(dp @ dg)  # positive for a concave objective
-            if curvature > 1e-18:
-                step = float(dp @ dp) / curvature
-            step = min(max(step, 1e-12), 1e12)
-        trial_step = step
-        accepted = False
-        for _ in range(80):
-            candidate = _project_feasible(p + trial_step * grad)
-            direction = candidate - p
-            if np.linalg.norm(direction) == 0.0:
-                break
-            cand_value, cand_grad = value_and_grad(candidate)
-            if cand_value >= value + 1e-4 * float(grad @ direction):
-                prev_p, prev_grad = p, grad
-                p, value, grad = candidate, cand_value, cand_grad
-                accepted = True
-                break
-            trial_step *= 0.5
-        if not accepted:
-            # no ascent step found: either at the optimum or at numerical limits
-            if np.linalg.norm(_project_feasible(p + grad) - p) <= 10 * tol:
-                return p
-            break
-    final_norm = float(np.linalg.norm(_project_feasible(p + grad) - p))
-    if final_norm <= tol:
-        return p
-    raise ConvergenceError(
-        f"MLE did not converge: projected-gradient norm {final_norm:.3e} > {tol:g}",
-        best=p,
-    )
+    return _fit(q, weights[None, :], tol)[0]
 
 
 def simulate_estimates(
@@ -212,13 +262,18 @@ def simulate_estimates(
     replications: int,
     seed: int,
 ) -> np.ndarray:
-    """Estimate u'p once per replication; independent streams per replication."""
+    """Estimate u'p once per replication; independent streams per replication.
+
+    Every replication is sampled on its own streams, then all of them are
+    fitted together in one batched Newton solve.
+    """
     p = validate_parameter(p, model.k)
-    estimates = np.empty(replications)
-    for r in range(replications):
-        dataset = sample_outcomes(design, p, model, seed, replication=r)
-        estimates[r] = float(model.u @ mle(dataset, model))
-    return estimates
+    if replications < 1:
+        raise ValueError(f"need at least 1 replication, got {replications}")
+    datasets = [sample_outcomes(design, p, model, seed, replication=r) for r in range(replications)]
+    q, _ = _dataset_tables(datasets[0], model)
+    counts = np.array([np.concatenate(d.counts) for d in datasets], dtype=np.float64)
+    return _fit(q, counts, MLE_TOL) @ model.u
 
 
 def _fsum_variance(values: np.ndarray) -> tuple[float, float]:
@@ -244,8 +299,6 @@ def variance_check(
     fractions v_star at the given budget and returns
     ``(empirical_var, predicted_var, ratio)``.
     """
-    if replications < 2:
-        raise ValueError(f"need at least 2 replications, got {replications}")
     report = simulation_report(
         p, model, v_star, budget, replications=replications, seed=seed, patterns=patterns
     )
@@ -269,8 +322,11 @@ def simulation_report(
 
     Includes the empirical and predicted variance of u'p-hat, their ratio,
     the empirical bias, and a skewness/kurtosis normality p-value for the
-    standardized estimates.
+    standardized estimates.  Needs at least ``MIN_REPLICATIONS``
+    replications, which the normality test requires.
     """
+    if replications < MIN_REPLICATIONS:
+        raise ValueError(f"need at least {MIN_REPLICATIONS} replications, got {replications}")
     patterns = list(patterns) if patterns is not None else all_patterns(model)
     p = validate_parameter(p, model.k)
     design = Design(patterns=tuple(patterns), fractions=np.asarray(v_star, float), budget=budget)
@@ -300,8 +356,8 @@ def jarque_bera_pvalue(values: np.ndarray) -> float:
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.size
-    if n < 8:
-        raise ValueError(f"need at least 8 values for a normality test, got {n}")
+    if n < MIN_REPLICATIONS:
+        raise ValueError(f"need at least {MIN_REPLICATIONS} values for a normality test, got {n}")
     centered = values - values.mean()
     m2 = float(np.mean(centered**2))
     if m2 == 0.0:

@@ -269,6 +269,32 @@ class TestMain:
         assert code == 2
         assert "solver error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["worst-case", "--config", fixture_path("table1_row4"), "--grid-step", "0"],
+            ["worst-case", "--config", fixture_path("table1_row4"), "--grid-step", "-0.1"],
+            ["budget", "--config", fixture_path("table1_row1"), "--moe", "0.01", "--alpha", "1.5"],
+            ["budget", "--config", fixture_path("table1_row1"), "--moe", "0"],
+            ["simulate", "--config", fixture_path("table1_row1"), "--replications", "0"],
+            ["simulate", "--config", fixture_path("table1_row1"), "--replications", "1"],
+            ["simulate", "--config", fixture_path("table1_row1"), "--replications", "5"],
+        ],
+    )
+    def test_invalid_flag_exit_one(self, capsys, argv):
+        # flags override the file's options and pass the same checks
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: options.") and "Traceback" not in err
+
+    def test_replications_minimum_in_config(self):
+        doc = copy.deepcopy(ROW1)
+        doc["options"]["replications"] = 7
+        with pytest.raises(ConfigError, match="options.replications"):
+            parse_config(doc)
+        doc["options"]["replications"] = 8
+        assert parse_config(doc).options.replications == 8
+
     def test_simulate_with_design_file(self, capsys, tmp_path):
         config_path = tmp_path / "row1.json"
         config_path.write_text(json.dumps(ROW1))

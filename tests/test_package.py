@@ -1,5 +1,7 @@
-"""Packaging tests: what importing the package pulls in."""
+"""Packaging tests: what importing the package pulls in, and the names the
+benchmark's tracer wraps."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -18,3 +20,16 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_finds_every_wrapped_name():
+    # perfbench/tracer.py wraps package functions by name and drops the
+    # per-layer figures whose names no longer resolve; a rename or removal
+    # of such a function should fail here rather than in a traced run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(root, "perfbench", "tracer.py")
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.Tracer().missing == set()

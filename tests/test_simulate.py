@@ -1,6 +1,6 @@
 """Monte-Carlo harness tests: sampling distribution checks, the MLE
-against a brute-force grid oracle, and the empirical-versus-predicted
-variance comparison."""
+against a brute-force grid oracle and an independent stationarity check,
+and the empirical-versus-predicted variance comparison."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,8 @@ import scipy.stats
 from serodesign import (
     SurveyDataset,
     all_patterns,
+    conditional_prob,
+    default_model,
     design_from_fractions,
     jarque_bera_pvalue,
     log_likelihood,
@@ -22,9 +24,62 @@ from serodesign import (
     solve_c_optimal,
     variance_check,
 )
+from serodesign.simulate import MLE_TOL
 
 P0 = np.array([0.10, 0.30, 0.01])
 C = 1e7
+
+
+def outcome_table(dataset, model):
+    """P(y | state) for every outcome row of the dataset, from the scalar
+    model, with the counts of those rows."""
+    q = np.array(
+        [
+            [conditional_prob(y, s, t, model) for s in range(model.k + 1)]
+            for t in dataset.patterns
+            for y in outcome_space(t)
+        ]
+    )
+    return q, np.concatenate(dataset.counts).astype(np.float64)
+
+
+def project(v):
+    """Projection onto {p >= 0, sum(p) <= 1}, by bisection on the shift."""
+    x = np.maximum(v, 0.0)
+    if x.sum() <= 1.0:
+        return x
+    lo, hi = 0.0, float(v.max())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if np.maximum(v - mid, 0.0).sum() > 1.0 else (lo, mid)
+    return np.maximum(v - hi, 0.0)
+
+
+def projected_gradient(dataset, p, model):
+    """Unit-step projected-gradient norm of the mean log-likelihood at p."""
+    q, counts = outcome_table(dataset, model)
+    slopes = q[:, :-1] - q[:, -1:]
+    grad = slopes.T @ (counts / (q[:, -1] + slopes @ p)) / counts.sum()
+    return float(np.linalg.norm(project(p + grad) - p))
+
+
+def random_dataset(rng, seed):
+    """A survey on the default model at a random RT-PCR price: one to three
+    random patterns, 30 to 1e5 participants, and a random state
+    distribution with one empty state in a third of the draws."""
+    model = default_model(rtpcr_cost=float(rng.uniform(100, 2500)))
+    patterns = all_patterns(model)
+    chosen = rng.choice(len(patterns), size=int(rng.integers(1, 4)), replace=False)
+    v = np.zeros(len(patterns))
+    v[chosen] = rng.dirichlet(np.ones(chosen.size))
+    state = rng.dirichlet(np.ones(model.k + 1))
+    if seed % 3 == 0:
+        state[rng.integers(model.k + 1)] = 0.0
+        state /= state.sum()
+    participants = 10 ** rng.uniform(np.log10(30), 5)
+    budget = participants / float(v @ (1.0 / np.array([t.cost for t in patterns])))
+    design = design_from_fractions(v, budget, patterns)
+    return model, state[:-1], sample_outcomes(design, state[:-1], model, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +209,51 @@ class TestMLE:
                 dataset, P0, model_row1
             )
 
+    def test_replication_469_is_certified(self, model_row1, row1_solution):
+        # an ordinary sample on which projected gradient ascent stopped at a
+        # projected gradient of 1.04e-7; the whole 800-replication check
+        # raised ConvergenceError
+        v = row1_solution.design.fractions
+        empirical, predicted, ratio = variance_check(
+            P0, model_row1, v, C, replications=800, seed=27
+        )
+        assert empirical > 0 and np.isfinite(ratio)
+        design = design_from_fractions(v, C, all_patterns(model_row1))
+        dataset = sample_outcomes(design, P0, model_row1, seed=27, replication=469)
+        estimate = mle(dataset, model_row1)
+        assert projected_gradient(dataset, estimate, model_row1) <= MLE_TOL
+
+    def test_random_datasets_certified_on_every_face(self):
+        rng = np.random.default_rng(20261018)
+        on_zero_face = on_sum_face = 0
+        for seed in range(200):
+            model, p, dataset = random_dataset(rng, seed)
+            estimate = mle(dataset, model)
+            assert estimate.min() >= 0.0 and estimate.sum() <= 1.0 + 1e-12
+            assert projected_gradient(dataset, estimate, model) <= MLE_TOL
+            q, counts = outcome_table(dataset, model)
+            loglik = [counts @ np.log(q @ np.append(x, 1.0 - x.sum())) for x in (estimate, p)]
+            assert loglik[0] >= loglik[1] - 1e-12 * abs(loglik[1])
+            on_zero_face += estimate.min() == 0.0
+            on_sum_face += estimate.sum() >= 1.0 - 1e-12
+        assert on_zero_face >= 10
+        assert on_sum_face >= 1
+
+    def test_batched_fit_matches_single_fits(self, model_row1, row1_solution):
+        design = row1_solution.design
+        batched = simulate_estimates(P0, model_row1, design, replications=40, seed=3)
+        single = [
+            model_row1.u @ mle(sample_outcomes(design, P0, model_row1, seed=3, replication=r), model_row1)
+            for r in range(40)
+        ]
+        assert np.abs(batched - single).max() <= 1e-12
+
+    def test_replications_order_independent(self, model_row1, row1_solution):
+        design = row1_solution.design
+        ten = simulate_estimates(P0, model_row1, design, replications=10, seed=12)
+        three = simulate_estimates(P0, model_row1, design, replications=3, seed=12)
+        assert np.abs(ten[:3] - three).max() <= 1e-12
+
     def test_estimates_reproducible(self, model_row1, row1_solution):
         design = row1_solution.design
         a = simulate_estimates(P0, model_row1, design, replications=3, seed=11)
@@ -195,6 +295,14 @@ class TestVarianceCheck:
         large = simulation_report(P0, model_row1, v, 4 * C, replications=150, seed=45)
         se_small = np.sqrt(small["empirical_variance"] / 150)
         assert abs(large["bias"]) <= abs(small["bias"]) + 2 * se_small
+
+    def test_too_few_replications_rejected(self, model_row1, row1_solution):
+        # the normality test needs 8 estimates
+        v = row1_solution.design.fractions
+        with pytest.raises(ValueError, match="at least 8 replications"):
+            simulation_report(P0, model_row1, v, C, replications=7, seed=0)
+        with pytest.raises(ValueError, match="at least 8 replications"):
+            variance_check(P0, model_row1, v, C, replications=1, seed=0)
 
     def test_normality_of_estimates(self, model_row1, row1_solution):
         estimates = simulate_estimates(
