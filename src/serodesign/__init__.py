@@ -17,6 +17,7 @@ from .allocation import (
     StratumSpec,
     allocate_districts,
     allocate_groups,
+    validate_entries,
     weighted_variance,
 )
 from .coptimal import (
@@ -103,6 +104,7 @@ __all__ = [
     "simulate_estimates",
     "simulation_report",
     "solve_c_optimal",
+    "validate_entries",
     "validate_parameter",
     "variance_check",
     "weighted_variance",

@@ -36,6 +36,7 @@ __all__ = [
     "AllocationReport",
     "allocate_districts",
     "allocate_groups",
+    "validate_entries",
     "weighted_variance",
 ]
 
@@ -85,6 +86,10 @@ class GroupSpec:
         point.setflags(write=False)
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "overrides", dict(self.overrides or {}))
+
+    def model(self, base: DiseaseModel) -> DiseaseModel:
+        """``base`` with this group's test-reliability overrides applied."""
+        return base.with_test_overrides(self.overrides) if self.overrides else base
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,22 +173,32 @@ def _rescale(report, budget: float):
     return replace(report, design=design, min_variance=report.objective / budget)
 
 
+def validate_entries(specs: Sequence[StratumSpec | GroupSpec], kind: str) -> np.ndarray:
+    """Check a list of strata or groups and return their population fractions.
+
+    The list must be nonempty, its names distinct and its fractions sum to
+    1.  ``kind`` ("stratum" or "group") names the entries in error messages.
+    """
+    if not specs:
+        raise ValueError(f"need at least one {kind}")
+    names = [s.name for s in specs]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate {kind} names: {names}")
+    fractions = np.array([s.fraction for s in specs])
+    if abs(fractions.sum() - 1.0) > 1e-9:
+        raise ValueError(f"population fractions must sum to 1, got {float(fractions.sum())!r}")
+    return fractions
+
+
 def _allocate(specs, kind: str, budget: float, solve) -> AllocationReport:
     """Solve each entry with ``solve(spec)``, split the budget, price each design.
 
     ``kind`` ("stratum" or "group") names the entries in error messages.
     """
     specs = list(specs)
-    if not specs:
-        raise ValueError(f"need at least one {kind}")
+    fractions = validate_entries(specs, kind)
     if not budget > 0:
         raise ValueError(f"budget must be positive, got {budget}")
-    names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate {kind} names: {names}")
-    fractions = np.array([s.fraction for s in specs])
-    if abs(fractions.sum() - 1.0) > 1e-9:
-        raise ValueError(f"population fractions must sum to 1, got {fractions.sum()!r}")
 
     reports = []
     for s in specs:
@@ -248,7 +263,7 @@ def allocate_groups(
     """
 
     def solve(g: GroupSpec):
-        group_model = model.with_test_overrides(g.overrides) if g.overrides else model
+        group_model = g.model(model)
         p = validate_parameter(g.point, group_model.k)
         return solve_c_optimal(p, group_model, patterns=patterns)
 

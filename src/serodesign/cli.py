@@ -27,10 +27,21 @@ One configuration file drives every subcommand::
 
 Subcommands: ``c-optimal`` (point), ``worst-case`` (box), ``strata``,
 ``groups``, ``budget`` (point + margin of error), ``simulate`` (point),
-and ``check-assumptions`` (any scenario).  ``--output table`` renders the
-same machine report as an aligned text table; it is never a separate
-computation path.  Exit status: 0 on success, 1 on configuration or
-validation errors, 2 on solver failures.
+and ``check-assumptions`` (any scenario).  ``check-assumptions`` reports
+A1 (``ok``, ``witness``) at a point and A2 (``ok``, ``lambda_min``,
+``argmin``, ``witness``) over a box, for the scenario or for each of its
+strata or groups.  ``--output table`` renders the same machine report as
+an aligned text table; it is never a separate computation path.
+
+The CLI checks only a document's shape: types, required keys and known
+fields.  Every rule on the values (reliabilities in (0, 1), points in the
+simplex, fractions summing to 1, distinct names, known override ids, ...)
+is checked by the library type that owns it, while the document is read.
+Numbers must be finite (``NaN`` and ``Infinity`` are rejected), ``seed``
+and ``replications`` must be integers and ``seed`` nonnegative.  Any
+malformed configuration or ``--design`` file exits 1 with
+``error: <document path>: <reason>``.  Exit status: 0 on success, 1 on
+configuration or validation errors, 2 on solver failures.
 """
 
 from __future__ import annotations
@@ -38,14 +49,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 
 import numpy as np
 
-from .allocation import GroupSpec, StratumSpec, allocate_districts, allocate_groups
+from .allocation import (
+    GroupSpec,
+    StratumSpec,
+    allocate_districts,
+    allocate_groups,
+    validate_entries,
+)
 from .coptimal import (
     ConvergenceError,
+    Design,
     InfeasibleDesignError,
     budget_for_margin,
     normal_quantile,
@@ -59,21 +78,15 @@ from .model import (
     all_patterns,
     check_a1,
     check_a2,
+    validate_parameter,
 )
 from .simulate import MIN_REPLICATIONS, simulation_report
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "run", "main", "fixture_path"]
 
-SUBCOMMANDS = (
-    "c-optimal",
-    "worst-case",
-    "strata",
-    "groups",
-    "budget",
-    "simulate",
-    "check-assumptions",
-)
+SCENARIO_KINDS = ("point", "box", "strata", "groups")
 
+# Each subcommand and the scenario kinds it runs on.
 _SCENARIO_FOR = {
     "c-optimal": ("point",),
     "worst-case": ("box",),
@@ -81,8 +94,10 @@ _SCENARIO_FOR = {
     "groups": ("groups",),
     "budget": ("point",),
     "simulate": ("point",),
-    "check-assumptions": ("point", "box", "strata", "groups"),
+    "check-assumptions": SCENARIO_KINDS,
 }
+
+SUBCOMMANDS = tuple(_SCENARIO_FOR)
 
 
 class ConfigError(ValueError):
@@ -118,67 +133,60 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         model = {
-            "tests": [
-                {
-                    "id": t.id,
-                    "cost": t.cost,
-                    "sensitivity": t.sensitivity,
-                    "specificity": t.specificity,
-                }
-                for t in self.model.tests
-            ],
+            "tests": [asdict(t) for t in self.model.tests],
             "nominal": [[int(x) for x in row] for row in self.model.nominal],
-            "u": [float(x) for x in self.model.u],
+            "u": _floats(self.model.u),
         }
-        if self.scenario_kind == "point":
-            scenario = {"point": [float(x) for x in self.point]}
-        elif self.scenario_kind == "box":
-            scenario = {
-                "box": {
-                    "lower": [float(x) for x in self.box.lower],
-                    "upper": [float(x) for x in self.box.upper],
-                }
-            }
-        elif self.scenario_kind == "strata":
-            scenario = {"strata": [_stratum_dict(s) for s in self.strata]}
+        kind = self.scenario_kind
+        if kind == "point":
+            scenario = _floats(self.point)
+        elif kind == "box":
+            scenario = _box_dict(self.box)
         else:
-            scenario = {
-                "groups": [
-                    {
-                        "name": g.name,
-                        "fraction": g.fraction,
-                        "point": [float(x) for x in g.point],
-                        "overrides": g.overrides,
-                    }
-                    for g in self.groups
-                ]
-            }
-        options = {
-            "grid_step": self.options.grid_step,
-            "alpha": self.options.alpha,
-            "moe": self.options.moe,
-            "seed": self.options.seed,
-            "replications": self.options.replications,
-            "currency": self.options.currency,
+            scenario = [_entry_dict(e) for e in getattr(self, kind)]
+        return {
+            "model": model,
+            "scenario": {kind: scenario},
+            "budget": self.budget,
+            "options": asdict(self.options),
         }
-        return {"model": model, "scenario": scenario, "budget": self.budget, "options": options}
 
 
-def _stratum_dict(s: StratumSpec) -> dict:
-    out = {"name": s.name, "fraction": s.fraction}
-    if s.point is not None:
-        out["point"] = [float(x) for x in s.point]
-    else:
-        out["box"] = {
-            "lower": [float(x) for x in s.box.lower],
-            "upper": [float(x) for x in s.box.upper],
-        }
+def _floats(values) -> list[float]:
+    return [float(x) for x in values]
+
+
+def _box_dict(box: ParameterBox) -> dict:
+    return {"lower": _floats(box.lower), "upper": _floats(box.upper)}
+
+
+def _entry_dict(entry: StratumSpec | GroupSpec) -> dict:
+    out = {"name": entry.name, "fraction": entry.fraction}
+    if entry.point is not None:
+        out["point"] = _floats(entry.point)
+    if isinstance(entry, GroupSpec):
+        out["overrides"] = entry.overrides
+    elif entry.box is not None:
+        out["box"] = _box_dict(entry.box)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Parsing and validation
+# Parsing: the document's shape here, every rule in the library types
 # ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _at(path: str):
+    """Report a rule that a library type rejects while built here at ``path``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as err:
+        raise ConfigError(path, err.args[0]) from None
+    except ValueError as err:
+        raise ConfigError(path, str(err)) from None
 
 
 def _require(doc: dict, key: str, path: str):
@@ -187,10 +195,30 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"expected an object, got {value!r}")
+    return value
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(path, f"expected a string, got {value!r}")
+    return value
+
+
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, integers beyond float range
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     return float(value)
+
+
+def _integer(value, path: str) -> int:
+    if not _number(value, path).is_integer():
+        raise ConfigError(path, f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def _vector(value, path: str) -> list[float]:
@@ -199,91 +227,118 @@ def _vector(value, path: str) -> list[float]:
     return [_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
+def _read_json(path: str, where: str):
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except ValueError as err:
+            raise ConfigError(where, f"not valid JSON: {err}") from None
+
+
 def _parse_tests(doc, path: str) -> tuple[TestSpec, ...]:
     if not isinstance(doc, list) or not doc:
         raise ConfigError(path, "expected a nonempty list of tests")
     tests = []
     for i, item in enumerate(doc):
         here = f"{path}[{i}]"
-        if not isinstance(item, dict):
-            raise ConfigError(here, f"expected a test object, got {item!r}")
-        test_id = _require(item, "id", here)
-        if not isinstance(test_id, str) or not test_id:
-            raise ConfigError(f"{here}.id", "expected a nonempty string")
-        try:
-            tests.append(
-                TestSpec(
-                    id=test_id,
-                    cost=_number(_require(item, "cost", here), f"{here}.cost"),
-                    sensitivity=_number(
-                        _require(item, "sensitivity", here), f"{here}.sensitivity"
-                    ),
-                    specificity=_number(
-                        _require(item, "specificity", here), f"{here}.specificity"
-                    ),
-                )
-            )
-        except ValueError as err:
-            raise ConfigError(here, str(err)) from None
+        test_id = _string(_require(_object(item, here), "id", here), f"{here}.id")
+        numbers = {
+            key: _number(_require(item, key, here), f"{here}.{key}")
+            for key in ("cost", "sensitivity", "specificity")
+        }
+        with _at(here):
+            tests.append(TestSpec(id=test_id, **numbers))
     return tuple(tests)
 
 
 def _parse_model(doc, path: str = "model") -> DiseaseModel:
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "expected an object")
-    tests = _parse_tests(_require(doc, "tests", path), f"{path}.tests")
+    tests = _parse_tests(_require(_object(doc, path), "tests", path), f"{path}.tests")
     nominal = _require(doc, "nominal", path)
     if not isinstance(nominal, list) or not all(isinstance(r, list) for r in nominal):
         raise ConfigError(f"{path}.nominal", "expected a list of rows")
     u = doc.get("u")
-    if u is None:
-        u = [1.0] * (len(nominal) - 1)
-    else:
-        u = _vector(u, f"{path}.u")
-    try:
+    u = [1.0] * (len(nominal) - 1) if u is None else _vector(u, f"{path}.u")
+    with _at(path):
         return DiseaseModel(tests=tests, nominal=np.array(nominal), u=np.array(u))
-    except ValueError as err:
-        raise ConfigError(path, str(err)) from None
 
 
-def _parse_point(value, k: int, path: str) -> np.ndarray:
+def _parse_point(value, model: DiseaseModel, path: str) -> np.ndarray:
     vec = _vector(value, path)
-    if len(vec) != k:
-        raise ConfigError(path, f"expected {k} entries, got {len(vec)}")
-    p = np.array(vec)
-    if (p < 0).any():
-        raise ConfigError(path, f"entries must be nonnegative, got {vec}")
-    if p.sum() > 1.0 + 1e-9:
-        raise ConfigError(path, f"entries must sum to at most 1, got sum {p.sum()}")
-    return p
+    with _at(path):
+        return validate_parameter(vec, model.k)
 
 
-def _parse_box(doc, k: int, path: str) -> ParameterBox:
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "expected an object with lower and upper")
-    lower = _vector(_require(doc, "lower", path), f"{path}.lower")
+def _parse_box(doc, model: DiseaseModel, path: str) -> ParameterBox:
+    lower = _vector(_require(_object(doc, path), "lower", path), f"{path}.lower")
     upper = _vector(_require(doc, "upper", path), f"{path}.upper")
-    if len(lower) != k or len(upper) != k:
-        raise ConfigError(path, f"lower and upper must each have {k} entries")
-    try:
+    if len(lower) != model.k or len(upper) != model.k:
+        raise ConfigError(path, f"lower and upper must each have {model.k} entries")
+    with _at(path):
         return ParameterBox(lower=np.array(lower), upper=np.array(upper))
-    except ValueError as err:
-        raise ConfigError(path, str(err)) from None
 
 
 def _parse_overrides(doc, model: DiseaseModel, path: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "expected an object keyed by test id")
-    for test_id, entry in doc.items():
-        if test_id not in model.test_ids:
-            raise ConfigError(f"{path}.{test_id}", f"unknown test id; have {list(model.test_ids)}")
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}.{test_id}", "expected an object")
-        for key, value in entry.items():
-            if key not in ("sensitivity", "specificity", "cost"):
-                raise ConfigError(f"{path}.{test_id}.{key}", "unknown override key")
+    for test_id, entry in _object(doc, path).items():
+        for key, value in _object(entry, f"{path}.{test_id}").items():
             _number(value, f"{path}.{test_id}.{key}")
+        with _at(f"{path}.{test_id}"):
+            model.with_test_overrides({test_id: entry})
     return doc
+
+
+_PARSERS = {"point": _parse_point, "box": _parse_box, "overrides": _parse_overrides}
+
+# Per list kind: the spec it builds, the noun for one entry, and the fields
+# an entry may give beyond name and fraction (True where it must).
+_ENTRIES = {
+    "strata": (StratumSpec, "stratum", {"point": False, "box": False}),
+    "groups": (GroupSpec, "group", {"point": True, "overrides": False}),
+}
+
+
+def _parse_entries(kind: str, entries, model: DiseaseModel) -> tuple:
+    """A strata or groups list: one spec per entry, then the rule on the list."""
+    path = f"scenario.{kind}"
+    if not isinstance(entries, list):
+        raise ConfigError(path, f"expected a list, got {entries!r}")
+    spec_type, noun, extra = _ENTRIES[kind]
+    specs = []
+    for i, item in enumerate(entries):
+        here = f"{path}[{i}]"
+        fields = {
+            "name": _string(_require(_object(item, here), "name", here), f"{here}.name"),
+            "fraction": _number(_require(item, "fraction", here), f"{here}.fraction"),
+        }
+        for key, required in extra.items():
+            if required or key in item:
+                fields[key] = _PARSERS[key](_require(item, key, here), model, f"{here}.{key}")
+        with _at(here):
+            specs.append(spec_type(**fields))
+    with _at(path):
+        validate_entries(specs, noun)
+    return tuple(specs)
+
+
+_OPTION_TYPES = {
+    "grid_step": _number,
+    "alpha": _number,
+    "moe": _number,
+    "seed": _integer,
+    "replications": _integer,
+    "currency": _string,
+}
+
+
+def _parse_options(doc) -> Options:
+    values = {}
+    for key, value in _object(doc, "options").items():
+        if key not in _OPTION_TYPES:
+            raise ConfigError(f"options.{key}", "unknown option")
+        if not (key == "moe" and value is None):
+            values[key] = _OPTION_TYPES[key](value, f"options.{key}")
+    options = Options(**values)
+    _check_options(options)
+    return options
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -298,109 +353,29 @@ def parse_config(doc: dict) -> RunConfig:
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown top-level field")
     model = _parse_model(_require(doc, "model", ""))
-    k = model.k
 
     budget = _number(_require(doc, "budget", ""), "budget")
     if budget <= 0:
         raise ConfigError("budget", f"must be positive, got {budget}")
 
-    scenario = _require(doc, "scenario", "")
-    if not isinstance(scenario, dict):
-        raise ConfigError("scenario", "expected an object")
-    kinds = [key for key in ("point", "box", "strata", "groups") if key in scenario]
+    scenario = _object(_require(doc, "scenario", ""), "scenario")
+    kinds = [key for key in SCENARIO_KINDS if key in scenario]
     if len(kinds) != 1:
         raise ConfigError(
             "scenario", f"expected exactly one of point/box/strata/groups, got {kinds or list(scenario)}"
         )
     kind = kinds[0]
-    point = box = None
-    strata = groups = None
-    if kind == "point":
-        point = _parse_point(scenario["point"], k, "scenario.point")
-    elif kind == "box":
-        box = _parse_box(scenario["box"], k, "scenario.box")
-    elif kind == "strata":
-        entries = scenario["strata"]
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError("scenario.strata", "expected a nonempty list")
-        parsed = []
-        for i, item in enumerate(entries):
-            here = f"scenario.strata[{i}]"
-            if not isinstance(item, dict):
-                raise ConfigError(here, "expected an object")
-            name = _require(item, "name", here)
-            fraction = _number(_require(item, "fraction", here), f"{here}.fraction")
-            has_point = "point" in item
-            has_box = "box" in item
-            if has_point == has_box:
-                raise ConfigError(here, "give exactly one of point or box")
-            try:
-                parsed.append(
-                    StratumSpec(
-                        name=name,
-                        fraction=fraction,
-                        point=_parse_point(item["point"], k, f"{here}.point") if has_point else None,
-                        box=_parse_box(item["box"], k, f"{here}.box") if has_box else None,
-                    )
-                )
-            except ValueError as err:
-                raise ConfigError(here, str(err)) from None
-        total = sum(s.fraction for s in parsed)
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError("scenario.strata", f"fractions must sum to 1, got {total}")
-        strata = tuple(parsed)
+    if kind in _ENTRIES:
+        parsed = _parse_entries(kind, scenario[kind], model)
     else:
-        entries = scenario["groups"]
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError("scenario.groups", "expected a nonempty list")
-        parsed = []
-        for i, item in enumerate(entries):
-            here = f"scenario.groups[{i}]"
-            if not isinstance(item, dict):
-                raise ConfigError(here, "expected an object")
-            try:
-                parsed.append(
-                    GroupSpec(
-                        name=_require(item, "name", here),
-                        fraction=_number(_require(item, "fraction", here), f"{here}.fraction"),
-                        point=_parse_point(_require(item, "point", here), k, f"{here}.point"),
-                        overrides=_parse_overrides(
-                            item.get("overrides", {}), model, f"{here}.overrides"
-                        ),
-                    )
-                )
-            except ValueError as err:
-                raise ConfigError(here, str(err)) from None
-        total = sum(g.fraction for g in parsed)
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError("scenario.groups", f"fractions must sum to 1, got {total}")
-        groups = tuple(parsed)
-
-    opts_doc = doc.get("options", {})
-    if not isinstance(opts_doc, dict):
-        raise ConfigError("options", "expected an object")
-    unknown = set(opts_doc) - {"grid_step", "alpha", "moe", "seed", "replications", "currency"}
-    if unknown:
-        raise ConfigError(f"options.{sorted(unknown)[0]}", "unknown option")
-    options = Options(
-        grid_step=_number(opts_doc.get("grid_step", 0.01), "options.grid_step"),
-        alpha=_number(opts_doc.get("alpha", 0.05), "options.alpha"),
-        moe=None if opts_doc.get("moe") is None else _number(opts_doc["moe"], "options.moe"),
-        seed=int(_number(opts_doc.get("seed", 0), "options.seed")),
-        replications=int(_number(opts_doc.get("replications", 200), "options.replications")),
-        currency=str(opts_doc.get("currency", "units")),
-    )
-    _check_options(options)
+        parsed = _PARSERS[kind](scenario[kind], model, f"scenario.{kind}")
 
     return RunConfig(
         model=model,
         scenario_kind=kind,
         budget=budget,
-        options=options,
-        point=point,
-        box=box,
-        strata=strata,
-        groups=groups,
+        options=_parse_options(doc.get("options", {})),
+        **{kind: parsed},
     )
 
 
@@ -408,10 +383,14 @@ def _check_options(options: Options) -> None:
     """Reject option values no subcommand can run with, from a file or a flag."""
     if not 0.0 < options.alpha < 1.0:
         raise ConfigError("options.alpha", f"must lie strictly in (0, 1), got {options.alpha}")
-    if not options.grid_step > 0:
-        raise ConfigError("options.grid_step", f"must be positive, got {options.grid_step}")
-    if options.moe is not None and not options.moe > 0:
-        raise ConfigError("options.moe", f"must be positive, got {options.moe}")
+    if not 0.0 < options.grid_step < np.inf:
+        raise ConfigError(
+            "options.grid_step", f"must be positive and finite, got {options.grid_step}"
+        )
+    if options.moe is not None and not 0.0 < options.moe < np.inf:
+        raise ConfigError("options.moe", f"must be positive and finite, got {options.moe}")
+    if options.seed < 0:
+        raise ConfigError("options.seed", f"must be nonnegative, got {options.seed}")
     if options.replications < MIN_REPLICATIONS:
         raise ConfigError(
             "options.replications",
@@ -420,12 +399,24 @@ def _check_options(options: Options) -> None:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise ConfigError("", f"not valid JSON: {err}") from None
-    return parse_config(doc)
+    return parse_config(_read_json(path, ""))
+
+
+def _load_design(path: str, model: DiseaseModel, budget: float) -> Design:
+    """The design of a saved report, or of a bare design object, in a file."""
+    saved = _object(_read_json(path, "design"), "design")
+    doc = _object(saved.get("design", saved), "design")
+    fraction_map = _object(_require(doc, "fractions", "design"), "design.fractions")
+    patterns = all_patterns(model)
+    labels = [t.label for t in patterns]
+    fractions = np.zeros(len(patterns))
+    for label, value in fraction_map.items():
+        if label not in labels:
+            raise ConfigError(f"design.fractions.{label}", "unknown pattern label")
+        fractions[labels.index(label)] = _number(value, f"design.fractions.{label}")
+    budget = _number(doc.get("budget", budget), "design.budget")
+    with _at("design"):
+        return Design(patterns=tuple(patterns), fractions=fractions, budget=budget)
 
 
 def fixture_path(name: str) -> str:
@@ -438,6 +429,23 @@ def fixture_path(name: str) -> str:
 # ---------------------------------------------------------------------------
 # Running subcommands
 # ---------------------------------------------------------------------------
+
+
+def _assumptions(model: DiseaseModel, point, box: ParameterBox | None, grid_step: float) -> dict:
+    """A1 at ``point``, or A2 over ``box`` when one is given, as report fields."""
+    patterns = all_patterns(model)
+    if box is None:
+        a1 = check_a1(point, patterns, model)
+        return {"a1": {"ok": a1.ok, "witness": a1.pattern.label if a1.pattern else None}}
+    a2 = check_a2(box, patterns, model, grid_step=grid_step)
+    return {
+        "a2": {
+            "ok": a2.ok,
+            "lambda_min": a2.lambda_min,
+            "argmin": _floats(a2.argmin) if a2.argmin is not None else None,
+            "witness": a2.pattern.label if a2.pattern else None,
+        }
+    }
 
 
 def run(
@@ -469,20 +477,13 @@ def run(
 
     if subcommand == "c-optimal":
         report = solve_c_optimal(config.point, config.model, budget=config.budget)
-        return {**header, "parameter": [float(x) for x in config.point], **report.to_dict()}
+        return {**header, "parameter": _floats(config.point), **report.to_dict()}
 
     if subcommand == "worst-case":
         report = worst_case_design(
             config.box, config.model, grid_step=grid_step, budget=config.budget
         )
-        return {
-            **header,
-            "box": {
-                "lower": [float(x) for x in config.box.lower],
-                "upper": [float(x) for x in config.box.upper],
-            },
-            **report.to_dict(),
-        }
+        return {**header, "box": _box_dict(config.box), **report.to_dict()}
 
     if subcommand == "strata":
         report = allocate_districts(
@@ -501,7 +502,7 @@ def run(
         solve = solve_c_optimal(config.point, config.model, budget=required)
         return {
             **header,
-            "parameter": [float(x) for x in config.point],
+            "parameter": _floats(config.point),
             "moe": moe,
             "alpha": alpha,
             "z": abs(normal_quantile(alpha / 2.0)),
@@ -510,73 +511,37 @@ def run(
         }
 
     if subcommand == "simulate":
-        patterns = all_patterns(config.model)
-        if design_path is not None:
-            with open(design_path, encoding="utf-8") as handle:
-                saved = json.load(handle)
-            design_doc = saved.get("design", saved)
-            fraction_map = design_doc.get("fractions")
-            if not isinstance(fraction_map, dict):
-                raise ConfigError("design.fractions", "design file has no fraction map")
-            fractions = np.zeros(len(patterns))
-            labels = [t.label for t in patterns]
-            for label, value in fraction_map.items():
-                if label not in labels:
-                    raise ConfigError(f"design.fractions.{label}", "unknown pattern label")
-                fractions[labels.index(label)] = _number(value, f"design.fractions.{label}")
-            budget = _number(design_doc.get("budget", config.budget), "design.budget")
-            v = fractions
+        if design_path is None:
+            design = solve_c_optimal(config.point, config.model, budget=config.budget).design
         else:
-            solve = solve_c_optimal(config.point, config.model, budget=config.budget)
-            v, budget = solve.design.fractions, config.budget
+            design = _load_design(design_path, config.model, config.budget)
         report = simulation_report(
             config.point,
             config.model,
-            v,
-            budget,
+            design.fractions,
+            design.budget,
             replications=opts.replications,
             seed=opts.seed,
         )
-        return {**header, "parameter": [float(x) for x in config.point], **report}
+        return {**header, "parameter": _floats(config.point), **report}
 
     # check-assumptions
-    patterns = all_patterns(config.model)
     out = {**header, "scenario": config.scenario_kind}
-    if config.scenario_kind == "point":
-        a1 = check_a1(config.point, patterns, config.model)
-        out["a1"] = {"ok": a1.ok, "witness": a1.pattern.label if a1.pattern else None}
-    elif config.scenario_kind == "box":
-        a2 = check_a2(config.box, patterns, config.model, grid_step=grid_step)
-        out["a2"] = {
-            "ok": a2.ok,
-            "lambda_min": a2.lambda_min,
-            "argmin": [float(x) for x in a2.argmin] if a2.argmin is not None else None,
-            "witness": a2.pattern.label if a2.pattern else None,
+    if config.scenario_kind in ("point", "box"):
+        return {**out, **_assumptions(config.model, config.point, config.box, grid_step)}
+    groups = config.scenario_kind == "groups"
+    out["checks"] = [
+        {
+            "name": e.name,
+            **_assumptions(
+                e.model(config.model) if groups else config.model,
+                e.point,
+                None if groups else e.box,
+                grid_step,
+            ),
         }
-    else:
-        entries = config.strata if config.scenario_kind == "strata" else config.groups
-        checks = []
-        for entry in entries:
-            model = config.model
-            if config.scenario_kind == "groups" and entry.overrides:
-                model = model.with_test_overrides(entry.overrides)
-                patterns_e = all_patterns(model)
-            else:
-                patterns_e = patterns
-            if getattr(entry, "box", None) is not None:
-                a2 = check_a2(entry.box, patterns_e, model, grid_step=grid_step)
-                checks.append(
-                    {"name": entry.name, "a2": {"ok": a2.ok, "lambda_min": a2.lambda_min}}
-                )
-            else:
-                a1 = check_a1(entry.point, patterns_e, model)
-                checks.append(
-                    {
-                        "name": entry.name,
-                        "a1": {"ok": a1.ok, "witness": a1.pattern.label if a1.pattern else None},
-                    }
-                )
-        out["checks"] = checks
+        for e in config.groups or config.strata
+    ]
     return out
 
 

@@ -104,9 +104,9 @@ class Design:
         if (fractions < -1e-12).any():
             raise ValueError(f"fractions must be nonnegative, got {fractions}")
         if abs(fractions.sum() - 1.0) > 1e-9:
-            raise ValueError(f"fractions must sum to 1, got {fractions.sum()!r}")
-        if not self.budget > 0:
-            raise ValueError(f"budget must be positive, got {self.budget}")
+            raise ValueError(f"fractions must sum to 1, got {float(fractions.sum())!r}")
+        if not 0 < self.budget < math.inf:
+            raise ValueError(f"budget must be positive and finite, got {self.budget}")
         fractions = np.maximum(fractions, 0.0)
         fractions.setflags(write=False)
         object.__setattr__(self, "patterns", tuple(self.patterns))
@@ -496,8 +496,6 @@ def design_from_fractions(
     v, budget: float, patterns: Sequence[TestPattern]
 ) -> Design:
     """Design at a given budget: counts w_t = v_t * budget / c_t."""
-    if not budget > 0:
-        raise ValueError(f"budget must be positive, got {budget}")
     return Design(patterns=tuple(patterns), fractions=np.asarray(v, dtype=np.float64), budget=budget)
 
 

@@ -14,6 +14,7 @@ computation downstream.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -58,8 +59,8 @@ class TestSpec:
     def __post_init__(self):
         if not self.id:
             raise ValueError("test id must be a nonempty string")
-        if not self.cost > 0:
-            raise ValueError(f"test {self.id!r}: cost must be positive, got {self.cost}")
+        if not 0 < self.cost < math.inf:
+            raise ValueError(f"test {self.id!r}: cost must be positive and finite, got {self.cost}")
         for name in ("sensitivity", "specificity"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
@@ -88,15 +89,16 @@ class DiseaseModel:
         ids = [t.id for t in tests]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate test ids: {ids}")
-        nominal = np.asarray(self.nominal, dtype=np.int64)
+        nominal = np.asarray(self.nominal)
+        if not np.isin(nominal, (0, 1)).all():
+            raise ValueError("nominal matrix entries must be 0 or 1")
+        nominal = nominal.astype(np.int64, copy=False)
         if nominal.ndim != 2 or nominal.shape[1] != len(tests):
             raise ValueError(
                 f"nominal matrix must have one column per test, got shape {nominal.shape}"
             )
         if nominal.shape[0] < 2:
             raise ValueError("nominal matrix needs at least one non-reference state")
-        if not np.isin(nominal, (0, 1)).all():
-            raise ValueError("nominal matrix entries must be 0 or 1")
         u = np.asarray(self.u, dtype=np.float64)
         if u.shape != (nominal.shape[0] - 1,):
             raise ValueError(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from serodesign.cli import (
+    _SCENARIO_FOR,
     ConfigError,
     fixture_path,
     load_config,
@@ -31,6 +32,37 @@ ROW1 = {
     "budget": 1e7,
     "options": {"currency": "Rs"},
 }
+
+
+STRATA = {
+    **ROW1,
+    "scenario": {
+        "strata": [
+            {"name": "north", "fraction": 0.4, "point": [0.10, 0.30, 0.01]},
+            {
+                "name": "south",
+                "fraction": 0.6,
+                "box": {"lower": [0.05, 0.20, 0.00], "upper": [0.09, 0.30, 0.01]},
+            },
+        ]
+    },
+    "options": {"currency": "Rs", "grid_step": 0.02},
+}
+
+
+def fixture_doc(name):
+    with open(fixture_path(name), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def edited(doc, value, *keys):
+    """A copy of ``doc`` with the entry at ``keys`` set to ``value``."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return doc
 
 
 def tiny_box_config():
@@ -100,8 +132,8 @@ class TestParseConfig:
         assert np.array_equal(config.model.u, np.ones(3))
 
     def test_round_trip_identity(self):
-        for name in ("table1_row1", "table1_row4", "table1_row5"):
-            config = load_config(fixture_path(name))
+        configs = [load_config(fixture_path(f"table1_row{row}")) for row in (1, 4, 5)]
+        for config in configs + [parse_config(STRATA)]:
             again = parse_config(config.to_dict())
             assert again.to_dict() == config.to_dict()
 
@@ -189,6 +221,20 @@ class TestRun:
         assert report["a2"]["ok"] is True
         assert report["a2"]["lambda_min"] > 0
 
+    def test_check_assumptions_point_and_box_strata(self):
+        report = run(parse_config(STRATA), "check-assumptions")
+        north, south = report["checks"]
+        assert north["name"] == "north" and north["a1"]["ok"] is True
+        assert north["a1"]["witness"] is not None
+        # a box stratum reports what the top-level box check reports
+        box = run(parse_config(tiny_box_config()), "check-assumptions")["a2"]
+        assert south["name"] == "south" and list(south["a2"]) == list(box)
+        assert south["a2"]["ok"] is True and south["a2"]["lambda_min"] > 0
+        lower, upper = np.array([0.05, 0.20, 0.00]), np.array([0.09, 0.30, 0.01])
+        argmin = np.array(south["a2"]["argmin"])
+        assert (argmin >= lower - 1e-12).all() and (argmin <= upper + 1e-12).all()
+        assert south["a2"]["witness"] is not None
+
     def test_scenario_mismatch_is_config_error(self):
         config = load_config(fixture_path("table1_row1"))
         with pytest.raises(ConfigError, match="needs a box scenario"):
@@ -207,7 +253,115 @@ class TestRun:
         assert a == b
 
 
+ROW5 = fixture_doc("table1_row5")
+SAVED_DESIGN = {"design": {"fractions": {"001": 0.5, "101": 0.5}, "budget": 1e7}}
+
+# (subcommand, configuration, flags, --design file text or None, path in the error)
+MALFORMED = {
+    "override-range-groups": (
+        "groups", edited(ROW5, 1.5, "scenario", "groups", 0, "overrides", "rat", "sensitivity"),
+        [], None, "scenario.groups[0].overrides.rat",
+    ),
+    "override-range-check": (
+        "check-assumptions",
+        edited(ROW5, 1.5, "scenario", "groups", 0, "overrides", "rat", "sensitivity"),
+        [], None, "scenario.groups[0].overrides.rat",
+    ),
+    "duplicate-groups": (
+        "groups", edited(ROW5, "symptomatic", "scenario", "groups", 1, "name"),
+        [], None, "scenario.groups",
+    ),
+    "duplicate-strata": (
+        "strata", edited(STRATA, "north", "scenario", "strata", 1, "name"),
+        [], None, "scenario.strata",
+    ),
+    "stratum-name-number": (
+        "strata", edited(STRATA, 5, "scenario", "strata", 0, "name"),
+        [], None, "scenario.strata[0].name",
+    ),
+    "group-name-list": (
+        "groups", edited(ROW5, ["x"], "scenario", "groups", 0, "name"),
+        [], None, "scenario.groups[0].name",
+    ),
+    "seed-flag-negative": ("simulate", ROW1, ["--seed", "-1"], None, "options.seed"),
+    "seed-negative": ("simulate", edited(ROW1, -3, "options", "seed"), [], None, "options.seed"),
+    "seed-fractional": ("simulate", edited(ROW1, 1.7, "options", "seed"), [], None, "options.seed"),
+    "replications-fractional": (
+        "simulate", edited(ROW1, 8.9, "options", "replications"), [], None, "options.replications",
+    ),
+    "budget-nan": ("c-optimal", edited(ROW1, float("nan"), "budget"), [], None, "budget"),
+    "budget-infinity": ("c-optimal", edited(ROW1, float("inf"), "budget"), [], None, "budget"),
+    "grid-step-infinity": (
+        "worst-case", edited(tiny_box_config(), float("inf"), "options", "grid_step"),
+        [], None, "options.grid_step",
+    ),
+    "point-nan": (
+        "c-optimal", edited(ROW1, float("nan"), "scenario", "point", 0),
+        [], None, "scenario.point[0]",
+    ),
+    "cost-infinity": (
+        "c-optimal", edited(ROW1, float("inf"), "model", "tests", 0, "cost"),
+        [], None, "model.tests[0].cost",
+    ),
+    "nominal-fractional": (
+        "c-optimal", edited(ROW1, 1.7, "model", "nominal", 0, 0), [], None, "model",
+    ),
+    "design-invalid-json": ("simulate", ROW1, [], "{not json", "design"),
+    "design-list": ("simulate", ROW1, [], "[1, 2]", "design"),
+    "design-fractions-half": (
+        "simulate", ROW1, [],
+        json.dumps(edited(SAVED_DESIGN, 0.0, "design", "fractions", "101")), "design",
+    ),
+    "design-negative-fraction": (
+        "simulate", ROW1, [],
+        json.dumps(edited(SAVED_DESIGN, -0.5, "design", "fractions", "001")), "design",
+    ),
+    "design-zero-budget": (
+        "simulate", ROW1, [], json.dumps(edited(SAVED_DESIGN, 0, "design", "budget")), "design",
+    ),
+}
+
+# Subcommand flags that make every fixture run: a margin for budget, and
+# the fewest replications simulate accepts.
+FLAGS = {"budget": ["--moe", "0.01"], "simulate": ["--replications", "8"]}
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestMain:
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_input_exit_one(self, capsys, tmp_path, case):
+        subcommand, doc, flags, design, path = MALFORMED[case]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        argv = [subcommand, "--config", str(config), *flags]
+        if design is not None:
+            (tmp_path / "design.json").write_text(design)
+            argv += ["--design", str(tmp_path / "design.json"), "--replications", "8"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "subcommand, name",
+        [
+            (subcommand, name)
+            for name in [f"table1_row{row}" for row in range(1, 6)] + ["strata"]
+            for subcommand, kinds in _SCENARIO_FOR.items()
+            if (STRATA if name == "strata" else fixture_doc(name))["scenario"].keys() <= set(kinds)
+        ],
+    )
+    def test_every_subcommand_prints_strict_json(self, capsys, tmp_path, subcommand, name):
+        path = fixture_path(name)
+        if name == "strata":
+            path = tmp_path / "strata.json"
+            path.write_text(json.dumps(STRATA))
+        assert main([subcommand, "--config", str(path), *FLAGS.get(subcommand, [])]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+        assert report["command"] == subcommand
+
     def test_success_exit_zero(self, capsys, tmp_path):
         path = tmp_path / "row1.json"
         path.write_text(json.dumps(ROW1))

@@ -309,8 +309,9 @@ class TestDesignFromFractions:
 
     def test_rejects_nonpositive_budget(self, model_row1):
         pats = all_patterns(model_row1)
-        with pytest.raises(ValueError, match="budget"):
-            design_from_fractions(np.ones(len(pats)) / len(pats), 0.0, pats)
+        for budget in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="budget"):
+                design_from_fractions(np.ones(len(pats)) / len(pats), budget, pats)
 
 
 class TestKKTCheck:

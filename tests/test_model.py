@@ -39,8 +39,9 @@ class TestTypes:
             TestSpec(id="x", cost=100.0, sensitivity=1.0, specificity=0.9)
         with pytest.raises(ValueError, match="specificity"):
             TestSpec(id="x", cost=100.0, sensitivity=0.9, specificity=0.0)
-        with pytest.raises(ValueError, match="cost"):
-            TestSpec(id="x", cost=0.0, sensitivity=0.9, specificity=0.9)
+        for cost in (0.0, np.inf):
+            with pytest.raises(ValueError, match="cost"):
+                TestSpec(id="x", cost=cost, sensitivity=0.9, specificity=0.9)
 
     def test_default_model_shape(self):
         m = default_model()
@@ -54,12 +55,13 @@ class TestTypes:
         assert [t.specificity for t in m.tests] == [0.975, 0.97, 0.977]
 
     def test_nominal_must_be_binary(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            DiseaseModel(
-                tests=default_model().tests,
-                nominal=[[1, 2, 0], [0, 0, 1], [0, 0, 0]],
-                u=np.ones(2),
-            )
+        for bad in (2, 1.7):
+            with pytest.raises(ValueError, match="0 or 1"):
+                DiseaseModel(
+                    tests=default_model().tests,
+                    nominal=[[1, bad, 0], [0, 0, 1], [0, 0, 0]],
+                    u=np.ones(2),
+                )
 
     def test_u_must_be_nonzero(self):
         with pytest.raises(ValueError, match="nonzero"):
