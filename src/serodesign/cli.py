@@ -40,8 +40,9 @@ is checked by the library type that owns it, while the document is read.
 Numbers must be finite (``NaN`` and ``Infinity`` are rejected), ``seed``
 and ``replications`` must be integers and ``seed`` nonnegative.  Any
 malformed configuration or ``--design`` file exits 1 with
-``error: <document path>: <reason>``.  Exit status: 0 on success, 1 on
-configuration or validation errors, 2 on solver failures.
+``error: <document path>: <reason>``; a configuration that is not a
+JSON object at all has the path ``<config>``.  Exit status: 0 on
+success, 1 on configuration or validation errors, 2 on solver failures.
 """
 
 from __future__ import annotations
@@ -98,6 +99,9 @@ _SCENARIO_FOR = {
 }
 
 SUBCOMMANDS = tuple(_SCENARIO_FOR)
+
+# The path of an error in the configuration document as a whole.
+ROOT_PATH = "<config>"
 
 
 class ConfigError(ValueError):
@@ -348,7 +352,7 @@ def parse_config(doc: dict) -> RunConfig:
     ``scenario.strata[1].fraction``.
     """
     if not isinstance(doc, dict):
-        raise ConfigError("", "configuration must be an object")
+        raise ConfigError(ROOT_PATH, "configuration must be an object")
     unknown = set(doc) - {"model", "scenario", "budget", "options"}
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown top-level field")
@@ -399,7 +403,7 @@ def _check_options(options: Options) -> None:
 
 
 def load_config(path: str) -> RunConfig:
-    return parse_config(_read_json(path, ""))
+    return parse_config(_read_json(path, ROOT_PATH))
 
 
 def _load_design(path: str, model: DiseaseModel, budget: float) -> Design:

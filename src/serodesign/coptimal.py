@@ -32,11 +32,18 @@ import numpy as np
 from .model import (
     DiseaseModel,
     TestPattern,
+    _a1,
+    _fisher_info_grid,
     all_patterns,
     check_a1,
     fisher_info,
     validate_parameter,
 )
+
+# ``check_a1`` and ``fisher_info`` are not called here: solve_c_optimal
+# builds every pattern's information once and runs A1 on it.  They stay
+# names of this module because perfbench's tracer wraps them here, and
+# tests/test_package.py checks that every wrapped name resolves.
 
 __all__ = [
     "Design",
@@ -209,9 +216,13 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 
+def _costs(patterns: Sequence[TestPattern]) -> np.ndarray:
+    return np.array([t.cost for t in patterns], dtype=np.float64)
+
+
 def _pattern_infos(p, model: DiseaseModel, patterns: Sequence[TestPattern]) -> np.ndarray:
     """Stacked cost-relativized information matrices I_t(p) / c_t, (T, k, k)."""
-    return np.stack([fisher_info(t, p, model) / t.cost for t in patterns])
+    return _fisher_info_grid(p, model, patterns) / _costs(patterns)[:, None, None]
 
 
 def _blend(v: np.ndarray, infos: np.ndarray) -> np.ndarray:
@@ -259,7 +270,7 @@ def _criterion(v: np.ndarray, infos: np.ndarray, u: np.ndarray):
 
 def _evaluate(v, p, model: DiseaseModel, patterns: Sequence[TestPattern] | None):
     """Validated fractions, pattern informations and _criterion at p."""
-    patterns = list(patterns) if patterns is not None else all_patterns(model)
+    patterns = tuple(patterns) if patterns is not None else all_patterns(model)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (len(patterns),):
         raise ValueError(f"need one fraction per pattern, got shape {v.shape}")
@@ -464,17 +475,17 @@ def solve_c_optimal(
     exceeds ``KKT_TOL`` relative (the error carries that design as
     ``best``), or its information matrix is singular.
     """
-    patterns = list(patterns) if patterns is not None else all_patterns(model)
+    patterns = tuple(patterns) if patterns is not None else all_patterns(model)
     p = validate_parameter(p, model.k)
-    a1 = check_a1(p, patterns, model)
-    if not a1.ok:
+    infos = _fisher_info_grid(p, model, patterns)
+    if not _a1(infos, patterns).ok:
         raise InfeasibleDesignError(
             "no test pattern has positive-definite information at p; "
             "every design has unbounded variance"
         )
-    infos = _pattern_infos(p, model, patterns)
+    infos /= _costs(patterns)[:, None, None]
     v, mu, residual, iterations = _solve_simplex(infos, model.u, max_iter=max_iter)
-    design = Design(patterns=tuple(patterns), fractions=v, budget=budget)
+    design = Design(patterns=patterns, fractions=v, budget=budget)
     report = SolveReport(
         design=design,
         objective=mu,

@@ -38,6 +38,7 @@ from .coptimal import (
     Design,
     InfeasibleDesignError,
     SolveReport,
+    _costs,
     _criterion,
     _kkt_residual_from,
     _pattern_infos,
@@ -49,10 +50,17 @@ from .model import (
     DiseaseModel,
     ParameterBox,
     TestPattern,
+    _a2,
+    _box_grid,
     _fisher_info_grid,
     all_patterns,
     check_a2,
 )
+
+# ``check_a2`` is not called here: worst_case_design runs A2 on the grid
+# informations it solves on.  It stays a name of this module because
+# perfbench's tracer wraps it here, and tests/test_package.py checks that
+# every wrapped name resolves.
 
 __all__ = ["SaddleReport", "payoff", "worst_case_design", "saddle_check"]
 
@@ -107,7 +115,7 @@ def _grid_infos(
     pts: np.ndarray, model: DiseaseModel, patterns: Sequence[TestPattern]
 ) -> np.ndarray:
     """Cost-relativized information matrices at every grid point, (T, m, k, k)."""
-    return np.stack([_fisher_info_grid(t, pts, model) / t.cost for t in patterns])
+    return _fisher_info_grid(pts, model, patterns) / _costs(patterns)[:, None, None, None]
 
 
 def _payoff_over_grid(v: np.ndarray, grid_infos: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -165,15 +173,15 @@ def worst_case_design(
     Inner solves are memoized per grid point across the scan and the
     refinement.
     """
-    patterns = list(patterns) if patterns is not None else all_patterns(model)
-    a2 = check_a2(box, patterns, model, grid_step=grid_step)
-    if not a2.ok:
+    patterns = tuple(patterns) if patterns is not None else all_patterns(model)
+    pts = _box_grid(box, model, grid_step)
+    grid_infos = _fisher_info_grid(pts, model, patterns)
+    if not _a2(grid_infos, pts, patterns).ok:
         raise InfeasibleDesignError(
             "no pattern has uniformly positive-definite information over the box; "
             "the worst-case variance is unbounded for every design"
         )
-    pts = box.grid(grid_step)
-    grid_infos = _grid_infos(pts, model, patterns)
+    grid_infos /= _costs(patterns)[:, None, None, None]
     u = model.u
 
     solves: dict[int, tuple] = {}
@@ -249,10 +257,10 @@ def saddle_check(
     c-optimal solve at p*.  Both are nonnegative up to roundoff, and both
     below the saddle tolerance certify an approximate equilibrium.
     """
-    patterns = list(patterns) if patterns is not None else all_patterns(model)
+    patterns = tuple(patterns) if patterns is not None else all_patterns(model)
     v = np.asarray(v, dtype=np.float64)
     p_star = np.asarray(p_star, dtype=np.float64)
-    pts = box.grid(grid_step)
+    pts = _box_grid(box, model, grid_step)
     grid_infos = _grid_infos(pts, model, patterns)
     values = _payoff_over_grid(v, grid_infos, model.u)
     at_p_star = objective(v, p_star, model, patterns=patterns)

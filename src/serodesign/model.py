@@ -9,6 +9,15 @@ sensitivity and specificity.  Administering a subset of tests (a *test
 pattern*) therefore yields an outcome vector whose distribution is a
 mixture over states, and whose Fisher information drives every design
 computation downstream.
+
+Every outcome of every pattern is one row of a stacked pattern table,
+built once per model in one vectorized pass and cached: the rows follow
+``all_patterns`` order and, within a pattern, ``outcome_space`` order.
+A row holds ``P(y | state)`` for every state, its deviation ``d`` from
+the reference state and the packed outer product ``d d'``, so the Fisher
+information of every pattern, at one parameter point or on a whole grid,
+is a sum of rows weighted by the reciprocal mixture probabilities, and
+the assumption checks A1 and A2 are batched eigenvalue solves on it.
 """
 
 from __future__ import annotations
@@ -193,10 +202,9 @@ def make_pattern(mask: Sequence[int], model: DiseaseModel) -> TestPattern:
     return TestPattern(mask=mask, cost=cost)
 
 
-def all_patterns(model: DiseaseModel) -> list[TestPattern]:
-    """All nonempty test subsets, in lexicographic mask order."""
-    masks = itertools.product((0, 1), repeat=model.n_tests)
-    return [make_pattern(m, model) for m in masks if any(m)]
+def all_patterns(model: DiseaseModel) -> tuple[TestPattern, ...]:
+    """All nonempty test subsets, in lexicographic mask order (cached per model)."""
+    return _pattern_tables(model).patterns
 
 
 def default_model(
@@ -224,6 +232,12 @@ def default_model(
     return DiseaseModel(tests=tests, nominal=nominal, u=np.ones(3))
 
 
+def _require_finite(values: np.ndarray, name: str) -> None:
+    if not np.isfinite(values).all():
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise ValueError(f"{name} {bad} must be finite, got {values[bad]}")
+
+
 def validate_parameter(p, k: int) -> np.ndarray:
     """Check that p is a length-k vector with p >= 0 and sum(p) <= 1.
 
@@ -232,6 +246,7 @@ def validate_parameter(p, k: int) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (k,):
         raise ValueError(f"parameter must have length {k}, got shape {p.shape}")
+    _require_finite(p, "parameter entry")
     if (p < -1e-12).any():
         raise ValueError(f"parameter entries must be nonnegative, got {p}")
     if p.sum() > 1.0 + 1e-9:
@@ -255,6 +270,8 @@ class ParameterBox:
         upper = np.asarray(self.upper, dtype=np.float64)
         if lower.ndim != 1 or lower.shape != upper.shape:
             raise ValueError("lower and upper must be vectors of the same length")
+        _require_finite(lower, "box lower bound")
+        _require_finite(upper, "box upper bound")
         if (lower < 0).any():
             raise ValueError(f"box lower bounds must be nonnegative, got {lower}")
         if (lower > upper).any():
@@ -369,37 +386,136 @@ def mixture_prob(y: Outcome, t: TestPattern, p, model: DiseaseModel) -> float:
     return float(total)
 
 
-# Entries kept by the pattern-table cache: all 63 patterns of 16 six-test
-# models.  The cache is keyed by model identity, so a bound keeps models
-# parsed and discarded by a long-running caller from staying alive.
-PATTERN_TABLE_CACHE_SIZE = 1024
+# Models whose pattern tables the cache keeps.  The cache is keyed by model
+# identity, so a bound keeps models parsed and discarded by a long-running
+# caller from staying alive; a request touches a few models at most.
+PATTERN_TABLE_CACHE_SIZE = 16
+
+
+@dataclass(frozen=True, eq=False)
+class _PatternTable:
+    """Every outcome of every pattern of one model, one row per outcome.
+
+    ``patterns`` (which carry their costs) follow all_patterns order, and
+    ``index`` maps a mask to its position there.  The rows of pattern
+    ``i`` are ``spans[i]``, in outcome_space order; ``starts`` holds the
+    first row of every pattern.
+    ``q[r, s] = P(y_r | state s)``, ``d = q[:, :k]`` minus the
+    reference column ``q_ref``, and ``outer`` packs the upper triangle of
+    ``d_r d_r'`` row by row; ``unpack`` gathers a packed triangle back
+    into a flattened symmetric ``k x k`` matrix.  The mixture probability
+    of row r at p is ``q_ref[r] + d[r] @ p``.
+    """
+
+    patterns: tuple[TestPattern, ...]
+    index: dict
+    spans: tuple[slice, ...]
+    starts: np.ndarray
+    q: np.ndarray
+    d: np.ndarray
+    q_ref: np.ndarray
+    outer: np.ndarray
+    unpack: np.ndarray
+
+    def positions(self, patterns: Sequence[TestPattern]) -> list[int]:
+        try:
+            return [self.index[t.mask] for t in patterns]
+        except KeyError as err:
+            raise ValueError(
+                f"pattern mask {err.args[0]} does not select from this model's "
+                f"{len(self.patterns[0].mask)} tests"
+            ) from None
+
+    def rows(self, t: TestPattern) -> slice:
+        return self.spans[self.positions((t,))[0]]
 
 
 @lru_cache(maxsize=PATTERN_TABLE_CACHE_SIZE)
-def _pattern_tables(model: DiseaseModel, mask: tuple[int, ...]):
-    """Per-outcome conditional probabilities of one pattern, vectorized.
+def _pattern_tables(model: DiseaseModel) -> _PatternTable:
+    """The stacked pattern table of a model, built in one vectorized pass.
 
-    Returns (Q, D, q_ref) with Q[y, s] = P(y | state s), D = Q[:, :k] minus
-    the reference column, and q_ref the reference column itself.  Rows
-    follow outcome_space order.  The mixture probability at p is then
-    ``q_ref + D @ p`` and the Fisher information is ``D' diag(1/P) D``.
+    Each of the 3^n - 1 codes marks every test as not conducted, outcome 0
+    or outcome 1; sorting the codes by (mask, outcome bits) with the first
+    test most significant puts them in all_patterns order, then
+    outcome_space order.  Q multiplies the per-test channel factors in
+    test order, a factor of exactly 1.0 standing for a test not conducted,
+    so every entry is the product conditional_prob forms.
     """
-    t = make_pattern(mask, model)
-    included = list(t.included)
-    n_inc = len(included)
-    bits = np.array(list(itertools.product((0, 1), repeat=n_inc)), dtype=np.int64)
-    m_inc = model.nominal[:, included]  # (k+1, n_inc)
-    sens = np.array([model.tests[j].sensitivity for j in included])
-    spec = np.array([model.tests[j].specificity for j in included])
-    correct = np.where(m_inc == 1, sens, spec)  # (k+1, n_inc)
-    match = bits[:, None, :] == m_inc[None, :, :]  # (n_y, k+1, n_inc)
-    factors = np.where(match, correct[None, :, :], 1.0 - correct[None, :, :])
-    q = factors.prod(axis=2)  # (n_y, k+1)
-    d = q[:, : model.k] - q[:, model.k :]
-    q_ref = q[:, model.k].copy()
-    for arr in (q, d, q_ref):
-        arr.setflags(write=False)
-    return q, d, q_ref
+    n, k = model.n_tests, model.k
+    weights = 1 << np.arange(n - 1, -1, -1)  # first test most significant
+    codes = (np.arange(3**n)[:, None] // 3 ** np.arange(n - 1, -1, -1)) % 3
+    conducted, positive = codes > 0, codes == 2
+    order = np.lexsort((positive @ weights, conducted @ weights))[1:]  # drop "no test"
+    conducted, positive = conducted[order], positive[order]
+
+    sens = np.array([t.sensitivity for t in model.tests])
+    spec = np.array([t.specificity for t in model.tests])
+    correct = np.where(model.nominal == 1, sens, spec)  # (k+1, n)
+    q = np.ones((order.size, k + 1))
+    for j in range(n):
+        match = positive[:, j, None] == (model.nominal[None, :, j] == 1)
+        factor = np.where(match, correct[:, j], 1.0 - correct[:, j])
+        q *= np.where(conducted[:, j, None], factor, 1.0)
+    d = q[:, :k] - q[:, k:]
+    upper_i, upper_j = np.triu_indices(k)
+    unpack = np.zeros((k, k), dtype=np.int64)
+    unpack[upper_i, upper_j] = unpack[upper_j, upper_i] = np.arange(upper_i.size)
+
+    masks = (np.arange(1, 2**n)[:, None] & weights) > 0  # all_patterns order
+    costs = np.zeros(masks.shape[0])
+    for j, test in enumerate(model.tests):  # summed in test order, as make_pattern does
+        costs += np.where(masks[:, j], test.cost, 0.0)
+    offsets = [0, *itertools.accumulate((2 ** masks.sum(axis=1)).tolist())]
+    patterns = tuple(
+        TestPattern(mask=tuple(mask), cost=cost)
+        for mask, cost in zip(masks.astype(np.int64).tolist(), costs.tolist())
+    )
+    table = _PatternTable(
+        patterns=patterns,
+        index={t.mask: i for i, t in enumerate(patterns)},
+        spans=tuple(map(slice, offsets[:-1], offsets[1:])),
+        starts=np.array(offsets[:-1]),
+        q=q,
+        d=d,
+        q_ref=q[:, k].copy(),
+        outer=d[:, upper_i] * d[:, upper_j],
+        unpack=unpack.ravel(),
+    )
+    for name in ("starts", "q", "d", "q_ref", "outer", "unpack"):
+        getattr(table, name).setflags(write=False)
+    return table
+
+
+def _fisher_info_grid(p, model: DiseaseModel, patterns: Sequence[TestPattern] | None = None):
+    """Fisher information of every pattern at one point or on a grid.
+
+    ``p`` is one parameter (k,), giving (T, k, k), or an (m, k) grid,
+    giving (T, m, k, k); ``patterns`` defaults to all_patterns order.
+    Entry (i, j) of pattern t sums ``d_i d_j / P(y)`` over its outcomes.
+    At a point every pattern's rows are summed at once; on a grid each
+    pattern is one product of its reciprocal mixture probabilities with
+    its packed outer products, so no (m, rows, k^2) array is formed.
+    Points are not validated here.
+    """
+    table = _pattern_tables(model)
+    p = np.asarray(p, dtype=np.float64)
+    k = model.k
+    if patterns is None:
+        positions = range(len(table.patterns))
+    else:
+        positions = table.positions(patterns)
+    if p.ndim == 1:
+        weighted = table.outer / (table.q_ref + table.d @ p)[:, None]
+        packed = np.add.reduceat(weighted, table.starts, axis=0)
+        if patterns is not None:
+            packed = packed[positions]
+        return packed[:, table.unpack].reshape(-1, k, k)
+    infos = np.empty((len(positions), p.shape[0], k * k))
+    for out, i in zip(infos, positions):
+        rows = table.spans[i]
+        mix = table.q_ref[rows] + p @ table.d[rows].T
+        np.take(np.reciprocal(mix, out=mix) @ table.outer[rows], table.unpack, axis=1, out=out)
+    return infos.reshape(len(positions), p.shape[0], k, k)
 
 
 def fisher_info(t: TestPattern, p, model: DiseaseModel) -> np.ndarray:
@@ -412,19 +528,7 @@ def fisher_info(t: TestPattern, p, model: DiseaseModel) -> np.ndarray:
     positive mixture probabilities are guaranteed by the strict
     sensitivity/specificity bounds.
     """
-    p = validate_parameter(p, model.k)
-    _, d, q_ref = _pattern_tables(model, t.mask)
-    mix = q_ref + d @ p
-    info = np.einsum("y,yi,yj->ij", 1.0 / mix, d, d)
-    return (info + info.T) / 2.0
-
-
-def _fisher_info_grid(t: TestPattern, pts: np.ndarray, model: DiseaseModel) -> np.ndarray:
-    """Fisher information of pattern t at many parameter points, (m, k, k)."""
-    _, d, q_ref = _pattern_tables(model, t.mask)
-    mix = q_ref[None, :] + pts @ d.T  # (m, n_y)
-    info = np.einsum("my,yi,yj->mij", 1.0 / mix, d, d)
-    return (info + np.swapaxes(info, 1, 2)) / 2.0
+    return _fisher_info_grid(validate_parameter(p, model.k), model, (t,))[0]
 
 
 class A1Result(NamedTuple):
@@ -439,6 +543,31 @@ class A2Result(NamedTuple):
     pattern: TestPattern | None
 
 
+def _a1(infos: np.ndarray, patterns: Sequence[TestPattern], pd_tol: float = PD_TOLERANCE) -> A1Result:
+    """A1 on the (T, k, k) informations of ``patterns`` at one point."""
+    hits = np.flatnonzero(np.linalg.eigvalsh(infos)[:, 0] > pd_tol)
+    return A1Result(True, patterns[hits[0]]) if hits.size else A1Result(False, None)
+
+
+def _a2(
+    infos: np.ndarray, pts: np.ndarray, patterns: Sequence[TestPattern], pd_tol: float = PD_TOLERANCE
+) -> A2Result:
+    """A2 on the (T, m, k, k) informations of ``patterns`` on the grid ``pts``."""
+    if not patterns:
+        return A2Result(False, -np.inf, None, None)
+    lam = np.linalg.eigvalsh(infos)[..., 0]  # (T, m)
+    argmin = lam.argmin(axis=1)
+    worst = lam[np.arange(lam.shape[0]), argmin]
+    t = int(np.argmax(worst))  # the first pattern with the best worst case
+    return A2Result(bool(worst[t] > pd_tol), float(worst[t]), pts[argmin[t]], patterns[t])
+
+
+def _box_grid(box: ParameterBox, model: DiseaseModel, grid_step: float) -> np.ndarray:
+    if box.k != model.k:
+        raise ValueError(f"box dimension {box.k} != model parameter dimension {model.k}")
+    return box.grid(grid_step)
+
+
 def check_a1(
     p,
     patterns: Sequence[TestPattern],
@@ -449,12 +578,9 @@ def check_a1(
 
     Returns the first such pattern in the given order, or (False, None).
     """
+    patterns = tuple(patterns)
     p = validate_parameter(p, model.k)
-    for t in patterns:
-        lam_min = float(np.linalg.eigvalsh(fisher_info(t, p, model))[0])
-        if lam_min > pd_tol:
-            return A1Result(True, t)
-    return A1Result(False, None)
+    return _a1(_fisher_info_grid(p, model, patterns), patterns, pd_tol)
 
 
 def check_a2(
@@ -468,21 +594,9 @@ def check_a2(
 
     Evaluates the smallest eigenvalue of every pattern's information matrix
     on the feasible grid and reports the pattern with the best worst-case
-    eigenvalue together with the grid point attaining it.
+    eigenvalue (the first in the given order on a tie) together with the
+    first grid point attaining it.
     """
-    if box.k != model.k:
-        raise ValueError(f"box dimension {box.k} != model parameter dimension {model.k}")
-    pts = box.grid(grid_step)
-    best_lam = -np.inf
-    best_pattern = None
-    best_argmin = None
-    for t in patterns:
-        infos = _fisher_info_grid(t, pts, model)
-        lam = np.linalg.eigvalsh(infos)[:, 0]
-        i = int(np.argmin(lam))
-        if lam[i] > best_lam:
-            best_lam = float(lam[i])
-            best_pattern = t
-            best_argmin = pts[i]
-    ok = best_lam > pd_tol
-    return A2Result(ok, best_lam, best_argmin, best_pattern)
+    patterns = tuple(patterns)
+    pts = _box_grid(box, model, grid_step)
+    return _a2(_fisher_info_grid(pts, model, patterns), pts, patterns, pd_tol)

@@ -94,12 +94,13 @@ def sample_outcomes(
     """
     p = validate_parameter(p, model.k)
     state_probs = np.append(p, max(1.0 - p.sum(), 0.0))  # p may sum to 1 + 1 ulp
+    table = _pattern_tables(model)
     patterns, counts = [], []
     for index, (t, n) in enumerate(zip(design.patterns, design.integer_counts)):
         if n <= 0:
             continue
         rng = _stream(seed, replication, index)
-        q, _, _ = _pattern_tables(model, t.mask)  # (n_y, k+1)
+        q = table.q[table.rows(t)]  # (n_y, k+1)
         states = rng.multinomial(int(n), state_probs)
         outcome_counts = np.zeros(q.shape[0], dtype=np.int64)
         for s, n_s in enumerate(states):
@@ -114,8 +115,9 @@ def sample_outcomes(
 
 def _dataset_tables(dataset: SurveyDataset, model: DiseaseModel):
     """Stack per-outcome rows across patterns: P(y | state) and the counts n_y."""
-    tables = [_pattern_tables(model, t.mask)[0] for t in dataset.patterns]
-    return np.vstack(tables), np.concatenate(dataset.counts).astype(np.float64)
+    table = _pattern_tables(model)
+    q = np.vstack([table.q[table.rows(t)] for t in dataset.patterns])
+    return q, np.concatenate(dataset.counts).astype(np.float64)
 
 
 def log_likelihood(dataset: SurveyDataset, p, model: DiseaseModel) -> float:
@@ -327,7 +329,7 @@ def simulation_report(
     """
     if replications < MIN_REPLICATIONS:
         raise ValueError(f"need at least {MIN_REPLICATIONS} replications, got {replications}")
-    patterns = list(patterns) if patterns is not None else all_patterns(model)
+    patterns = tuple(patterns) if patterns is not None else all_patterns(model)
     p = validate_parameter(p, model.k)
     design = Design(patterns=tuple(patterns), fractions=np.asarray(v_star, float), budget=budget)
     predicted = objective(design.fractions, p, model, patterns=patterns) / budget

@@ -387,6 +387,25 @@ class TestMain:
         assert code == 1
         assert "sensitivity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"\x89PNG\r\n\x1a\n\x00\xff\xfe", "<config>: not valid JSON: "),
+            (b"[1, 2, 3]", "<config>: configuration must be an object"),
+            (
+                json.dumps({key: ROW1[key] for key in ("scenario", "budget")}).encode(),
+                "model: missing required field",
+            ),
+        ],
+        ids=["binary", "top-level-array", "missing-top-level-key"],
+    )
+    def test_document_root_errors_exit_one(self, capsys, tmp_path, text, message):
+        config = tmp_path / "config.json"
+        config.write_bytes(text)
+        assert main(["c-optimal", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+
     def test_missing_file_exit_one(self, capsys, tmp_path):
         code = main(["c-optimal", "--config", str(tmp_path / "nope.json")])
         assert code == 1

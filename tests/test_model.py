@@ -1,6 +1,9 @@
 """Observation-model tests: outcome distributions, information matrices,
 and the positive-definiteness assumption checks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -17,8 +20,10 @@ from serodesign import (
     make_pattern,
     mixture_prob,
     outcome_space,
+    solve_c_optimal,
+    worst_case_design,
 )
-from serodesign.model import PATTERN_TABLE_CACHE_SIZE, _pattern_tables
+from serodesign.model import PATTERN_TABLE_CACHE_SIZE, _fisher_info_grid, _pattern_tables
 from _suites import finite_difference_fisher, random_interior_points
 
 NA = None
@@ -96,6 +101,27 @@ class TestTypes:
         box = ParameterBox(lower=[0.0, 0.0, 0.0], upper=[0.9, 0.9, 0.9])
         pts = box.grid(0.1)
         assert (pts.sum(axis=1) <= 1.0 + 1e-9).all()
+
+
+class TestNonFiniteInputs:
+    # every comparison with NaN is false, so range checks alone let it through
+
+    def test_nan_point_rejected_before_the_solver(self):
+        with pytest.raises(ValueError, match=r"parameter entry 0 must be finite, got nan"):
+            solve_c_optimal([np.nan, 0.3, 0.01], default_model(), budget=1e7)
+
+    def test_nan_point_rejected_by_fisher_info(self):
+        m = default_model()
+        with pytest.raises(ValueError, match=r"parameter entry 1 must be finite, got nan"):
+            fisher_info(make_pattern((1, 1, 1), m), [0.1, np.nan, 0.01], m)
+
+    def test_nan_box_bound_rejected(self):
+        with pytest.raises(ValueError, match=r"box lower bound 0 must be finite, got nan"):
+            ParameterBox(lower=[np.nan, 0.1, 0.0], upper=[0.1, 0.2, 0.02])
+
+    def test_infinite_box_bound_rejected(self):
+        with pytest.raises(ValueError, match=r"box upper bound 1 must be finite, got inf"):
+            ParameterBox(lower=[0.0, 0.1, 0.0], upper=[0.1, np.inf, 0.02])
 
 
 class TestOutcomeSpace:
@@ -254,13 +280,42 @@ class TestPatternTableCache:
     def test_fresh_models_keep_the_cache_bounded(self):
         # tables are keyed by model identity, so every parsed model would
         # stay alive in an unbounded cache
-        for i in range(200):
+        first = default_model(rtpcr_cost=99.0)
+        all_patterns(first)
+        released = weakref.ref(first)
+        del first
+        for i in range(2 * PATTERN_TABLE_CACHE_SIZE):
             model = default_model(rtpcr_cost=100.0 + i)
-            for t in all_patterns(model):
-                fisher_info(t, P0, model)
+            fisher_info(make_pattern((1, 1, 1), model), P0, model)
         info = _pattern_tables.cache_info()
         assert info.maxsize == PATTERN_TABLE_CACHE_SIZE
-        assert info.currsize <= info.maxsize
+        assert info.currsize == PATTERN_TABLE_CACHE_SIZE
+        gc.collect()
+        assert released() is None
+
+    def test_one_table_serves_patterns_solve_and_a1(self):
+        model = default_model(rtpcr_cost=1234.5)
+        misses = _pattern_tables.cache_info().misses
+        patterns = all_patterns(model)
+        assert all_patterns(model) is patterns  # not rebuilt per call
+        solve_c_optimal(P0, model)
+        check_a1(P0, patterns, model)
+        assert _pattern_tables.cache_info().misses == misses + 1
+
+    def test_worst_case_builds_its_grid_informations_once(self, monkeypatch):
+        from serodesign import minimax
+
+        model = default_model(rtpcr_cost=100.0)
+        box = ParameterBox(lower=[0.05, 0.20, 0.00], upper=[0.09, 0.30, 0.01])
+        calls = []
+
+        def counted(p, *args, **kwargs):
+            calls.append(np.shape(p))
+            return _fisher_info_grid(p, *args, **kwargs)
+
+        monkeypatch.setattr(minimax, "_fisher_info_grid", counted)
+        worst_case_design(box, model, grid_step=0.02)
+        assert calls == [box.grid(0.02).shape]
 
 
 class TestAssumptionChecks:
