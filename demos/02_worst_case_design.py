@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from serodesign import ParameterBox, all_patterns, default_model, saddle_check, worst_case_design
-from serodesign.minimax import _grid_infos, _payoff_over_grid
+from serodesign.coptimal import _criterion, _pattern_infos
 
 model = default_model(rtpcr_cost=100.0)
 box = ParameterBox(lower=[0.01, 0.10, 0.00], upper=[0.15, 0.50, 0.02])
@@ -44,10 +44,10 @@ print("the pair (v*, p*) is an approximate saddle point of the game.")
 # Restricting the whole budget to RT-PCR + antibody costs surprisingly little:
 pats = all_patterns(model)
 pts = box.grid(0.01)
-infos = _grid_infos(pts, model, pats)
+infos = _pattern_infos(pts, model, pats)
 only_011 = np.array([1.0 if t.mask == (0, 1, 1) else 0.0 for t in pats])
-worst_constrained = _payoff_over_grid(only_011, infos, model.u).max()
-worst_optimal = _payoff_over_grid(design.fractions, infos, model.u).max()
+worst_constrained = _criterion(only_011, infos, model.u)[0].max()
+worst_optimal = _criterion(design.fractions, infos, model.u)[0].max()
 variance_factor = worst_constrained / worst_optimal
 accuracy_factor = math.sqrt(variance_factor)
 

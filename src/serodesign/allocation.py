@@ -14,7 +14,7 @@ solved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -23,7 +23,6 @@ from .coptimal import (
     Design,
     InfeasibleDesignError,
     SolveReport,
-    design_from_fractions,
     solve_c_optimal,
 )
 from .minimax import SaddleReport, worst_case_design
@@ -98,13 +97,16 @@ class StratumAllocation:
 
     name: str
     fraction: float
-    budget: float
     criterion_value: float  # a_d at the stratum's optimal fractions
-    report: Union[SolveReport, SaddleReport]
+    report: Union[SolveReport, SaddleReport]  # priced at the stratum's budget
 
     @property
     def design(self) -> Design:
         return self.report.design
+
+    @property
+    def budget(self) -> float:
+        return self.design.budget
 
     @property
     def variance(self) -> float:
@@ -162,17 +164,6 @@ def _split_budget(
     return budget * weights / weights.sum()
 
 
-def _rescale(report, budget: float):
-    """Rebuild a solve/saddle report with its design priced at the stratum budget."""
-    design = design_from_fractions(report.design.fractions, budget, report.design.patterns)
-    if isinstance(report, SaddleReport):
-        inner = replace(
-            report.inner, design=design, min_variance=report.inner.objective / budget
-        )
-        return replace(report, design=design, inner=inner)
-    return replace(report, design=design, min_variance=report.objective / budget)
-
-
 def validate_entries(specs: Sequence[StratumSpec | GroupSpec], kind: str) -> np.ndarray:
     """Check a list of strata or groups and return their population fractions.
 
@@ -214,9 +205,8 @@ def _allocate(specs, kind: str, budget: float, solve) -> AllocationReport:
         StratumAllocation(
             name=s.name,
             fraction=s.fraction,
-            budget=float(b),
             criterion_value=float(a),
-            report=_rescale(r, float(b)),
+            report=r.priced(float(b)),
         )
         for s, b, a, r in zip(specs, budgets, values, reports)
     )

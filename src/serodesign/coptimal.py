@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -121,7 +121,7 @@ class Design:
 
     @property
     def costs(self) -> np.ndarray:
-        return np.array([t.cost for t in self.patterns])
+        return _costs(self.patterns)
 
     @property
     def counts(self) -> np.ndarray:
@@ -195,10 +195,23 @@ class SolveReport:
 
     design: Design
     objective: float
-    min_variance: float
     kkt_residual: float
     iterations: int
-    mu_star: float
+
+    @property
+    def min_variance(self) -> float:
+        """The achieved variance at the design's budget, ``objective / budget``."""
+        return self.objective / self.design.budget
+
+    @property
+    def mu_star(self) -> float:
+        """The optimal criterion value, the common sensitivity on the support."""
+        return self.objective
+
+    def priced(self, budget: float) -> SolveReport:
+        """This report with its design priced at ``budget``; the fractions and
+        the criterion value do not depend on the budget."""
+        return replace(self, design=replace(self.design, budget=budget))
 
     def to_dict(self) -> dict:
         return {
@@ -220,25 +233,22 @@ def _costs(patterns: Sequence[TestPattern]) -> np.ndarray:
     return np.array([t.cost for t in patterns], dtype=np.float64)
 
 
+def _per_cost(infos: np.ndarray, patterns: Sequence[TestPattern]) -> np.ndarray:
+    """Divide a (T, ..., k, k) information stack by the pattern costs, in place."""
+    costs = _costs(patterns)
+    infos /= costs.reshape(costs.shape + (1,) * (infos.ndim - 1))
+    return infos
+
+
 def _pattern_infos(p, model: DiseaseModel, patterns: Sequence[TestPattern]) -> np.ndarray:
-    """Stacked cost-relativized information matrices I_t(p) / c_t, (T, k, k)."""
-    return _fisher_info_grid(p, model, patterns) / _costs(patterns)[:, None, None]
+    """Cost-relativized informations I_t(p) / c_t at a point p (k,), giving
+    (T, k, k), or on an (m, k) grid, giving (T, m, k, k)."""
+    return _per_cost(_fisher_info_grid(p, model, patterns), patterns)
 
 
 def _blend(v: np.ndarray, infos: np.ndarray) -> np.ndarray:
     """sum_t v_t infos[t]; infos is (T, k, k) or (T, m, k, k)."""
     return np.einsum("t,t...->...", v, infos)
-
-
-def _inv_chol(a: np.ndarray):
-    """Inverse Cholesky factor L^{-1} of a = L L' (also stacked); None if not SPD.
-
-    Then ``a^{-1} u = L^{-T} (L^{-1} u)`` and ``u' a^{-1} u = |L^{-1} u|^2``.
-    """
-    try:
-        return np.linalg.inv(np.linalg.cholesky(a))
-    except np.linalg.LinAlgError:
-        return None
 
 
 def _nonsingular(a: np.ndarray) -> np.ndarray:
@@ -255,17 +265,23 @@ def _criterion(v: np.ndarray, infos: np.ndarray, u: np.ndarray):
     ``infos`` is (T, k, k), or (T, m, k, k) to evaluate m parameter points
     at once, in which case a has shape (m,) and x shape (m, k).  Where A
     is numerically singular (smallest eigenvalue at most SINGULAR_RATIO
-    times the largest) a is +inf and x is nan.
+    times the largest) a is +inf and x is nan; every other blend is
+    solved for x in one batched ``np.linalg.solve``.
     """
     a = _blend(v, infos)
     good = _nonsingular(a)
     values = np.full(good.shape, math.inf)
     x = np.full(a.shape[:-1], math.nan)
-    linv = _inv_chol(a[good]) if good.any() else None
-    if linv is not None:
-        x[good] = np.einsum("nji,nj->ni", linv, linv @ u)
-        values[good] = x[good] @ u
+    solved = np.linalg.solve(a[good], u)
+    x[good] = solved
+    values[good] = solved @ u
     return values[()], x
+
+
+def _sensitivities(infos: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """g_t = x' B_t x for B_t = infos[t]; with x = A(v)^{-1} u these are the
+    negated gradient components of the criterion, ``u' A^{-1} B_t A^{-1} u``."""
+    return np.einsum("tij,i,j->t", infos, x, x)
 
 
 def _evaluate(v, p, model: DiseaseModel, patterns: Sequence[TestPattern] | None):
@@ -284,8 +300,8 @@ def _evaluate(v, p, model: DiseaseModel, patterns: Sequence[TestPattern] | None)
 def objective(v, p, model: DiseaseModel, patterns: Sequence[TestPattern] | None = None) -> float:
     """Variance criterion a(v; p) = u' (sum_t v_t I_t(p)/c_t)^{-1} u.
 
-    Computed through the Cholesky factor of the blended information
-    matrix, never an explicit inverse of it.  Returns +inf when that
+    Computed by one linear solve with the blended information matrix,
+    never an explicit inverse of it.  Returns +inf when that
     matrix is numerically singular (smallest eigenvalue at most
     SINGULAR_RATIO = 1e-12 times the largest), which happens when v is
     supported on patterns that cannot jointly identify the parameter.
@@ -304,7 +320,7 @@ def objective_gradient(
     _, infos, mu, x = _evaluate(v, p, model, patterns)
     if mu == math.inf:
         raise ValueError("blended information matrix is singular; gradient undefined")
-    return -np.einsum("tij,i,j->t", infos, x, x)
+    return -_sensitivities(infos, x)
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +499,13 @@ def solve_c_optimal(
             "no test pattern has positive-definite information at p; "
             "every design has unbounded variance"
         )
-    infos /= _costs(patterns)[:, None, None]
+    _per_cost(infos, patterns)
     v, mu, residual, iterations = _solve_simplex(infos, model.u, max_iter=max_iter)
-    design = Design(patterns=patterns, fractions=v, budget=budget)
     report = SolveReport(
-        design=design,
+        design=Design(patterns=patterns, fractions=v, budget=budget),
         objective=mu,
-        min_variance=mu / budget,
         kkt_residual=residual,
         iterations=iterations,
-        mu_star=mu,
     )
     if residual > KKT_TOL * mu:
         raise ConvergenceError(
@@ -526,8 +539,7 @@ def kkt_check(
     v, infos, mu, x = _evaluate(v, p, model, patterns)
     if mu == math.inf:
         raise ValueError("blended information matrix is singular; KKT residual undefined")
-    g = np.einsum("tij,i,j->t", infos, x, x)
-    return _kkt_residual_from(g, float(mu), v, support_eps)
+    return _kkt_residual_from(_sensitivities(infos, x), float(mu), v, support_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +570,16 @@ def budget_for_margin(
     critical value at level alpha, so the returned budget satisfies the
     margin with equality.
     """
+    return _margin_budget(solve_c_optimal(p, model, patterns=patterns), moe, alpha)
+
+
+def _margin_budget(report: SolveReport, moe: float, alpha: float) -> float:
+    """The budget at which ``report``'s design meets margin ``moe`` at level
+    alpha, ``z^2 a(v*) / moe^2``; the fractions do not depend on the budget,
+    so the report priced there is the optimal design at that budget."""
     if not moe > 0:
         raise ValueError(f"margin of error must be positive, got {moe}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    report = solve_c_optimal(p, model, patterns=patterns)
     z = abs(normal_quantile(alpha / 2.0))
     return z * z * report.objective / (moe * moe)

@@ -28,7 +28,7 @@ and iteration count that solving every grid point would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -38,10 +38,12 @@ from .coptimal import (
     Design,
     InfeasibleDesignError,
     SolveReport,
-    _costs,
     _criterion,
+    _evaluate,
     _kkt_residual_from,
     _pattern_infos,
+    _per_cost,
+    _sensitivities,
     _solve_simplex,
     design_from_fractions,
     objective,
@@ -81,18 +83,28 @@ PRUNE_MARGIN = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class SaddleReport:
-    """A certified approximate equilibrium of the worst-case design game."""
+    """A certified approximate equilibrium of the worst-case design game.
 
-    design: Design
+    ``inner`` is the minimizing player's design with its criterion value
+    a(v*; p*), the game value, and its first-order residual at p*.
+    """
+
+    inner: SolveReport
     p_star: np.ndarray
-    game_value: float
     saddle_gap: float
     grid_step: float
-    inner: SolveReport
 
     @property
-    def v_star(self) -> np.ndarray:
-        return self.design.fractions
+    def design(self) -> Design:
+        return self.inner.design
+
+    @property
+    def game_value(self) -> float:
+        return self.inner.objective
+
+    def priced(self, budget: float) -> SaddleReport:
+        """This report with its design priced at ``budget``."""
+        return replace(self, inner=self.inner.priced(budget))
 
     def to_dict(self) -> dict:
         return {
@@ -101,7 +113,7 @@ class SaddleReport:
             "saddle_gap": self.saddle_gap,
             "grid_step": self.grid_step,
             "kkt_residual": self.inner.kkt_residual,
-            "min_variance": self.game_value / self.design.budget,
+            "min_variance": self.inner.min_variance,
             "design": self.design.to_dict(),
         }
 
@@ -109,18 +121,6 @@ class SaddleReport:
 def payoff(v, p, model: DiseaseModel, patterns: Sequence[TestPattern] | None = None) -> float:
     """Game payoff: identical to the variance criterion a(v; p)."""
     return objective(v, p, model, patterns=patterns)
-
-
-def _grid_infos(
-    pts: np.ndarray, model: DiseaseModel, patterns: Sequence[TestPattern]
-) -> np.ndarray:
-    """Cost-relativized information matrices at every grid point, (T, m, k, k)."""
-    return _fisher_info_grid(pts, model, patterns) / _costs(patterns)[:, None, None, None]
-
-
-def _payoff_over_grid(v: np.ndarray, grid_infos: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """a(v; p) for every grid point; +inf where the blend is singular."""
-    return _criterion(v, grid_infos, u)[0]
 
 
 def _envelope_argmax(grid_infos: np.ndarray, u: np.ndarray, solve_at) -> int:
@@ -143,7 +143,7 @@ def _envelope_argmax(grid_infos: np.ndarray, u: np.ndarray, solve_at) -> int:
         open_idx = np.delete(open_idx, pos)
         if open_idx.size:
             bound[open_idx] = np.minimum(
-                bound[open_idx], _payoff_over_grid(v, grid_infos[:, open_idx], u)
+                bound[open_idx], _criterion(v, grid_infos[:, open_idx], u)[0]
             )
             open_idx = open_idx[bound[open_idx] >= (1.0 - PRUNE_MARGIN) * best_value]
     return best_index
@@ -181,7 +181,7 @@ def worst_case_design(
             "no pattern has uniformly positive-definite information over the box; "
             "the worst-case variance is unbounded for every design"
         )
-    grid_infos /= _costs(patterns)[:, None, None, None]
+    _per_cost(grid_infos, patterns)
     u = model.u
 
     solves: dict[int, tuple] = {}
@@ -195,7 +195,7 @@ def worst_case_design(
     v_star, game_value, residual, iterations = solve_at(best_index)
     p_star = pts[best_index]
 
-    values = _payoff_over_grid(v_star, grid_infos, u)
+    values = _criterion(v_star, grid_infos, u)[0]
     gap = float(values.max() - values[best_index])
     if gap > saddle_tol * game_value:
         # Fictitious-play fallback: the maximizer best-responds on the grid,
@@ -208,7 +208,7 @@ def worst_case_design(
             reply_idx = int(np.argmax(values))
             iterates.append(solve_at(reply_idx)[0])
             v_avg = np.mean(iterates, axis=0)
-            values = _payoff_over_grid(v_avg, grid_infos, u)
+            values = _criterion(v_avg, grid_infos, u)[0]
             gap_avg = float(values.max() - values[best_index])
             if gap_avg < gap_best:
                 v_best, gap_best = v_avg, gap_avg
@@ -220,26 +220,16 @@ def worst_case_design(
         infos_star = grid_infos[:, best_index]
         game_value, x = _criterion(v_star, infos_star, u)
         game_value = float(game_value)
-        g = np.einsum("tij,i,j->t", infos_star, x, x)
+        g = _sensitivities(infos_star, x)
         residual = _kkt_residual_from(g, game_value, v_star, SUPPORT_EPS)
 
-    design = design_from_fractions(v_star, budget, patterns)
     inner = SolveReport(
-        design=design,
+        design=design_from_fractions(v_star, budget, patterns),
         objective=game_value,
-        min_variance=game_value / budget,
         kkt_residual=residual,
         iterations=iterations,
-        mu_star=game_value,
     )
-    return SaddleReport(
-        design=design,
-        p_star=p_star,
-        game_value=game_value,
-        saddle_gap=gap,
-        grid_step=grid_step,
-        inner=inner,
-    )
+    return SaddleReport(inner=inner, p_star=p_star, saddle_gap=gap, grid_step=grid_step)
 
 
 def saddle_check(
@@ -258,11 +248,8 @@ def saddle_check(
     below the saddle tolerance certify an approximate equilibrium.
     """
     patterns = tuple(patterns) if patterns is not None else all_patterns(model)
-    v = np.asarray(v, dtype=np.float64)
-    p_star = np.asarray(p_star, dtype=np.float64)
-    pts = _box_grid(box, model, grid_step)
-    grid_infos = _grid_infos(pts, model, patterns)
-    values = _payoff_over_grid(v, grid_infos, model.u)
-    at_p_star = objective(v, p_star, model, patterns=patterns)
-    _, inner_value, _, _ = _solve_simplex(_pattern_infos(p_star, model, patterns), model.u)
+    v, infos_star, at_p_star, _ = _evaluate(v, p_star, model, patterns)
+    grid_infos = _pattern_infos(_box_grid(box, model, grid_step), model, patterns)
+    values = _criterion(v, grid_infos, model.u)[0]
+    inner_value = _solve_simplex(infos_star, model.u)[1]
     return float(values.max() - at_p_star), float(at_p_star - inner_value)

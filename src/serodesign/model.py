@@ -287,18 +287,6 @@ class ParameterBox:
     def k(self) -> int:
         return self.lower.shape[0]
 
-    @property
-    def is_point(self) -> bool:
-        return bool((self.lower == self.upper).all())
-
-    def contains(self, p, tol: float = 1e-9) -> bool:
-        p = np.asarray(p, dtype=np.float64)
-        return bool(
-            (p >= self.lower - tol).all()
-            and (p <= self.upper + tol).all()
-            and p.sum() <= 1.0 + tol
-        )
-
     def grid(self, step: float) -> np.ndarray:
         """Feasible grid points in lexicographic order, shape (m, k).
 

@@ -22,7 +22,7 @@ from serodesign import (
     solve_c_optimal,
     variance_check,
 )
-from serodesign.minimax import _grid_infos, _payoff_over_grid
+from serodesign.coptimal import _criterion, _pattern_infos
 from _suites import (
     finite_difference_fisher,
     random_interior_points,
@@ -146,10 +146,10 @@ def test_criterion_04_single_pattern_restriction_factor(model_row4, row4_worst_c
     report, _ = row4_worst_case
     pats = all_patterns(model_row4)
     pts = ROW4_BOX.grid(0.01)
-    infos = _grid_infos(pts, model_row4, pats)
+    infos = _pattern_infos(pts, model_row4, pats)
     only_011 = np.array([1.0 if t.mask == (0, 1, 1) else 0.0 for t in pats])
-    worst_constrained = _payoff_over_grid(only_011, infos, model_row4.u).max()
-    worst_optimal = _payoff_over_grid(report.design.fractions, infos, model_row4.u).max()
+    worst_constrained = _criterion(only_011, infos, model_row4.u)[0].max()
+    worst_optimal = _criterion(report.design.fractions, infos, model_row4.u)[0].max()
     factor = math.sqrt(worst_constrained / worst_optimal)
     ok = abs(factor - 1.0023) <= 0.0005
     check(

@@ -2,6 +2,7 @@
 and groups, its optimality among alternative splits, and the published
 symptomatic/asymptomatic allocation."""
 
+import json
 import math
 
 import numpy as np
@@ -150,6 +151,27 @@ class TestGroupAllocation:
         for entry in report.entries:
             assert entry.design.integer_count((0, 1, 0)) == 0
             assert entry.design.integer_count((0, 1, 1)) == 0
+
+    def test_entries_are_priced_at_their_budget(self, model_row1):
+        groups = [
+            GroupSpec(
+                name="symptomatic",
+                fraction=0.1,
+                point=P0,
+                overrides={"rat": {"sensitivity": 0.68}},
+            ),
+            GroupSpec(
+                name="asymptomatic",
+                fraction=0.9,
+                point=P0,
+                overrides={"rat": {"sensitivity": 0.47}},
+            ),
+        ]
+        report = allocate_groups(groups, model_row1, C)
+        for group, entry in zip(groups, report.entries):
+            assert entry.budget == entry.report.design.budget
+            fresh = solve_c_optimal(P0, group.model(model_row1), budget=entry.budget)
+            assert json.dumps(entry.report.to_dict()) == json.dumps(fresh.to_dict())
 
     def test_identical_groups_split_evenly(self, model_row1):
         groups = [

@@ -7,6 +7,8 @@ import json
 import numpy as np
 import pytest
 
+from serodesign import budget_for_margin, coptimal, solve_c_optimal
+from serodesign.coptimal import _solve_simplex
 from serodesign.cli import (
     _SCENARIO_FOR,
     ConfigError,
@@ -206,6 +208,28 @@ class TestRun:
         z, required = report["z"], report["required_budget"]
         assert z == pytest.approx(1.959963984540054, abs=1e-9)
         assert z * np.sqrt(report["objective"] / required) == pytest.approx(0.01, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "row, moe, alpha", [(1, 0.01, 0.05), (2, 0.004, 0.1), (3, 0.02, 0.01)]
+    )
+    def test_budget_solves_once(self, monkeypatch, row, moe, alpha):
+        # the report of the two-solve path: a solve at budget 1 inside
+        # budget_for_margin, then a solve at the required budget
+        config = load_config(fixture_path(f"table1_row{row}"))
+        required = budget_for_margin(config.point, config.model, moe, alpha)
+        two_solves = solve_c_optimal(config.point, config.model, budget=required)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return _solve_simplex(*args, **kwargs)
+
+        monkeypatch.setattr(coptimal, "_solve_simplex", counted)
+        report = run(config, "budget", moe=moe, alpha=alpha)
+        assert len(calls) == 1
+        assert report["required_budget"] == required
+        body = {key: report[key] for key in two_solves.to_dict()}
+        assert json.dumps(body) == json.dumps(two_solves.to_dict())
 
     def test_simulate_subcommand(self):
         config = load_config(fixture_path("table1_row1"))

@@ -1,12 +1,17 @@
-"""Design-solver tests: criterion values, gradients, the simplex solver
-against published designs and independent scalar oracles, optimality
-certificates, and the margin-of-error budget inversion."""
+"""Design-solver tests: the criterion kernel against explicit inverses,
+criterion values, gradients, the simplex solver against published designs
+and independent scalar oracles, optimality certificates, pricing a report
+at another budget, and the margin-of-error budget inversion."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from serodesign import (
     ConvergenceError,
@@ -25,7 +30,7 @@ from serodesign import (
     objective_gradient,
     solve_c_optimal,
 )
-from serodesign.coptimal import KKT_TOL
+from serodesign.coptimal import KKT_TOL, _criterion, _nonsingular
 from _suites import (
     golden_section_two_pattern,
     random_pd_fractions,
@@ -41,6 +46,85 @@ def nonzero_counts(design):
         for t, w in zip(design.patterns, design.integer_counts)
         if w > 0
     }
+
+
+# Derandomized, so every run draws the same stacks.
+PROPERTY = settings(
+    derandomize=True,
+    database=None,
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def info_stacks(draw, grid: bool, singular: bool | None = None):
+    """(v, infos, u, made_singular): T pattern informations at a point,
+    (T, k, k), or on a grid of m points, (T, m, k, k).
+
+    Each information is G G' + I/20 for G with entries in [-1, 1], so every
+    nonnegative nonzero blend has condition number at most 20 k^2 + 1.  At the
+    points marked singular (each drawn unless ``singular`` fixes them)
+    every pattern's row and column j is zeroed, or the whole information,
+    so the blend there is exactly singular.
+    """
+    n_patterns, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6)) if grid else 1
+    g = draw(arrays(np.float64, (n_patterns, m, k, k), elements=st.floats(-1.0, 1.0)))
+    infos = g @ np.swapaxes(g, -1, -2) + np.eye(k) / 20.0
+    flags = st.booleans() if singular is None else st.just(singular)
+    made_singular = np.array(draw(st.lists(flags, min_size=m, max_size=m)))
+    for i in np.flatnonzero(made_singular):
+        j = draw(st.integers(0, k))  # k zeroes the whole information
+        if j == k:
+            infos[:, i] = 0.0
+        else:
+            infos[:, i, j, :] = 0.0
+            infos[:, i, :, j] = 0.0
+    weights = st.sampled_from([0.0, 0.1, 0.5, 1.0])
+    v = np.array(draw(st.lists(weights, min_size=n_patterns, max_size=n_patterns)))
+    if not v.any():
+        v[draw(st.integers(0, n_patterns - 1))] = 1.0
+    u = draw(st.lists(st.floats(0.1, 2.0), min_size=k, max_size=k))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=k, max_size=k))
+    u = np.array(u) * np.array(signs)
+    if not grid:
+        infos, made_singular = infos[:, 0], made_singular[0]
+    return v, infos, u, made_singular
+
+
+def assert_kernel_matches_inverse(v, infos, u, made_singular):
+    values, x = _criterion(v, infos, u)
+    values = np.asarray(values)
+    blends = np.tensordot(v, infos, axes=1)
+    good = _nonsingular(blends)
+    assert np.array_equal(good, ~made_singular)
+    assert values.shape == good.shape and x.shape == blends.shape[:-1]
+    assert (values[~good] == math.inf).all()
+    assert np.isnan(x[~good]).all()
+    reference = np.array([u @ np.linalg.inv(a) @ u for a in blends[good]])
+    np.testing.assert_allclose(values[good], reference, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(
+        x[good], np.linalg.inv(blends[good]) @ u, rtol=1e-10, atol=1e-12
+    )
+
+
+class TestCriterionKernel:
+    @PROPERTY
+    @given(info_stacks(grid=False))
+    def test_at_a_point(self, stack):
+        assert_kernel_matches_inverse(*stack)
+
+    @PROPERTY
+    @given(info_stacks(grid=True))
+    def test_on_a_grid(self, stack):
+        assert_kernel_matches_inverse(*stack)
+
+    @PROPERTY
+    @given(st.booleans().flatmap(lambda grid: info_stacks(grid=grid, singular=True)))
+    def test_every_blend_singular(self, stack):
+        assert_kernel_matches_inverse(*stack)
 
 
 class TestObjective:
@@ -163,6 +247,13 @@ class TestSolver:
         )
         with pytest.raises(InfeasibleDesignError):
             solve_c_optimal(P0, flat)
+
+    @pytest.mark.parametrize("budget", [1.0, 2.5e3, 1e7, 3.7e9])
+    def test_priced_equals_a_fresh_solve(self, model_row1, budget):
+        report = solve_c_optimal(P0, model_row1, budget=1e7).priced(budget)
+        fresh = solve_c_optimal(P0, model_row1, budget=budget)
+        assert json.dumps(report.to_dict()) == json.dumps(fresh.to_dict())
+        assert report.design.fractions.tobytes() == fresh.design.fractions.tobytes()
 
     def test_report_consistency(self, model_row1):
         report = solve_c_optimal(P0, model_row1, budget=1e7)

@@ -2,6 +2,7 @@
 against the published worst case and against an exhaustive scan, and
 equilibrium certification."""
 
+import json
 import math
 
 import numpy as np
@@ -18,13 +19,8 @@ from serodesign import (
     solve_c_optimal,
     worst_case_design,
 )
-from serodesign.coptimal import _solve_simplex
-from serodesign.minimax import (
-    REFINE_MAX_ROUNDS,
-    SADDLE_TOL,
-    _grid_infos,
-    _payoff_over_grid,
-)
+from serodesign.coptimal import _criterion, _pattern_infos, _solve_simplex
+from serodesign.minimax import REFINE_MAX_ROUNDS, SADDLE_TOL
 from _suites import random_interior_points, random_pd_fractions, worst_concavity_slack
 
 from conftest import ROW1_POINT, ROW4_BOX
@@ -83,12 +79,10 @@ class TestWorstCaseDesign:
         report, _ = row4_worst_case
         pats = all_patterns(model_row4)
         pts = ROW4_BOX.grid(0.01)
-        infos = _grid_infos(pts, model_row4, pats)
+        infos = _pattern_infos(pts, model_row4, pats)
         only_011 = np.array([1.0 if t.mask == (0, 1, 1) else 0.0 for t in pats])
-        worst_constrained = _payoff_over_grid(only_011, infos, model_row4.u).max()
-        worst_optimal = _payoff_over_grid(
-            report.design.fractions, infos, model_row4.u
-        ).max()
+        worst_constrained = _criterion(only_011, infos, model_row4.u)[0].max()
+        worst_optimal = _criterion(report.design.fractions, infos, model_row4.u)[0].max()
         factor = math.sqrt(worst_constrained / worst_optimal)
         assert factor == pytest.approx(1.0023, abs=0.0005)
 
@@ -124,6 +118,15 @@ class TestWorstCaseDesign:
         assert refined.saddle_gap < unrefined.saddle_gap
 
 
+    @pytest.mark.parametrize("budget", [1.0, 2.5e3, 3.7e9])
+    def test_priced_equals_a_fresh_solve(self, model_row4, row4_worst_case, budget):
+        report = row4_worst_case[0].priced(budget)
+        fresh = worst_case_design(ROW4_BOX, model_row4, grid_step=0.01, budget=budget)
+        assert json.dumps(report.to_dict()) == json.dumps(fresh.to_dict())
+        assert report.design.fractions.tobytes() == fresh.design.fractions.tobytes()
+        assert report.inner.min_variance == fresh.inner.min_variance
+
+
 class TestSaddleCheck:
     def test_solution_certifies(self, model_row4, row4_worst_case):
         report, _ = row4_worst_case
@@ -138,12 +141,12 @@ class TestSaddleCheck:
         rng = np.random.default_rng(30)
         pats = all_patterns(model_row4)
         pts = ROW4_BOX.grid(0.05)
-        infos = _grid_infos(pts, model_row4, pats)
+        infos = _pattern_infos(pts, model_row4, pats)
         for _ in range(5):
             v = random_pd_fractions(rng, len(pats), 6)
             p = pts[rng.integers(len(pts))]
             here = objective(v, p, model_row4)
-            worst_over_p = _payoff_over_grid(v, infos, model_row4.u).max()
+            worst_over_p = _criterion(v, infos, model_row4.u)[0].max()
             best_over_v = solve_c_optimal(p, model_row4).objective
             assert worst_over_p >= here - 1e-9
             assert here >= best_over_v - 1e-9
@@ -184,7 +187,7 @@ def exhaustive_worst_case(box, model, grid_step, saddle_tol=SADDLE_TOL):
     best-response fallback without memoized solves.  Returns
     (p*, fractions, game value, saddle gap, iterations, fallback ran)."""
     pts = box.grid(grid_step)
-    infos = _grid_infos(pts, model, all_patterns(model))
+    infos = _pattern_infos(pts, model, all_patterns(model))
     u = model.u
     best_index, best = -1, None
     for i in range(len(pts)):
@@ -194,7 +197,7 @@ def exhaustive_worst_case(box, model, grid_step, saddle_tol=SADDLE_TOL):
     v_star, value, _, iterations = best
 
     def gap_of(v):
-        values = _payoff_over_grid(v, infos, u)
+        values = _criterion(v, infos, u)[0]
         return float(values.max() - values[best_index])
 
     gap = gap_of(v_star)
@@ -204,7 +207,7 @@ def exhaustive_worst_case(box, model, grid_step, saddle_tol=SADDLE_TOL):
         v_best, gap_best = v_star, gap
         for _ in range(REFINE_MAX_ROUNDS):
             v_avg = np.mean(iterates, axis=0)
-            reply = int(np.argmax(_payoff_over_grid(v_avg, infos, u)))
+            reply = int(np.argmax(_criterion(v_avg, infos, u)[0]))
             iterates.append(_solve_simplex(infos[:, reply], u)[0])
             gap_avg = gap_of(np.mean(iterates, axis=0))
             if gap_avg < gap_best:
@@ -212,7 +215,7 @@ def exhaustive_worst_case(box, model, grid_step, saddle_tol=SADDLE_TOL):
             if gap_best <= saddle_tol * value:
                 break
         v_star, gap = v_best, gap_best
-        value = float(_payoff_over_grid(v_star, infos, u)[best_index])
+        value = float(_criterion(v_star, infos, u)[0][best_index])
     return pts[best_index], v_star, value, gap, iterations, refined
 
 
