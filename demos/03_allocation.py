@@ -16,7 +16,6 @@ from serodesign import (
     allocate_districts,
     allocate_groups,
     default_model,
-    weighted_variance,
 )
 
 model = default_model()
@@ -36,7 +35,7 @@ for entry in report.entries:
         f"a_d = {entry.criterion_value:8.2f}  "
         f"budget {entry.budget:>12,.0f} ({100 * entry.budget / BUDGET:5.2f}%)"
     )
-print(f"  variance of the weighted estimate: {weighted_variance(report):.3e}")
+print(f"  variance of the weighted estimate: {report.total_variance:.3e}")
 
 print("\nSame box of uncertainty in every district")
 print("=" * 72)

@@ -18,7 +18,6 @@ from .allocation import (
     allocate_districts,
     allocate_groups,
     validate_entries,
-    weighted_variance,
 )
 from .coptimal import (
     ConvergenceError,
@@ -33,7 +32,7 @@ from .coptimal import (
     objective_gradient,
     solve_c_optimal,
 )
-from .minimax import SaddleReport, payoff, saddle_check, worst_case_design
+from .minimax import SaddleReport, saddle_check, worst_case_design
 from .model import (
     DiseaseModel,
     ParameterBox,
@@ -58,7 +57,6 @@ from .simulate import (
     sample_outcomes,
     simulate_estimates,
     simulation_report,
-    variance_check,
 )
 
 __version__ = "0.1.0"
@@ -98,7 +96,6 @@ __all__ = [
     "objective",
     "objective_gradient",
     "outcome_space",
-    "payoff",
     "saddle_check",
     "sample_outcomes",
     "simulate_estimates",
@@ -106,7 +103,5 @@ __all__ = [
     "solve_c_optimal",
     "validate_entries",
     "validate_parameter",
-    "variance_check",
-    "weighted_variance",
     "worst_case_design",
 ]

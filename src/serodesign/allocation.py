@@ -36,7 +36,6 @@ __all__ = [
     "allocate_districts",
     "allocate_groups",
     "validate_entries",
-    "weighted_variance",
 ]
 
 
@@ -130,7 +129,10 @@ class AllocationReport:
 
     @property
     def total_variance(self) -> float:
-        return weighted_variance(self)
+        """Variance of the weighted estimate: sum of n_d^2 * a_d / C_d."""
+        return math.fsum(
+            e.fraction * e.fraction * e.criterion_value / e.budget for e in self.entries
+        )
 
     def entry(self, name: str) -> StratumAllocation:
         for e in self.entries:
@@ -259,11 +261,3 @@ def allocate_groups(
 
     return _allocate(groups, "group", budget, solve)
 
-
-def weighted_variance(report: AllocationReport) -> float:
-    """Variance of the weighted estimate: sum of n_d^2 * a_d / C_d."""
-    return float(
-        math.fsum(
-            e.fraction * e.fraction * e.criterion_value / e.budget for e in report.entries
-        )
-    )

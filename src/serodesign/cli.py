@@ -41,7 +41,10 @@ Numbers must be finite (``NaN`` and ``Infinity`` are rejected), ``seed``
 and ``replications`` must be integers and ``seed`` nonnegative.  Any
 malformed configuration or ``--design`` file exits 1 with
 ``error: <document path>: <reason>``; a configuration that is not a
-JSON object at all has the path ``<config>``.  Exit status: 0 on
+JSON object at all has the path ``<config>``.  A budget too large for
+exact integer counts, or one that buys ``simulate`` no participant, has
+the path the budget came from: ``budget``, ``options.moe`` for
+``budget``, or ``design.budget``.  Exit status: 0 on
 success, 1 on configuration or validation errors, 2 on solver failures.
 """
 
@@ -426,7 +429,9 @@ def _load_design(path: str, model: DiseaseModel, budget: float) -> Design:
         fractions[labels.index(label)] = _number(value, f"design.fractions.{label}")
     budget = _number(doc.get("budget", budget), "design.budget")
     with _at("design"):
-        return Design(patterns=tuple(patterns), fractions=fractions, budget=budget)
+        design = Design(patterns=tuple(patterns), fractions=fractions, budget=1.0)
+    with _at("design.budget"):
+        return replace(design, budget=budget)
 
 
 def fixture_path(name: str) -> str:
@@ -485,24 +490,30 @@ def run(
 
     header = {"command": subcommand, "currency": opts.currency, "budget": config.budget}
 
+    # A design rejects a budget whose counts cannot be rounded exactly; the
+    # document path it reports is the one the budget came from.
     if subcommand == "c-optimal":
-        report = solve_c_optimal(config.point, config.model, budget=config.budget)
+        with _at("budget"):
+            report = solve_c_optimal(config.point, config.model, budget=config.budget)
         return {**header, "parameter": _floats(config.point), **report.to_dict()}
 
     if subcommand == "worst-case":
-        report = worst_case_design(
-            config.box, config.model, grid_step=grid_step, budget=config.budget
-        )
+        with _at("budget"):
+            report = worst_case_design(
+                config.box, config.model, grid_step=grid_step, budget=config.budget
+            )
         return {**header, "box": _box_dict(config.box), **report.to_dict()}
 
     if subcommand == "strata":
-        report = allocate_districts(
-            config.strata, config.model, config.budget, grid_step=grid_step
-        )
+        with _at("budget"):
+            report = allocate_districts(
+                config.strata, config.model, config.budget, grid_step=grid_step
+            )
         return {**header, **report.to_dict()}
 
     if subcommand == "groups":
-        report = allocate_groups(config.groups, config.model, config.budget)
+        with _at("budget"):
+            report = allocate_groups(config.groups, config.model, config.budget)
         return {**header, **report.to_dict()}
 
     if subcommand == "budget":
@@ -510,6 +521,8 @@ def run(
             raise ConfigError("options.moe", "budget subcommand needs a margin of error")
         solve = solve_c_optimal(config.point, config.model)
         required = _margin_budget(solve, moe, alpha)
+        with _at("options.moe"):
+            solve = solve.priced(required)
         return {
             **header,
             "parameter": _floats(config.point),
@@ -517,22 +530,25 @@ def run(
             "alpha": alpha,
             "z": abs(normal_quantile(alpha / 2.0)),
             "required_budget": required,
-            **solve.priced(required).to_dict(),
+            **solve.to_dict(),
         }
 
     if subcommand == "simulate":
         if design_path is None:
-            design = solve_c_optimal(config.point, config.model, budget=config.budget).design
+            with _at("budget"):
+                design = solve_c_optimal(config.point, config.model, budget=config.budget).design
         else:
             design = _load_design(design_path, config.model, config.budget)
-        report = simulation_report(
-            config.point,
-            config.model,
-            design.fractions,
-            design.budget,
-            replications=opts.replications,
-            seed=opts.seed,
-        )
+        # a budget that buys no participant leaves nothing to sample
+        with _at("budget" if design_path is None else "design.budget"):
+            report = simulation_report(
+                config.point,
+                config.model,
+                design.fractions,
+                design.budget,
+                replications=opts.replications,
+                seed=opts.seed,
+            )
         return {**header, "parameter": _floats(config.point), **report}
 
     # check-assumptions

@@ -79,6 +79,9 @@ KKT_TOL = 1e-6
 SINGULAR_RATIO = 1e-12
 # Relaxed counts this close to an integer round to it instead of down.
 INTEGER_SNAP = 1e-9
+# Relaxed counts from here on are not all representable as doubles, so
+# rounding them to integers is no longer exact.
+MAX_EXACT_COUNT = 2.0**53
 
 
 class InfeasibleDesignError(Exception):
@@ -118,6 +121,14 @@ class Design:
         fractions.setflags(write=False)
         object.__setattr__(self, "patterns", tuple(self.patterns))
         object.__setattr__(self, "fractions", fractions)
+        counts = self.counts
+        if counts.max() >= MAX_EXACT_COUNT:
+            t = int(np.argmax(counts))
+            raise ValueError(
+                f"budget {self.budget:g} buys {counts[t]:.6g} participants of pattern "
+                f"{self.patterns[t].label}, at or above 2**53, where integer counts "
+                "are no longer exact"
+            )
 
     @property
     def costs(self) -> np.ndarray:
@@ -203,11 +214,6 @@ class SolveReport:
         """The achieved variance at the design's budget, ``objective / budget``."""
         return self.objective / self.design.budget
 
-    @property
-    def mu_star(self) -> float:
-        """The optimal criterion value, the common sensitivity on the support."""
-        return self.objective
-
     def priced(self, budget: float) -> SolveReport:
         """This report with its design priced at ``budget``; the fractions and
         the criterion value do not depend on the budget."""
@@ -217,7 +223,7 @@ class SolveReport:
         return {
             "objective": self.objective,
             "min_variance": self.min_variance,
-            "mu_star": self.mu_star,
+            "mu_star": self.objective,
             "kkt_residual": self.kkt_residual,
             "iterations": self.iterations,
             "design": self.design.to_dict(),
@@ -328,14 +334,15 @@ def objective_gradient(
 # ---------------------------------------------------------------------------
 
 
-def _kkt_residual_from(g: np.ndarray, mu: float, v: np.ndarray, support_eps: float) -> float:
-    """First-order residual: on-support |g_t - mu|, off-support max(0, g_t - mu).
+def _kkt_residual_from(g: np.ndarray, mu: float, v: np.ndarray) -> float:
+    """First-order residual: on-support |g_t - mu|, off-support max(0, g_t - mu),
+    with v_t > SUPPORT_EPS on the support.
 
     g_t is the (nonnegative) sensitivity ``u' A^{-1} (I_t/c_t) A^{-1} u``;
     at an optimum every supported pattern attains the common value mu and
     no pattern exceeds it.
     """
-    on = v > support_eps
+    on = v > SUPPORT_EPS
     resid = 0.0
     if on.any():
         resid = float(np.abs(g[on] - mu).max())
@@ -386,7 +393,7 @@ def _finish(infos: np.ndarray, u: np.ndarray, y: np.ndarray, lam: np.ndarray, ac
     return y, lam, float(np.abs(f).max()), steps
 
 
-def _solve_simplex(infos: np.ndarray, u: np.ndarray, max_iter: int = MAX_NEWTON_STEPS):
+def _solve_simplex(infos: np.ndarray, u: np.ndarray):
     """Minimize a(v) = u' (sum_t v_t B_t)^{-1} u over the simplex; B_t = infos[t].
 
     Returns (v, objective, residual, steps).  By Elfving's theorem the
@@ -413,7 +420,7 @@ def _solve_simplex(infos: np.ndarray, u: np.ndarray, max_iter: int = MAX_NEWTON_
     Raises InfeasibleDesignError when sum_t B_t is singular, and
     ConvergenceError when the certified optimum's information matrix is
     singular by the rule of _criterion, or when no certificate is reached
-    within max_iter steps.
+    within MAX_NEWTON_STEPS steps.
     """
     n = infos.shape[0]
     try:
@@ -424,7 +431,7 @@ def _solve_simplex(infos: np.ndarray, u: np.ndarray, max_iter: int = MAX_NEWTON_
     tau = None
     gap = FINISH_GAP
     steps = 0
-    while steps < max_iter:
+    while steps < MAX_NEWTON_STEPS:
         by = infos @ y
         s = 1.0 - by @ y
         w = by / s[:, None]
@@ -454,7 +461,7 @@ def _solve_simplex(infos: np.ndarray, u: np.ndarray, max_iter: int = MAX_NEWTON_
                             "patterns); singular optima are not returned"
                         )
                     mu = float(u @ y_fin) ** 2
-                    return v, mu, _kkt_residual_from(mu * q, mu, v, SUPPORT_EPS), steps
+                    return v, mu, _kkt_residual_from(mu * q, mu, v), steps
                 gap *= 1e-2
             tau *= TAU_GROWTH
             dec = (grad - tau * u) @ (h_grad - tau * h_u)
@@ -471,7 +478,9 @@ def _solve_simplex(infos: np.ndarray, u: np.ndarray, max_iter: int = MAX_NEWTON_
             )
         y = trial
         steps += 1
-    raise ConvergenceError(f"no certified optimum after {steps} of at most {max_iter} Newton steps")
+    raise ConvergenceError(
+        f"no certified optimum after {steps} of at most {MAX_NEWTON_STEPS} Newton steps"
+    )
 
 
 def solve_c_optimal(
@@ -479,7 +488,6 @@ def solve_c_optimal(
     model: DiseaseModel,
     patterns: Sequence[TestPattern] | None = None,
     budget: float = 1.0,
-    max_iter: int = MAX_NEWTON_STEPS,
 ) -> SolveReport:
     """Minimize the estimate's variance over budget fractions on patterns.
 
@@ -500,7 +508,7 @@ def solve_c_optimal(
             "every design has unbounded variance"
         )
     _per_cost(infos, patterns)
-    v, mu, residual, iterations = _solve_simplex(infos, model.u, max_iter=max_iter)
+    v, mu, residual, iterations = _solve_simplex(infos, model.u)
     report = SolveReport(
         design=Design(patterns=patterns, fractions=v, budget=budget),
         objective=mu,
@@ -509,7 +517,7 @@ def solve_c_optimal(
     )
     if residual > KKT_TOL * mu:
         raise ConvergenceError(
-            f"solver stopped after {iterations} of at most {max_iter} Newton steps at a "
+            f"solver stopped after {iterations} of at most {MAX_NEWTON_STEPS} Newton steps at a "
             f"first-order residual of {residual / mu:.3e} relative, above {KKT_TOL:g}",
             best=report,
         )
@@ -523,13 +531,7 @@ def design_from_fractions(
     return Design(patterns=tuple(patterns), fractions=np.asarray(v, dtype=np.float64), budget=budget)
 
 
-def kkt_check(
-    v,
-    p,
-    model: DiseaseModel,
-    patterns: Sequence[TestPattern] | None = None,
-    support_eps: float = SUPPORT_EPS,
-) -> float:
+def kkt_check(v, p, model: DiseaseModel, patterns: Sequence[TestPattern] | None = None) -> float:
     """First-order optimality residual of fractions v at parameter p.
 
     Supported patterns must attain the common value mu = a(v; p) and
@@ -539,7 +541,7 @@ def kkt_check(
     v, infos, mu, x = _evaluate(v, p, model, patterns)
     if mu == math.inf:
         raise ValueError("blended information matrix is singular; KKT residual undefined")
-    return _kkt_residual_from(_sensitivities(infos, x), float(mu), v, support_eps)
+    return _kkt_residual_from(_sensitivities(infos, x), float(mu), v)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from typing import Sequence
 import numpy as np
 
 from .coptimal import (
-    SUPPORT_EPS,
     Design,
     InfeasibleDesignError,
     SolveReport,
@@ -46,7 +45,6 @@ from .coptimal import (
     _sensitivities,
     _solve_simplex,
     design_from_fractions,
-    objective,
 )
 from .model import (
     DiseaseModel,
@@ -64,7 +62,7 @@ from .model import (
 # perfbench's tracer wraps it here, and tests/test_package.py checks that
 # every wrapped name resolves.
 
-__all__ = ["SaddleReport", "payoff", "worst_case_design", "saddle_check"]
+__all__ = ["SaddleReport", "worst_case_design", "saddle_check"]
 
 # Relative certification threshold for the saddle gap.  The grid argmax's
 # exact best response certifies at a few 1e-4 relative on 0.01 grids, so the
@@ -118,11 +116,6 @@ class SaddleReport:
         }
 
 
-def payoff(v, p, model: DiseaseModel, patterns: Sequence[TestPattern] | None = None) -> float:
-    """Game payoff: identical to the variance criterion a(v; p)."""
-    return objective(v, p, model, patterns=patterns)
-
-
 def _envelope_argmax(grid_infos: np.ndarray, u: np.ndarray, solve_at) -> int:
     """Grid index with the largest inner optimum, ties to the smallest index.
 
@@ -155,7 +148,6 @@ def worst_case_design(
     grid_step: float = 0.01,
     budget: float = 1.0,
     patterns: Sequence[TestPattern] | None = None,
-    saddle_tol: float = SADDLE_TOL,
 ) -> SaddleReport:
     """Design minimizing the worst-case variance over the box.
 
@@ -167,7 +159,7 @@ def worst_case_design(
     exhaustive scan gives, including its tie-break toward the
     lexicographically smallest point.  The saddle gap
     ``max_p a(v*; p) - a(v*; p*)`` is evaluated over the grid; if it
-    exceeds ``saddle_tol`` relative, the fractions are refined by
+    exceeds SADDLE_TOL relative, the fractions are refined by
     alternating best responses with uniform averaging of the minimizing
     player's iterates until the gap closes or the round cap is reached.
     Inner solves are memoized per grid point across the scan and the
@@ -197,7 +189,7 @@ def worst_case_design(
 
     values = _criterion(v_star, grid_infos, u)[0]
     gap = float(values.max() - values[best_index])
-    if gap > saddle_tol * game_value:
+    if gap > SADDLE_TOL * game_value:
         # Fictitious-play fallback: the maximizer best-responds on the grid,
         # the minimizer best-responds exactly, and the minimizer's iterates
         # are averaged; convex-concave payoffs make the averages converge.
@@ -212,7 +204,7 @@ def worst_case_design(
             gap_avg = float(values.max() - values[best_index])
             if gap_avg < gap_best:
                 v_best, gap_best = v_avg, gap_avg
-            if gap_best <= saddle_tol * game_value:
+            if gap_best <= SADDLE_TOL * game_value:
                 break
         v_star, gap = v_best, gap_best
         # the averaged fractions are no longer the exact inner minimizer at
@@ -221,7 +213,7 @@ def worst_case_design(
         game_value, x = _criterion(v_star, infos_star, u)
         game_value = float(game_value)
         g = _sensitivities(infos_star, x)
-        residual = _kkt_residual_from(g, game_value, v_star, SUPPORT_EPS)
+        residual = _kkt_residual_from(g, game_value, v_star)
 
     inner = SolveReport(
         design=design_from_fractions(v_star, budget, patterns),

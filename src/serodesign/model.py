@@ -531,15 +531,13 @@ class A2Result(NamedTuple):
     pattern: TestPattern | None
 
 
-def _a1(infos: np.ndarray, patterns: Sequence[TestPattern], pd_tol: float = PD_TOLERANCE) -> A1Result:
+def _a1(infos: np.ndarray, patterns: Sequence[TestPattern]) -> A1Result:
     """A1 on the (T, k, k) informations of ``patterns`` at one point."""
-    hits = np.flatnonzero(np.linalg.eigvalsh(infos)[:, 0] > pd_tol)
+    hits = np.flatnonzero(np.linalg.eigvalsh(infos)[:, 0] > PD_TOLERANCE)
     return A1Result(True, patterns[hits[0]]) if hits.size else A1Result(False, None)
 
 
-def _a2(
-    infos: np.ndarray, pts: np.ndarray, patterns: Sequence[TestPattern], pd_tol: float = PD_TOLERANCE
-) -> A2Result:
+def _a2(infos: np.ndarray, pts: np.ndarray, patterns: Sequence[TestPattern]) -> A2Result:
     """A2 on the (T, m, k, k) informations of ``patterns`` on the grid ``pts``."""
     if not patterns:
         return A2Result(False, -np.inf, None, None)
@@ -547,7 +545,7 @@ def _a2(
     argmin = lam.argmin(axis=1)
     worst = lam[np.arange(lam.shape[0]), argmin]
     t = int(np.argmax(worst))  # the first pattern with the best worst case
-    return A2Result(bool(worst[t] > pd_tol), float(worst[t]), pts[argmin[t]], patterns[t])
+    return A2Result(bool(worst[t] > PD_TOLERANCE), float(worst[t]), pts[argmin[t]], patterns[t])
 
 
 def _box_grid(box: ParameterBox, model: DiseaseModel, grid_step: float) -> np.ndarray:
@@ -556,19 +554,15 @@ def _box_grid(box: ParameterBox, model: DiseaseModel, grid_step: float) -> np.nd
     return box.grid(grid_step)
 
 
-def check_a1(
-    p,
-    patterns: Sequence[TestPattern],
-    model: DiseaseModel,
-    pd_tol: float = PD_TOLERANCE,
-) -> A1Result:
+def check_a1(p, patterns: Sequence[TestPattern], model: DiseaseModel) -> A1Result:
     """Does some pattern carry positive-definite information at p?
 
+    Positive definite means a smallest eigenvalue above PD_TOLERANCE.
     Returns the first such pattern in the given order, or (False, None).
     """
     patterns = tuple(patterns)
     p = validate_parameter(p, model.k)
-    return _a1(_fisher_info_grid(p, model, patterns), patterns, pd_tol)
+    return _a1(_fisher_info_grid(p, model, patterns), patterns)
 
 
 def check_a2(
@@ -576,7 +570,6 @@ def check_a2(
     patterns: Sequence[TestPattern],
     model: DiseaseModel,
     grid_step: float = 0.01,
-    pd_tol: float = PD_TOLERANCE,
 ) -> A2Result:
     """Is some pattern's information uniformly positive definite over the box?
 
@@ -587,4 +580,4 @@ def check_a2(
     """
     patterns = tuple(patterns)
     pts = _box_grid(box, model, grid_step)
-    return _a2(_fisher_info_grid(pts, model, patterns), pts, patterns, pd_tol)
+    return _a2(_fisher_info_grid(pts, model, patterns), pts, patterns)

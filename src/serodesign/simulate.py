@@ -26,13 +26,12 @@ __all__ = [
     "sample_outcomes",
     "mle",
     "log_likelihood",
-    "variance_check",
     "simulate_estimates",
     "simulation_report",
     "jarque_bera_pvalue",
 ]
 
-MLE_TOL = 1e-8
+MLE_TOL = 1e-8  # unit-step projected-gradient norm at which a fit stops
 MLE_MAX_STEPS = 100  # Newton steps of one batched fit
 MIN_REPLICATIONS = 8  # the normality test needs 8 estimates
 
@@ -102,14 +101,14 @@ def sample_outcomes(
         rng = _stream(seed, replication, index)
         q = table.q[table.rows(t)]  # (n_y, k+1)
         states = rng.multinomial(int(n), state_probs)
-        outcome_counts = np.zeros(q.shape[0], dtype=np.int64)
-        for s, n_s in enumerate(states):
-            if n_s > 0:
-                outcome_counts += rng.multinomial(int(n_s), q[:, s])
+        # one draw per state, in state order; a state with no participant draws nothing
         patterns.append(t)
-        counts.append(outcome_counts)
+        counts.append(rng.multinomial(states, q.T).sum(axis=0))
     if not patterns:
-        raise ValueError("design has no pattern with a positive integer count")
+        raise ValueError(
+            f"budget {design.budget:g} buys no participant: "
+            "the design has no pattern with a positive integer count"
+        )
     return SurveyDataset(patterns=tuple(patterns), counts=tuple(counts), seed=seed)
 
 
@@ -161,14 +160,14 @@ def _face_newton(hess, g, free, ridge):
     return np.where(free, np.linalg.solve(kkt, rhs)[:, :k1, 0], 0.0)
 
 
-def _fit(q: np.ndarray, counts: np.ndarray, tol: float) -> np.ndarray:
+def _fit(q: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Constrained MLEs of many datasets that share one outcome table.
 
     ``q`` is the stacked ``(n, k+1)`` table ``P(y | state)`` and ``counts``
     the ``(R, n)`` outcome counts; returns the ``(R, k)`` estimates.  Each
     row is a Newton ascent of the mean log-likelihood on the free face of
     the simplex ``pi = (p, 1 - sum(p))``, and leaves the batch once its
-    unit-step projected gradient in ``p`` is at most ``tol``.
+    unit-step projected gradient in ``p`` is at most MLE_TOL.
     """
     n, k1 = q.shape
     k = k1 - 1
@@ -183,7 +182,7 @@ def _fit(q: np.ndarray, counts: np.ndarray, tol: float) -> np.ndarray:
         g = wm @ q  # gradient in pi; pi'g = 1 up to rounding
         p = pi[:, :k]
         norm = np.linalg.norm(_project_feasible(p + g[:, :k] - g[:, k:]) - p, axis=1)
-        done = norm <= tol
+        done = norm <= MLE_TOL
         out[rows] = p
         if done.all():
             return out
@@ -232,12 +231,12 @@ def _fit(q: np.ndarray, counts: np.ndarray, tol: float) -> np.ndarray:
     worst = float(np.max(norm))
     raise ConvergenceError(
         f"MLE did not converge on {int(np.sum(~done))} of {out.shape[0]} datasets: "
-        f"projected-gradient norm {worst:.3e} > {tol:g}",
+        f"projected-gradient norm {worst:.3e} > {MLE_TOL:g}",
         best=out,
     )
 
 
-def mle(dataset: SurveyDataset, model: DiseaseModel, tol: float = MLE_TOL) -> np.ndarray:
+def mle(dataset: SurveyDataset, model: DiseaseModel) -> np.ndarray:
     """Maximum-likelihood state probabilities over the feasible simplex.
 
     Newton's method on the active face of ``{p >= 0, sum(p) <= 1}``, with
@@ -245,7 +244,7 @@ def mle(dataset: SurveyDataset, model: DiseaseModel, tol: float = MLE_TOL) -> np
     boundary and Armijo halving, started from the equal-probability point.
     The log-likelihood is concave in p, so the first-order point found is
     the global maximum; it is returned once the unit-step projected
-    gradient is at most ``tol``.  Otherwise ``ConvergenceError`` is raised
+    gradient is at most MLE_TOL.  Otherwise ``ConvergenceError`` is raised
     after ``MLE_MAX_STEPS`` Newton steps, with ``best`` the ``(1, k)``
     last iterate.
     """
@@ -254,7 +253,7 @@ def mle(dataset: SurveyDataset, model: DiseaseModel, tol: float = MLE_TOL) -> np
     q, weights = _dataset_tables(dataset, model)
     if weights.sum() <= 0:
         raise ValueError("dataset has no observations")
-    return _fit(q, weights[None, :], tol)[0]
+    return _fit(q, weights[None, :])[0]
 
 
 def simulate_estimates(
@@ -275,7 +274,7 @@ def simulate_estimates(
     datasets = [sample_outcomes(design, p, model, seed, replication=r) for r in range(replications)]
     q, _ = _dataset_tables(datasets[0], model)
     counts = np.array([np.concatenate(d.counts) for d in datasets], dtype=np.float64)
-    return _fit(q, counts, MLE_TOL) @ model.u
+    return _fit(q, counts) @ model.u
 
 
 def _fsum_variance(values: np.ndarray) -> tuple[float, float]:
@@ -284,31 +283,6 @@ def _fsum_variance(values: np.ndarray) -> tuple[float, float]:
     mean = math.fsum(values) / n
     var = math.fsum((x - mean) ** 2 for x in values) / (n - 1)
     return mean, var
-
-
-def variance_check(
-    p,
-    model: DiseaseModel,
-    v_star,
-    budget: float,
-    replications: int = 200,
-    seed: int = 0,
-    patterns=None,
-) -> tuple[float, float, float]:
-    """Empirical versus predicted variance of the estimated target.
-
-    Runs independent sample/fit cycles under the design implied by the
-    fractions v_star at the given budget and returns
-    ``(empirical_var, predicted_var, ratio)``.
-    """
-    report = simulation_report(
-        p, model, v_star, budget, replications=replications, seed=seed, patterns=patterns
-    )
-    return (
-        report["empirical_variance"],
-        report["predicted_variance"],
-        report["ratio"],
-    )
 
 
 def simulation_report(

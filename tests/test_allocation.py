@@ -16,7 +16,6 @@ from serodesign import (
     allocate_districts,
     allocate_groups,
     solve_c_optimal,
-    weighted_variance,
 )
 
 P0 = np.array([0.10, 0.30, 0.01])
@@ -204,7 +203,7 @@ class TestWeightedVariance:
             StratumSpec(name="b", fraction=0.6, point=P0),
         ]
         report = allocate_districts(strata, model_row1, C)
-        optimal = weighted_variance(report)
+        optimal = report.total_variance
         rng = np.random.default_rng(77)
         fractions = np.array([e.fraction for e in report.entries])
         values = np.array([e.criterion_value for e in report.entries])
@@ -220,9 +219,7 @@ class TestWeightedVariance:
             [StratumSpec(name="all", fraction=1.0, point=P0)], model_row1, C
         )
         entry = report.entries[0]
-        assert weighted_variance(report) == pytest.approx(
-            entry.criterion_value / C, rel=1e-12
-        )
+        assert report.total_variance == pytest.approx(entry.criterion_value / C, rel=1e-12)
 
     def test_equal_criteria_collapse(self, model_row1):
         # with equal a_d the weighted variance equals the unstratified a / C
@@ -232,5 +229,4 @@ class TestWeightedVariance:
         ]
         report = allocate_districts(strata, model_row1, C)
         a = report.entries[0].criterion_value
-        assert weighted_variance(report) == pytest.approx(a / C, rel=1e-9)
-        assert report.total_variance == weighted_variance(report)
+        assert report.total_variance == pytest.approx(a / C, rel=1e-9)

@@ -341,7 +341,31 @@ MALFORMED = {
         json.dumps(edited(SAVED_DESIGN, -0.5, "design", "fractions", "001")), "design",
     ),
     "design-zero-budget": (
-        "simulate", ROW1, [], json.dumps(edited(SAVED_DESIGN, 0, "design", "budget")), "design",
+        "simulate", ROW1, [], json.dumps(edited(SAVED_DESIGN, 0, "design", "budget")),
+        "design.budget",
+    ),
+    # a budget that buys no participant leaves simulate nothing to sample
+    "simulate-budget-buys-nobody": (
+        "simulate", edited(ROW1, 100, "budget"), ["--replications", "8"], None, "budget",
+    ),
+    "design-budget-buys-nobody": (
+        "simulate", ROW1, [], json.dumps(edited(SAVED_DESIGN, 50, "design", "budget")),
+        "design.budget",
+    ),
+    # from 2**53 relaxed participants on, integer counts are not exact
+    "c-optimal-budget-beyond-exact-counts": (
+        "c-optimal", edited(ROW1, 1e22, "budget"), [], None, "budget",
+    ),
+    "worst-case-budget-beyond-exact-counts": (
+        "worst-case", edited(tiny_box_config(), 1e22, "budget"), [], None, "budget",
+    ),
+    "strata-budget-beyond-exact-counts": (
+        "strata", edited(STRATA, 1e22, "budget"), [], None, "budget",
+    ),
+    "moe-beyond-exact-counts": ("budget", ROW1, ["--moe", "1e-10"], None, "options.moe"),
+    "design-budget-beyond-exact-counts": (
+        "simulate", ROW1, [], json.dumps(edited(SAVED_DESIGN, 1e22, "design", "budget")),
+        "design.budget",
     ),
 }
 

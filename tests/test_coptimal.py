@@ -223,7 +223,7 @@ class TestSolver:
         v = report.design.fractions
         grad = objective_gradient(v, P0, model_row1)
         sensitivities = -grad
-        mu = report.mu_star
+        mu = report.objective
         on = v > 1e-7
         assert np.abs(sensitivities[on] - mu).max() <= 1e-6 * mu
         assert (sensitivities[~on] <= mu * (1 + 1e-6)).all()
@@ -258,8 +258,8 @@ class TestSolver:
     def test_report_consistency(self, model_row1):
         report = solve_c_optimal(P0, model_row1, budget=1e7)
         assert report.min_variance == report.objective / 1e7
-        assert report.mu_star == report.objective
-        assert report.kkt_residual <= 1e-6 * report.mu_star
+        assert report.to_dict()["mu_star"] == report.objective
+        assert report.kkt_residual <= 1e-6 * report.objective
 
 
 def seven_test_model():
@@ -301,7 +301,7 @@ class TestTypedErrors:
         for seed in range(60):
             model, p = random_model(np.random.default_rng(seed))
             try:
-                report = solve_c_optimal(p, model, max_iter=300)
+                report = solve_c_optimal(p, model)
             except InfeasibleDesignError:
                 outcomes["typed"] += 1
                 continue
@@ -398,6 +398,19 @@ class TestDesignFromFractions:
         assert np.array_equal(d2.counts, 2.0 * d1.counts)
         assert np.array_equal(d1.fractions, d2.fractions)
 
+    def test_rejects_budget_beyond_exact_counts(self, model_row1):
+        # from 2**53 relaxed participants on, not every count is a double,
+        # so rounding to integers is no longer exact; the design refuses
+        # such a budget, also when a report is priced there
+        full = [make_pattern((1, 0, 1), model_row1)]
+        below = design_from_fractions([1.0], 2.0**52 * full[0].cost, full)
+        assert below.integer_counts[0] == 2**52
+        with pytest.raises(ValueError, match=r"budget 6\.7554e\+18 .* pattern 101"):
+            design_from_fractions([1.0], 2.0**53 * full[0].cost, full)
+        report = solve_c_optimal(P0, model_row1)
+        with pytest.raises(ValueError, match=r"budget 1e\+22 .* pattern"):
+            report.priced(1e22)
+
     def test_rejects_nonpositive_budget(self, model_row1):
         pats = all_patterns(model_row1)
         for budget in (0.0, np.inf, np.nan):
@@ -409,7 +422,7 @@ class TestKKTCheck:
     def test_solution_residual_small(self, model_row1):
         report = solve_c_optimal(P0, model_row1)
         residual = kkt_check(report.design.fractions, P0, model_row1)
-        assert residual <= 1e-6 * report.mu_star
+        assert residual <= 1e-6 * report.objective
 
     def test_single_pattern_simplex_is_exact(self, model_row1):
         pats = [make_pattern((1, 1, 1), model_row1)]
@@ -424,7 +437,7 @@ class TestKKTCheck:
         v[support[0]] += 0.05
         v[support[1]] -= 0.05
         residual = kkt_check(v, P0, model_row1)
-        assert residual > 1e-3 * report.mu_star
+        assert residual > 1e-3 * report.objective
 
 
 class TestBudgetForMargin:

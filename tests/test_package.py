@@ -1,7 +1,8 @@
-"""Packaging tests: what importing the package pulls in, and the names the
-benchmark's tracer wraps."""
+"""Packaging tests: what importing the package pulls in, its public names,
+and the names the benchmark's tracer wraps."""
 
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -33,3 +34,69 @@ def test_benchmark_tracer_finds_every_wrapped_name():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     assert tracer.Tracer().missing == set()
+
+
+# Every public name; a name added, removed or renamed must change this list.
+PUBLIC_NAMES = [
+    "AllocationReport",
+    "ConvergenceError",
+    "Design",
+    "DiseaseModel",
+    "GroupSpec",
+    "InfeasibleDesignError",
+    "ParameterBox",
+    "SaddleReport",
+    "SolveReport",
+    "StratumAllocation",
+    "StratumSpec",
+    "SurveyDataset",
+    "TestPattern",
+    "TestSpec",
+    "all_patterns",
+    "allocate_districts",
+    "allocate_groups",
+    "budget_for_margin",
+    "check_a1",
+    "check_a2",
+    "conditional_prob",
+    "default_model",
+    "design_from_fractions",
+    "fisher_info",
+    "jarque_bera_pvalue",
+    "kkt_check",
+    "log_likelihood",
+    "make_pattern",
+    "mixture_prob",
+    "mle",
+    "normal_quantile",
+    "objective",
+    "objective_gradient",
+    "outcome_space",
+    "saddle_check",
+    "sample_outcomes",
+    "simulate_estimates",
+    "simulation_report",
+    "solve_c_optimal",
+    "validate_entries",
+    "validate_parameter",
+    "worst_case_design",
+]
+
+# Tolerances are module constants (MAX_NEWTON_STEPS, SADDLE_TOL,
+# SUPPORT_EPS, PD_TOLERANCE, MLE_TOL), never parameters.
+TOLERANCE_PARAMETERS = {"max_iter", "saddle_tol", "support_eps", "pd_tol", "tol"}
+
+
+def test_public_names_are_pinned():
+    assert serodesign.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(serodesign, name) is not None
+
+
+def test_no_public_callable_takes_a_tolerance():
+    for name in PUBLIC_NAMES:
+        obj = getattr(serodesign, name)
+        # the error types take a message only
+        if inspect.isfunction(obj) or (inspect.isclass(obj) and not issubclass(obj, Exception)):
+            parameters = set(inspect.signature(obj).parameters)
+            assert not parameters & TOLERANCE_PARAMETERS, name

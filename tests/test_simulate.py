@@ -22,9 +22,9 @@ from serodesign import (
     simulate_estimates,
     simulation_report,
     solve_c_optimal,
-    variance_check,
 )
-from serodesign.simulate import MLE_TOL
+from serodesign.model import _pattern_tables
+from serodesign.simulate import MLE_TOL, _stream
 
 P0 = np.array([0.10, 0.30, 0.01])
 C = 1e7
@@ -106,6 +106,35 @@ class TestSampling:
         assert any(
             not np.array_equal(a, b) for a, b in zip(d1.counts, d3.counts)
         )
+
+    def test_matches_one_draw_per_state_bitwise(self, model_row1):
+        # reference: on each pattern's stream, the states first, then one
+        # outcome draw for each state that has participants, in state order
+        table = _pattern_tables(model_row1)
+        patterns = all_patterns(model_row1)
+        uniform = np.full(len(patterns), 1.0 / len(patterns))
+        for p in (P0, np.array([0.2, 0.0, 0.3]), np.array([0.0, 0.0, 1.0])):
+            state_probs = np.append(p, max(1.0 - p.sum(), 0.0))
+            for budget in (4e3, 1e5, C):
+                design = design_from_fractions(uniform, budget, patterns)
+                for seed in (0, 5, 123):
+                    for replication in range(3):
+                        dataset = sample_outcomes(design, p, model_row1, seed, replication)
+                        expected = []
+                        for index, (t, n) in enumerate(zip(patterns, design.integer_counts)):
+                            if n <= 0:
+                                continue
+                            rng = _stream(seed, replication, index)
+                            q = table.q[table.rows(t)]
+                            counts = np.zeros(q.shape[0], dtype=np.int64)
+                            for s, n_s in enumerate(rng.multinomial(int(n), state_probs)):
+                                if n_s > 0:
+                                    counts += rng.multinomial(int(n_s), q[:, s])
+                            expected.append(counts)
+                        assert len(dataset.counts) == len(expected)
+                        for got, want in zip(dataset.counts, expected):
+                            assert got.dtype == want.dtype
+                            assert got.tobytes() == want.tobytes()
 
     def test_frequencies_match_mixture_at_scale(self, model_row1):
         # one million participants on the full pattern: a goodness-of-fit
@@ -214,10 +243,8 @@ class TestMLE:
         # projected gradient of 1.04e-7; the whole 800-replication check
         # raised ConvergenceError
         v = row1_solution.design.fractions
-        empirical, predicted, ratio = variance_check(
-            P0, model_row1, v, C, replications=800, seed=27
-        )
-        assert empirical > 0 and np.isfinite(ratio)
+        report = simulation_report(P0, model_row1, v, C, replications=800, seed=27)
+        assert report["empirical_variance"] > 0 and np.isfinite(report["ratio"])
         design = design_from_fractions(v, C, all_patterns(model_row1))
         dataset = sample_outcomes(design, P0, model_row1, seed=27, replication=469)
         estimate = mle(dataset, model_row1)
@@ -263,16 +290,18 @@ class TestMLE:
 
 class TestVarianceCheck:
     def test_row1_ratio_near_one(self, model_row1, row1_solution):
-        empirical, predicted, ratio = variance_check(
+        report = simulation_report(
             P0, model_row1, row1_solution.design.fractions, C, replications=200, seed=0
         )
-        assert predicted == pytest.approx(row1_solution.min_variance, rel=1e-12)
-        assert 0.90 <= ratio <= 1.10
+        assert report["predicted_variance"] == pytest.approx(row1_solution.min_variance, rel=1e-12)
+        assert 0.90 <= report["ratio"] <= 1.10
 
     def test_doubling_budget_halves_variance(self, model_row1, row1_solution):
         v = row1_solution.design.fractions
-        _, _, ratio_c = variance_check(P0, model_row1, v, C, replications=1600, seed=21)
-        _, _, ratio_2c = variance_check(P0, model_row1, v, 2 * C, replications=1600, seed=22)
+        ratio_c = simulation_report(P0, model_row1, v, C, replications=1600, seed=21)["ratio"]
+        ratio_2c = simulation_report(
+            P0, model_row1, v, 2 * C, replications=1600, seed=22
+        )["ratio"]
         # predicted variance halves exactly; the empirical ratios agree up to
         # noise, whose standard deviation is about 2 / sqrt(replications),
         # so the 0.15 band is about three of them
@@ -281,9 +310,9 @@ class TestVarianceCheck:
     def test_uniform_design_is_worse(self, model_row1, row1_solution):
         patterns = all_patterns(model_row1)
         uniform = np.full(len(patterns), 1.0 / len(patterns))
-        empirical, _, _ = variance_check(
-            P0, model_row1, uniform, C, replications=150, seed=33
-        )
+        empirical = simulation_report(P0, model_row1, uniform, C, replications=150, seed=33)[
+            "empirical_variance"
+        ]
         # suboptimal design cannot beat the optimal predicted variance
         # (beyond two Monte-Carlo standard errors of the variance estimate)
         mc_se = empirical * np.sqrt(2.0 / 149)
@@ -302,7 +331,7 @@ class TestVarianceCheck:
         with pytest.raises(ValueError, match="at least 8 replications"):
             simulation_report(P0, model_row1, v, C, replications=7, seed=0)
         with pytest.raises(ValueError, match="at least 8 replications"):
-            variance_check(P0, model_row1, v, C, replications=1, seed=0)
+            simulation_report(P0, model_row1, v, C, replications=1, seed=0)
 
     def test_normality_of_estimates(self, model_row1, row1_solution):
         estimates = simulate_estimates(
