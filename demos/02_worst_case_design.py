@@ -44,7 +44,7 @@ print("the pair (v*, p*) is an approximate saddle point of the game.")
 # Restricting the whole budget to RT-PCR + antibody costs surprisingly little:
 pats = all_patterns(model)
 pts = box.grid(0.01)
-infos = _pattern_infos(pts, model, pats)
+infos = _pattern_infos(pts, model)
 only_011 = np.array([1.0 if t.mask == (0, 1, 1) else 0.0 for t in pats])
 worst_constrained = _criterion(only_011, infos, model.u)[0].max()
 worst_optimal = _criterion(design.fractions, infos, model.u)[0].max()

@@ -26,7 +26,7 @@ from .coptimal import (
     solve_c_optimal,
 )
 from .minimax import SaddleReport, worst_case_design
-from .model import DiseaseModel, ParameterBox, TestPattern, validate_parameter
+from .model import DiseaseModel, ParameterBox, validate_parameter
 
 __all__ = [
     "StratumSpec",
@@ -220,7 +220,6 @@ def allocate_districts(
     model: DiseaseModel,
     budget: float,
     grid_step: float = 0.01,
-    patterns: Sequence[TestPattern] | None = None,
 ) -> AllocationReport:
     """Split a budget across strata and design each stratum's survey.
 
@@ -234,8 +233,8 @@ def allocate_districts(
     def solve(s: StratumSpec):
         if s.point is not None:
             p = validate_parameter(s.point, model.k)
-            return solve_c_optimal(p, model, patterns=patterns)
-        return worst_case_design(s.box, model, grid_step=grid_step, patterns=patterns)
+            return solve_c_optimal(p, model)
+        return worst_case_design(s.box, model, grid_step=grid_step)
 
     return _allocate(strata, "stratum", budget, solve)
 
@@ -244,7 +243,6 @@ def allocate_groups(
     groups: Sequence[GroupSpec],
     model: DiseaseModel,
     budget: float,
-    patterns: Sequence[TestPattern] | None = None,
 ) -> AllocationReport:
     """Split a budget across observable groups with their own reliabilities.
 
@@ -257,7 +255,7 @@ def allocate_groups(
     def solve(g: GroupSpec):
         group_model = g.model(model)
         p = validate_parameter(g.point, group_model.k)
-        return solve_c_optimal(p, group_model, patterns=patterns)
+        return solve_c_optimal(p, group_model)
 
     return _allocate(groups, "group", budget, solve)
 

@@ -44,7 +44,9 @@ malformed configuration or ``--design`` file exits 1 with
 JSON object at all has the path ``<config>``.  A budget too large for
 exact integer counts, or one that buys ``simulate`` no participant, has
 the path the budget came from: ``budget``, ``options.moe`` for
-``budget``, or ``design.budget``.  Exit status: 0 on
+``budget``, or ``design.budget``.  A grid step that gives a box a lattice
+of more than ``MAX_GRID_POINTS`` points has the path ``options.grid_step``,
+from a flag or the file alike.  Exit status: 0 on
 success, 1 on configuration or validation errors, 2 on solver failures.
 """
 
@@ -448,11 +450,10 @@ def fixture_path(name: str) -> str:
 
 def _assumptions(model: DiseaseModel, point, box: ParameterBox | None, grid_step: float) -> dict:
     """A1 at ``point``, or A2 over ``box`` when one is given, as report fields."""
-    patterns = all_patterns(model)
     if box is None:
-        a1 = check_a1(point, patterns, model)
+        a1 = check_a1(point, model)
         return {"a1": {"ok": a1.ok, "witness": a1.pattern.label if a1.pattern else None}}
-    a2 = check_a2(box, patterns, model, grid_step=grid_step)
+    a2 = check_a2(box, model, grid_step=grid_step)
     return {
         "a2": {
             "ok": a2.ok,
@@ -487,6 +488,12 @@ def run(
     opts = replace(config.options, **{k: v for k, v in flags.items() if v is not None})
     _check_options(opts)
     grid_step, alpha, moe = opts.grid_step, opts.alpha, opts.moe
+    # every box of the scenario is gridded; a lattice too large to build is
+    # an error of the step, whether a flag or the file set it
+    with _at("options.grid_step"):
+        for box in (config.box, *(s.box for s in config.strata or ())):
+            if box is not None:
+                box.lattice_size(grid_step)
 
     header = {"command": subcommand, "currency": opts.currency, "budget": config.budget}
 

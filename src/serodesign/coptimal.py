@@ -174,9 +174,6 @@ class Design:
     def fraction(self, mask) -> float:
         return float(self.fractions[self._index(mask)])
 
-    def count(self, mask) -> float:
-        return float(self.counts[self._index(mask)])
-
     def integer_count(self, mask) -> int:
         return int(self.integer_counts[self._index(mask)])
 
@@ -239,17 +236,18 @@ def _costs(patterns: Sequence[TestPattern]) -> np.ndarray:
     return np.array([t.cost for t in patterns], dtype=np.float64)
 
 
-def _per_cost(infos: np.ndarray, patterns: Sequence[TestPattern]) -> np.ndarray:
-    """Divide a (T, ..., k, k) information stack by the pattern costs, in place."""
-    costs = _costs(patterns)
+def _per_cost(infos: np.ndarray, model: DiseaseModel) -> np.ndarray:
+    """Divide a (T, ..., k, k) information stack of the model's patterns by
+    their costs, in place."""
+    costs = _costs(all_patterns(model))
     infos /= costs.reshape(costs.shape + (1,) * (infos.ndim - 1))
     return infos
 
 
-def _pattern_infos(p, model: DiseaseModel, patterns: Sequence[TestPattern]) -> np.ndarray:
-    """Cost-relativized informations I_t(p) / c_t at a point p (k,), giving
-    (T, k, k), or on an (m, k) grid, giving (T, m, k, k)."""
-    return _per_cost(_fisher_info_grid(p, model, patterns), patterns)
+def _pattern_infos(p, model: DiseaseModel) -> np.ndarray:
+    """Cost-relativized informations I_t(p) / c_t of every pattern at a point
+    p (k,), giving (T, k, k), or on an (m, k) grid, giving (T, m, k, k)."""
+    return _per_cost(_fisher_info_grid(p, model), model)
 
 
 def _blend(v: np.ndarray, infos: np.ndarray) -> np.ndarray:
@@ -290,20 +288,19 @@ def _sensitivities(infos: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("tij,i,j->t", infos, x, x)
 
 
-def _evaluate(v, p, model: DiseaseModel, patterns: Sequence[TestPattern] | None):
+def _evaluate(v, p, model: DiseaseModel):
     """Validated fractions, pattern informations and _criterion at p."""
-    patterns = tuple(patterns) if patterns is not None else all_patterns(model)
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (len(patterns),):
+    if v.shape != (len(all_patterns(model)),):
         raise ValueError(f"need one fraction per pattern, got shape {v.shape}")
     if (v < -1e-12).any():
         raise ValueError(f"fractions must be nonnegative, got {v}")
     v = np.maximum(v, 0.0)
-    infos = _pattern_infos(validate_parameter(p, model.k), model, patterns)
+    infos = _pattern_infos(validate_parameter(p, model.k), model)
     return (v, infos) + _criterion(v, infos, model.u)
 
 
-def objective(v, p, model: DiseaseModel, patterns: Sequence[TestPattern] | None = None) -> float:
+def objective(v, p, model: DiseaseModel) -> float:
     """Variance criterion a(v; p) = u' (sum_t v_t I_t(p)/c_t)^{-1} u.
 
     Computed by one linear solve with the blended information matrix,
@@ -312,18 +309,16 @@ def objective(v, p, model: DiseaseModel, patterns: Sequence[TestPattern] | None 
     SINGULAR_RATIO = 1e-12 times the largest), which happens when v is
     supported on patterns that cannot jointly identify the parameter.
     """
-    return float(_evaluate(v, p, model, patterns)[2])
+    return float(_evaluate(v, p, model)[2])
 
 
-def objective_gradient(
-    v, p, model: DiseaseModel, patterns: Sequence[TestPattern] | None = None
-) -> np.ndarray:
+def objective_gradient(v, p, model: DiseaseModel) -> np.ndarray:
     """Gradient of the variance criterion in v; every component is <= 0.
 
     Component t equals ``-u' A^{-1} (I_t/c_t) A^{-1} u`` with A the blended
     information matrix.  Raises when A is singular.
     """
-    _, infos, mu, x = _evaluate(v, p, model, patterns)
+    _, infos, mu, x = _evaluate(v, p, model)
     if mu == math.inf:
         raise ValueError("blended information matrix is singular; gradient undefined")
     return -_sensitivities(infos, x)
@@ -483,13 +478,8 @@ def _solve_simplex(infos: np.ndarray, u: np.ndarray):
     )
 
 
-def solve_c_optimal(
-    p,
-    model: DiseaseModel,
-    patterns: Sequence[TestPattern] | None = None,
-    budget: float = 1.0,
-) -> SolveReport:
-    """Minimize the estimate's variance over budget fractions on patterns.
+def solve_c_optimal(p, model: DiseaseModel, budget: float = 1.0) -> SolveReport:
+    """Minimize the estimate's variance over budget fractions on the model's patterns.
 
     The optimal fractions do not depend on the budget; the budget only
     scales the reported design counts and the achieved variance
@@ -499,18 +489,17 @@ def solve_c_optimal(
     exceeds ``KKT_TOL`` relative (the error carries that design as
     ``best``), or its information matrix is singular.
     """
-    patterns = tuple(patterns) if patterns is not None else all_patterns(model)
     p = validate_parameter(p, model.k)
-    infos = _fisher_info_grid(p, model, patterns)
-    if not _a1(infos, patterns).ok:
+    infos = _fisher_info_grid(p, model)
+    if not _a1(infos, model).ok:
         raise InfeasibleDesignError(
             "no test pattern has positive-definite information at p; "
             "every design has unbounded variance"
         )
-    _per_cost(infos, patterns)
+    _per_cost(infos, model)
     v, mu, residual, iterations = _solve_simplex(infos, model.u)
     report = SolveReport(
-        design=Design(patterns=patterns, fractions=v, budget=budget),
+        design=Design(patterns=all_patterns(model), fractions=v, budget=budget),
         objective=mu,
         kkt_residual=residual,
         iterations=iterations,
@@ -531,14 +520,14 @@ def design_from_fractions(
     return Design(patterns=tuple(patterns), fractions=np.asarray(v, dtype=np.float64), budget=budget)
 
 
-def kkt_check(v, p, model: DiseaseModel, patterns: Sequence[TestPattern] | None = None) -> float:
+def kkt_check(v, p, model: DiseaseModel) -> float:
     """First-order optimality residual of fractions v at parameter p.
 
     Supported patterns must attain the common value mu = a(v; p) and
     unsupported patterns must not exceed it; the residual is the largest
     violation of either condition (compare it to ``KKT_TOL * mu``).
     """
-    v, infos, mu, x = _evaluate(v, p, model, patterns)
+    v, infos, mu, x = _evaluate(v, p, model)
     if mu == math.inf:
         raise ValueError("blended information matrix is singular; KKT residual undefined")
     return _kkt_residual_from(_sensitivities(infos, x), float(mu), v)
@@ -559,20 +548,14 @@ def normal_quantile(q: float) -> float:
     return statistics.NormalDist().inv_cdf(q)
 
 
-def budget_for_margin(
-    p,
-    model: DiseaseModel,
-    moe: float,
-    alpha: float = 0.05,
-    patterns: Sequence[TestPattern] | None = None,
-) -> float:
+def budget_for_margin(p, model: DiseaseModel, moe: float, alpha: float = 0.05) -> float:
     """Smallest budget whose optimal design meets a margin-of-error target.
 
     Inverts ``z * sqrt(a(v*; p) / C) = moe`` with z the two-sided normal
     critical value at level alpha, so the returned budget satisfies the
     margin with equality.
     """
-    return _margin_budget(solve_c_optimal(p, model, patterns=patterns), moe, alpha)
+    return _margin_budget(solve_c_optimal(p, model), moe, alpha)
 
 
 def _margin_budget(report: SolveReport, moe: float, alpha: float) -> float:

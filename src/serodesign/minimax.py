@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +48,6 @@ from .coptimal import (
 from .model import (
     DiseaseModel,
     ParameterBox,
-    TestPattern,
     _a2,
     _box_grid,
     _fisher_info_grid,
@@ -147,7 +145,6 @@ def worst_case_design(
     model: DiseaseModel,
     grid_step: float = 0.01,
     budget: float = 1.0,
-    patterns: Sequence[TestPattern] | None = None,
 ) -> SaddleReport:
     """Design minimizing the worst-case variance over the box.
 
@@ -165,15 +162,14 @@ def worst_case_design(
     Inner solves are memoized per grid point across the scan and the
     refinement.
     """
-    patterns = tuple(patterns) if patterns is not None else all_patterns(model)
     pts = _box_grid(box, model, grid_step)
-    grid_infos = _fisher_info_grid(pts, model, patterns)
-    if not _a2(grid_infos, pts, patterns).ok:
+    grid_infos = _fisher_info_grid(pts, model)
+    if not _a2(grid_infos, pts, model).ok:
         raise InfeasibleDesignError(
             "no pattern has uniformly positive-definite information over the box; "
             "the worst-case variance is unbounded for every design"
         )
-    _per_cost(grid_infos, patterns)
+    _per_cost(grid_infos, model)
     u = model.u
 
     solves: dict[int, tuple] = {}
@@ -216,7 +212,7 @@ def worst_case_design(
         residual = _kkt_residual_from(g, game_value, v_star)
 
     inner = SolveReport(
-        design=design_from_fractions(v_star, budget, patterns),
+        design=design_from_fractions(v_star, budget, all_patterns(model)),
         objective=game_value,
         kkt_residual=residual,
         iterations=iterations,
@@ -230,7 +226,6 @@ def saddle_check(
     box: ParameterBox,
     model: DiseaseModel,
     grid_step: float = 0.01,
-    patterns: Sequence[TestPattern] | None = None,
 ) -> tuple[float, float]:
     """Equilibrium gaps of a candidate pair (v, p*).
 
@@ -239,9 +234,8 @@ def saddle_check(
     c-optimal solve at p*.  Both are nonnegative up to roundoff, and both
     below the saddle tolerance certify an approximate equilibrium.
     """
-    patterns = tuple(patterns) if patterns is not None else all_patterns(model)
-    v, infos_star, at_p_star, _ = _evaluate(v, p_star, model, patterns)
-    grid_infos = _pattern_infos(_box_grid(box, model, grid_step), model, patterns)
+    v, infos_star, at_p_star, _ = _evaluate(v, p_star, model)
+    grid_infos = _pattern_infos(_box_grid(box, model, grid_step), model)
     values = _criterion(v, grid_infos, model.u)[0]
     inner_value = _solve_simplex(infos_star, model.u)[1]
     return float(values.max() - at_p_star), float(at_p_star - inner_value)

@@ -50,6 +50,12 @@ __all__ = [
 # Eigenvalues above this (after symmetrization) count as strictly positive;
 # double-precision noise floor for parameter dimensions k <= 10.
 PD_TOLERANCE = 1e-10
+# Lattice points a box grid may hold before its simplex cut.  It admits the
+# whole simplex box of a 3-parameter model at the default step 0.01
+# (1,030,301 points); a worst-case solve of the shipped model needs about
+# 1.2 kB per grid point, so this keeps one under about 2.5 GB, and a finer
+# step fails here instead of in np.arange or in the solve.
+MAX_GRID_POINTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -287,15 +293,35 @@ class ParameterBox:
     def k(self) -> int:
         return self.lower.shape[0]
 
+    def lattice_size(self, step: float) -> int:
+        """Number of points of the box's lattice at ``step``, before the
+        simplex cut; raises when the step is not positive or the lattice
+        holds more than MAX_GRID_POINTS points.
+
+        Each axis holds the ``np.arange`` samples of ``grid``; the upper
+        face it may add is not counted.
+        """
+        if not step > 0:
+            raise ValueError(f"grid step must be positive, got {step}")
+        with np.errstate(over="ignore"):  # a tiny step counts to inf
+            size = float(np.prod(np.ceil((self.upper + 0.5 * step - self.lower) / step)))
+        if size > MAX_GRID_POINTS:
+            shown = f"{size:.4g}" if math.isfinite(size) else "more than 1e308"
+            raise ValueError(
+                f"grid step {step:g} gives a lattice of {shown} points over the box, "
+                f"above the {MAX_GRID_POINTS:,} a grid may hold"
+            )
+        return int(size)
+
     def grid(self, step: float) -> np.ndarray:
         """Feasible grid points in lexicographic order, shape (m, k).
 
         Each axis is sampled from lower to upper in increments of ``step``
         (the upper face is always included); points with ``sum(p) > 1`` are
-        skipped.  Raises if no feasible grid point remains.
+        skipped.  Raises if the lattice is too large (see lattice_size) or
+        if no feasible grid point remains.
         """
-        if not step > 0:
-            raise ValueError(f"grid step must be positive, got {step}")
+        self.lattice_size(step)
         axes = []
         for lo, hi in zip(self.lower, self.upper):
             vals = np.arange(lo, hi + 0.5 * step, step)
@@ -474,36 +500,29 @@ def _pattern_tables(model: DiseaseModel) -> _PatternTable:
     return table
 
 
-def _fisher_info_grid(p, model: DiseaseModel, patterns: Sequence[TestPattern] | None = None):
-    """Fisher information of every pattern at one point or on a grid.
+def _fisher_info_grid(p, model: DiseaseModel):
+    """Fisher information of every pattern, in all_patterns order, at one
+    point or on a grid.
 
     ``p`` is one parameter (k,), giving (T, k, k), or an (m, k) grid,
-    giving (T, m, k, k); ``patterns`` defaults to all_patterns order.
-    Entry (i, j) of pattern t sums ``d_i d_j / P(y)`` over its outcomes.
-    At a point every pattern's rows are summed at once; on a grid each
-    pattern is one product of its reciprocal mixture probabilities with
-    its packed outer products, so no (m, rows, k^2) array is formed.
-    Points are not validated here.
+    giving (T, m, k, k).  Entry (i, j) of pattern t sums ``d_i d_j / P(y)``
+    over its outcomes.  At a point every pattern's rows are summed at once;
+    on a grid each pattern is one product of its reciprocal mixture
+    probabilities with its packed outer products, so no (m, rows, k^2)
+    array is formed.  Points are not validated here.
     """
     table = _pattern_tables(model)
     p = np.asarray(p, dtype=np.float64)
     k = model.k
-    if patterns is None:
-        positions = range(len(table.patterns))
-    else:
-        positions = table.positions(patterns)
     if p.ndim == 1:
         weighted = table.outer / (table.q_ref + table.d @ p)[:, None]
         packed = np.add.reduceat(weighted, table.starts, axis=0)
-        if patterns is not None:
-            packed = packed[positions]
         return packed[:, table.unpack].reshape(-1, k, k)
-    infos = np.empty((len(positions), p.shape[0], k * k))
-    for out, i in zip(infos, positions):
-        rows = table.spans[i]
+    infos = np.empty((len(table.spans), p.shape[0], k * k))
+    for out, rows in zip(infos, table.spans):
         mix = table.q_ref[rows] + p @ table.d[rows].T
         np.take(np.reciprocal(mix, out=mix) @ table.outer[rows], table.unpack, axis=1, out=out)
-    return infos.reshape(len(positions), p.shape[0], k, k)
+    return infos.reshape(len(table.spans), p.shape[0], k, k)
 
 
 def fisher_info(t: TestPattern, p, model: DiseaseModel) -> np.ndarray:
@@ -516,7 +535,8 @@ def fisher_info(t: TestPattern, p, model: DiseaseModel) -> np.ndarray:
     positive mixture probabilities are guaranteed by the strict
     sensitivity/specificity bounds.
     """
-    return _fisher_info_grid(validate_parameter(p, model.k), model, (t,))[0]
+    (position,) = _pattern_tables(model).positions((t,))
+    return _fisher_info_grid(validate_parameter(p, model.k), model)[position]
 
 
 class A1Result(NamedTuple):
@@ -531,21 +551,21 @@ class A2Result(NamedTuple):
     pattern: TestPattern | None
 
 
-def _a1(infos: np.ndarray, patterns: Sequence[TestPattern]) -> A1Result:
-    """A1 on the (T, k, k) informations of ``patterns`` at one point."""
+def _a1(infos: np.ndarray, model: DiseaseModel) -> A1Result:
+    """A1 on the (T, k, k) pattern informations of ``model`` at one point."""
     hits = np.flatnonzero(np.linalg.eigvalsh(infos)[:, 0] > PD_TOLERANCE)
-    return A1Result(True, patterns[hits[0]]) if hits.size else A1Result(False, None)
+    return A1Result(True, all_patterns(model)[hits[0]]) if hits.size else A1Result(False, None)
 
 
-def _a2(infos: np.ndarray, pts: np.ndarray, patterns: Sequence[TestPattern]) -> A2Result:
-    """A2 on the (T, m, k, k) informations of ``patterns`` on the grid ``pts``."""
-    if not patterns:
-        return A2Result(False, -np.inf, None, None)
+def _a2(infos: np.ndarray, pts: np.ndarray, model: DiseaseModel) -> A2Result:
+    """A2 on the (T, m, k, k) pattern informations of ``model`` on the grid ``pts``."""
     lam = np.linalg.eigvalsh(infos)[..., 0]  # (T, m)
     argmin = lam.argmin(axis=1)
     worst = lam[np.arange(lam.shape[0]), argmin]
     t = int(np.argmax(worst))  # the first pattern with the best worst case
-    return A2Result(bool(worst[t] > PD_TOLERANCE), float(worst[t]), pts[argmin[t]], patterns[t])
+    return A2Result(
+        bool(worst[t] > PD_TOLERANCE), float(worst[t]), pts[argmin[t]], all_patterns(model)[t]
+    )
 
 
 def _box_grid(box: ParameterBox, model: DiseaseModel, grid_step: float) -> np.ndarray:
@@ -554,30 +574,22 @@ def _box_grid(box: ParameterBox, model: DiseaseModel, grid_step: float) -> np.nd
     return box.grid(grid_step)
 
 
-def check_a1(p, patterns: Sequence[TestPattern], model: DiseaseModel) -> A1Result:
+def check_a1(p, model: DiseaseModel) -> A1Result:
     """Does some pattern carry positive-definite information at p?
 
     Positive definite means a smallest eigenvalue above PD_TOLERANCE.
-    Returns the first such pattern in the given order, or (False, None).
+    Returns the first such pattern in all_patterns order, or (False, None).
     """
-    patterns = tuple(patterns)
-    p = validate_parameter(p, model.k)
-    return _a1(_fisher_info_grid(p, model, patterns), patterns)
+    return _a1(_fisher_info_grid(validate_parameter(p, model.k), model), model)
 
 
-def check_a2(
-    box: ParameterBox,
-    patterns: Sequence[TestPattern],
-    model: DiseaseModel,
-    grid_step: float = 0.01,
-) -> A2Result:
+def check_a2(box: ParameterBox, model: DiseaseModel, grid_step: float = 0.01) -> A2Result:
     """Is some pattern's information uniformly positive definite over the box?
 
     Evaluates the smallest eigenvalue of every pattern's information matrix
     on the feasible grid and reports the pattern with the best worst-case
-    eigenvalue (the first in the given order on a tie) together with the
+    eigenvalue (the first in all_patterns order on a tie) together with the
     first grid point attaining it.
     """
-    patterns = tuple(patterns)
     pts = _box_grid(box, model, grid_step)
-    return _a2(_fisher_info_grid(pts, model, patterns), pts, patterns)
+    return _a2(_fisher_info_grid(pts, model), pts, model)

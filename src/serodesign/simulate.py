@@ -65,10 +65,6 @@ class SurveyDataset:
         object.__setattr__(self, "patterns", tuple(self.patterns))
         object.__setattr__(self, "counts", counts)
 
-    @property
-    def total(self) -> int:
-        return int(sum(int(c.sum()) for c in self.counts))
-
 
 def _stream(seed: int, replication: int, pattern_index: int) -> np.random.Generator:
     # Philox is counter-based; the spawn key names the (replication, pattern)
@@ -292,7 +288,6 @@ def simulation_report(
     budget: float,
     replications: int = 200,
     seed: int = 0,
-    patterns=None,
 ) -> dict:
     """Full Monte-Carlo verification report.
 
@@ -303,10 +298,9 @@ def simulation_report(
     """
     if replications < MIN_REPLICATIONS:
         raise ValueError(f"need at least {MIN_REPLICATIONS} replications, got {replications}")
-    patterns = tuple(patterns) if patterns is not None else all_patterns(model)
     p = validate_parameter(p, model.k)
-    design = Design(patterns=tuple(patterns), fractions=np.asarray(v_star, float), budget=budget)
-    predicted = objective(design.fractions, p, model, patterns=patterns) / budget
+    design = Design(patterns=all_patterns(model), fractions=np.asarray(v_star, float), budget=budget)
+    predicted = objective(design.fractions, p, model) / budget
     estimates = simulate_estimates(p, model, design, replications, seed)
     mean, empirical = _fsum_variance(estimates)
     truth = float(model.u @ p)

@@ -65,11 +65,15 @@ def finite_difference_fisher(t, p, model, step=1e-4):
 
 
 def golden_section_two_pattern(model, p, pair, tol=1e-10):
-    """Scalar minimization of the criterion over two patterns by golden section."""
+    """Scalar minimization of the criterion by golden section along the edge
+    of the simplex between the patterns with the two masks in ``pair``;
+    returns the fraction on the first."""
     ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    masks = [t.mask for t in all_patterns(model)]
+    first, second = np.eye(len(masks))[[masks.index(mask) for mask in pair]]
 
     def f(x):
-        return objective(np.array([x, 1.0 - x]), p, model, patterns=pair)
+        return objective(x * first + (1.0 - x) * second, p, model)
 
     lo, hi = 0.0, 1.0
     a = hi - ratio * (hi - lo)
@@ -101,10 +105,8 @@ def worst_convexity_slack(model, p, n_trials=500, seed=1234):
         va = random_pd_fractions(rng, len(patterns), full)
         vb = random_pd_fractions(rng, len(patterns), full)
         lam = rng.uniform(0.05, 0.95)
-        mixed = objective(lam * va + (1.0 - lam) * vb, p, model, patterns=patterns)
-        chord = lam * objective(va, p, model, patterns=patterns) + (1.0 - lam) * objective(
-            vb, p, model, patterns=patterns
-        )
+        mixed = objective(lam * va + (1.0 - lam) * vb, p, model)
+        chord = lam * objective(va, p, model) + (1.0 - lam) * objective(vb, p, model)
         worst = max(worst, mixed - chord)
     return worst
 
@@ -119,9 +121,7 @@ def worst_concavity_slack(model, n_trials=500, seed=4321):
         v = random_pd_fractions(rng, len(patterns), full)
         p1, p2 = random_interior_points(rng, 2)
         lam = rng.uniform(0.05, 0.95)
-        value_mixed = objective(v, lam * p1 + (1.0 - lam) * p2, model, patterns=patterns)
-        chord = lam * objective(v, p1, model, patterns=patterns) + (1.0 - lam) * objective(
-            v, p2, model, patterns=patterns
-        )
+        value_mixed = objective(v, lam * p1 + (1.0 - lam) * p2, model)
+        chord = lam * objective(v, p1, model) + (1.0 - lam) * objective(v, p2, model)
         worst = max(worst, chord - value_mixed)
     return worst

@@ -146,7 +146,7 @@ def test_criterion_04_single_pattern_restriction_factor(model_row4, row4_worst_c
     report, _ = row4_worst_case
     pats = all_patterns(model_row4)
     pts = ROW4_BOX.grid(0.01)
-    infos = _pattern_infos(pts, model_row4, pats)
+    infos = _pattern_infos(pts, model_row4)
     only_011 = np.array([1.0 if t.mask == (0, 1, 1) else 0.0 for t in pats])
     worst_constrained = _criterion(only_011, infos, model_row4.u)[0].max()
     worst_optimal = _criterion(report.design.fractions, infos, model_row4.u)[0].max()

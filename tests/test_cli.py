@@ -369,6 +369,21 @@ MALFORMED = {
     ),
 }
 
+# A grid step whose lattice over a box is too large to build: from a flag
+# and from the file, for every subcommand that grids a box.
+for _subcommand, _doc in (
+    ("worst-case", tiny_box_config()),
+    ("strata", STRATA),
+    ("check-assumptions", tiny_box_config()),
+):
+    for _step in (1e-9, 1e-300):
+        MALFORMED[f"{_subcommand}-grid-step-flag-{_step:g}"] = (
+            _subcommand, _doc, ["--grid-step", f"{_step:g}"], None, "options.grid_step",
+        )
+        MALFORMED[f"{_subcommand}-grid-step-file-{_step:g}"] = (
+            _subcommand, edited(_doc, _step, "options", "grid_step"), [], None, "options.grid_step",
+        )
+
 # Subcommand flags that make every fixture run: a margin for budget, and
 # the fewest replications simulate accepts.
 FLAGS = {"budget": ["--moe", "0.01"], "simulate": ["--replications", "8"]}

@@ -235,10 +235,14 @@ class TestSolver:
         assert r2.min_variance == pytest.approx(r1.min_variance / 2.0, rel=1e-12)
 
     def test_two_pattern_solver_matches_golden_section(self, model_row2):
-        pair = [make_pattern((0, 0, 1), model_row2), make_pattern((0, 1, 1), model_row2)]
-        report = solve_c_optimal(P0, model_row2, patterns=pair)
+        # the optimum lies on the 001-011 edge of the simplex, so the best
+        # split along that edge is the optimal design
+        pair = ((0, 0, 1), (0, 1, 1))
+        report = solve_c_optimal(P0, model_row2)
+        support = {t.mask for t, x in zip(report.design.patterns, report.design.fractions) if x > 0}
+        assert support == set(pair)
         x_oracle = golden_section_two_pattern(model_row2, P0, pair)
-        assert report.design.fractions[0] == pytest.approx(x_oracle, abs=1e-5)
+        assert report.design.fraction(pair[0]) == pytest.approx(x_oracle, abs=1e-5)
 
     def test_infeasible_model_raises(self):
         base = default_model()
@@ -425,8 +429,9 @@ class TestKKTCheck:
         assert residual <= 1e-6 * report.objective
 
     def test_single_pattern_simplex_is_exact(self, model_row1):
-        pats = [make_pattern((1, 1, 1), model_row1)]
-        residual = kkt_check(np.array([1.0]), P0, model_row1, patterns=pats)
+        # a one-test model has a one-pattern simplex
+        antibody = DiseaseModel(tests=model_row1.tests[2:], nominal=[[1], [0]], u=[1.0])
+        residual = kkt_check(np.array([1.0]), [0.3], antibody)
         assert residual <= 1e-10
 
     def test_perturbed_solution_is_flagged(self, model_row1):

@@ -71,7 +71,7 @@ class TestWorstCaseDesign:
         report, _ = row4_worst_case
         pats = all_patterns(model_row4)
         pts = ROW4_BOX.grid(0.01)
-        infos = _pattern_infos(pts, model_row4, pats)
+        infos = _pattern_infos(pts, model_row4)
         only_011 = np.array([1.0 if t.mask == (0, 1, 1) else 0.0 for t in pats])
         worst_constrained = _criterion(only_011, infos, model_row4.u)[0].max()
         worst_optimal = _criterion(report.design.fractions, infos, model_row4.u)[0].max()
@@ -132,7 +132,7 @@ class TestSaddleCheck:
         rng = np.random.default_rng(30)
         pats = all_patterns(model_row4)
         pts = ROW4_BOX.grid(0.05)
-        infos = _pattern_infos(pts, model_row4, pats)
+        infos = _pattern_infos(pts, model_row4)
         for _ in range(5):
             v = random_pd_fractions(rng, len(pats), 6)
             p = pts[rng.integers(len(pts))]
@@ -178,7 +178,7 @@ def exhaustive_worst_case(box, model, grid_step, saddle_tol=SADDLE_TOL):
     best-response fallback without memoized solves.  Returns
     (p*, fractions, game value, saddle gap, iterations, fallback ran)."""
     pts = box.grid(grid_step)
-    infos = _pattern_infos(pts, model, all_patterns(model))
+    infos = _pattern_infos(pts, model)
     u = model.u
     best_index, best = -1, None
     for i in range(len(pts)):

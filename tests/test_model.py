@@ -23,7 +23,12 @@ from serodesign import (
     solve_c_optimal,
     worst_case_design,
 )
-from serodesign.model import PATTERN_TABLE_CACHE_SIZE, _fisher_info_grid, _pattern_tables
+from serodesign.model import (
+    MAX_GRID_POINTS,
+    PATTERN_TABLE_CACHE_SIZE,
+    _fisher_info_grid,
+    _pattern_tables,
+)
 from _suites import finite_difference_fisher, random_interior_points
 
 NA = None
@@ -101,6 +106,21 @@ class TestTypes:
         box = ParameterBox(lower=[0.0, 0.0, 0.0], upper=[0.9, 0.9, 0.9])
         pts = box.grid(0.1)
         assert (pts.sum(axis=1) <= 1.0 + 1e-9).all()
+
+    def test_grid_refuses_a_lattice_beyond_the_cap_before_building_it(self):
+        m = default_model()
+        box = ParameterBox(lower=[0.01, 0.10, 0.00], upper=[0.15, 0.50, 0.02])
+        assert box.lattice_size(0.01) == len(box.grid(0.01)) == 15 * 41 * 3
+        whole = ParameterBox(lower=[0.0, 0.0, 0.0], upper=[1.0, 1.0, 1.0])
+        assert whole.lattice_size(0.01) == 101**3 <= MAX_GRID_POINTS
+        with pytest.raises(ValueError, match=r"grid step 1e-09 gives a lattice of 1\.12e\+24 points"):
+            box.grid(1e-9)
+        with pytest.raises(ValueError, match=r"lattice of more than 1e308 points .* 2,000,000"):
+            box.grid(1e-300)
+        with pytest.raises(ValueError, match="lattice"):
+            check_a2(box, m, grid_step=1e-9)
+        with pytest.raises(ValueError, match="lattice"):
+            worst_case_design(box, m, grid_step=1e-300)
 
 
 class TestNonFiniteInputs:
@@ -299,7 +319,7 @@ class TestPatternTableCache:
         patterns = all_patterns(model)
         assert all_patterns(model) is patterns  # not rebuilt per call
         solve_c_optimal(P0, model)
-        check_a1(P0, patterns, model)
+        check_a1(P0, model)
         assert _pattern_tables.cache_info().misses == misses + 1
 
     def test_worst_case_builds_its_grid_informations_once(self, monkeypatch):
@@ -321,13 +341,13 @@ class TestPatternTableCache:
 class TestAssumptionChecks:
     def test_default_model_satisfies_a1(self):
         m = default_model()
-        result = check_a1(P0, all_patterns(m), m)
+        result = check_a1(P0, m)
         assert result.ok
         assert result.pattern is not None
 
     def test_uninformative_model_fails_a1(self):
         m = uninformative_model()
-        result = check_a1(P0, all_patterns(m), m)
+        result = check_a1(P0, m)
         assert not result.ok
         assert result.pattern is None
         # coin-flip channels carry literally zero information
@@ -336,15 +356,16 @@ class TestAssumptionChecks:
 
     def test_single_binary_test_cannot_identify_three_parameters(self):
         m = default_model()
-        t = make_pattern((1, 0, 0), m)
-        result = check_a1(P0, [t], m)
+        rat_only = DiseaseModel(tests=m.tests[:1], nominal=m.nominal[:, :1], u=m.u)
+        (t,) = all_patterns(rat_only)
+        result = check_a1(P0, rat_only)
         assert not result.ok
-        assert np.linalg.matrix_rank(fisher_info(t, P0, m), tol=1e-12) <= 1
+        assert np.linalg.matrix_rank(fisher_info(t, P0, rat_only), tol=1e-12) <= 1
 
     def test_a2_on_table_box(self):
         m = default_model()
         box = ParameterBox(lower=[0.01, 0.10, 0.00], upper=[0.15, 0.50, 0.02])
-        result = check_a2(box, all_patterns(m), m, grid_step=0.01)
+        result = check_a2(box, m, grid_step=0.01)
         assert result.ok
         assert result.lambda_min > 0
         assert result.pattern is not None
@@ -352,13 +373,13 @@ class TestAssumptionChecks:
     def test_a2_point_box_reduces_to_a1(self):
         m = default_model()
         box = ParameterBox(lower=P0, upper=P0)
-        a2 = check_a2(box, all_patterns(m), m, grid_step=0.01)
-        a1 = check_a1(P0, all_patterns(m), m)
+        a2 = check_a2(box, m, grid_step=0.01)
+        a1 = check_a1(P0, m)
         assert a2.ok == a1.ok
         assert np.allclose(a2.argmin, P0)
 
     def test_a2_uninformative_fails(self):
         m = uninformative_model()
         box = ParameterBox(lower=[0.01, 0.10, 0.00], upper=[0.15, 0.50, 0.02])
-        result = check_a2(box, all_patterns(m), m, grid_step=0.05)
+        result = check_a2(box, m, grid_step=0.05)
         assert not result.ok

@@ -93,10 +93,31 @@ def test_public_names_are_pinned():
         assert getattr(serodesign, name) is not None
 
 
-def test_no_public_callable_takes_a_tolerance():
+def public_signatures():
+    """(name, parameter names) of every public function, and of the
+    constructor and public methods of every public class but the error
+    types, which take a message only."""
     for name in PUBLIC_NAMES:
         obj = getattr(serodesign, name)
-        # the error types take a message only
-        if inspect.isfunction(obj) or (inspect.isclass(obj) and not issubclass(obj, Exception)):
-            parameters = set(inspect.signature(obj).parameters)
-            assert not parameters & TOLERANCE_PARAMETERS, name
+        if inspect.isclass(obj) and issubclass(obj, Exception):
+            continue
+        yield name, set(inspect.signature(obj).parameters)
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member) and not attr.startswith("_"):
+                    yield f"{name}.{attr}", set(inspect.signature(member).parameters)
+
+
+def test_no_public_callable_takes_a_tolerance():
+    for name, parameters in public_signatures():
+        assert not parameters & TOLERANCE_PARAMETERS, name
+
+
+# A design spans every pattern of its model; only these build a record of
+# the patterns a design or a dataset spends on.
+TAKES_PATTERNS = {"design_from_fractions", "Design", "SurveyDataset"}
+
+
+def test_only_design_records_take_patterns():
+    for name, parameters in public_signatures():
+        assert ("patterns" in parameters) == (name in TAKES_PATTERNS), name
