@@ -107,11 +107,6 @@ class StratumAllocation:
     def budget(self) -> float:
         return self.design.budget
 
-    @property
-    def variance(self) -> float:
-        """The stratum estimate's variance at its allocated budget."""
-        return self.criterion_value / self.budget
-
 
 @dataclass(frozen=True, eq=False)
 class AllocationReport:
@@ -122,10 +117,6 @@ class AllocationReport:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-
-    @property
-    def shares(self) -> np.ndarray:
-        return np.array([e.budget for e in self.entries]) / self.budget
 
     @property
     def total_variance(self) -> float:

@@ -33,6 +33,14 @@ A1 (``ok``, ``witness``) at a point and A2 (``ok``, ``lambda_min``,
 strata or groups.  ``--output table`` renders the same machine report as
 an aligned text table; it is never a separate computation path.
 
+Flags (``--grid-step``, ``--moe``, ``--alpha``, ``--seed``,
+``--replications``) are laid over the file's ``options`` before it is
+parsed, so a flag passes the same one check (``Options`` checks its own
+values) and keeps its ``options.<key>`` path.  ``run(config, subcommand)``
+reads every setting from the ``RunConfig`` (its ``scenario`` is the one
+parsed scenario), so a library caller sets options on the config with
+``dataclasses.replace``, which runs that check too.
+
 The CLI checks only a document's shape: types, required keys and known
 fields.  Every rule on the values (reliabilities in (0, 1), points in the
 simplex, fractions summing to 1, distinct names, known override ids, ...)
@@ -47,7 +55,8 @@ the path the budget came from: ``budget``, ``options.moe`` for
 ``budget``, or ``design.budget``.  A grid step that gives a box a lattice
 of more than ``MAX_GRID_POINTS`` points has the path ``options.grid_step``,
 from a flag or the file alike.  Exit status: 0 on
-success, 1 on configuration or validation errors, 2 on solver failures.
+success, 1 on configuration or validation errors, 2 on solver failures,
+including a run that runs out of memory (``solver error: out of memory: …``).
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -132,6 +141,24 @@ class Options:
     replications: int = 200
     currency: str = "units"
 
+    def __post_init__(self):
+        """Reject values no subcommand can run with, from a file, a flag or a caller."""
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError("options.alpha", f"must lie strictly in (0, 1), got {self.alpha}")
+        if not 0.0 < self.grid_step < np.inf:
+            raise ConfigError(
+                "options.grid_step", f"must be positive and finite, got {self.grid_step}"
+            )
+        if self.moe is not None and not 0.0 < self.moe < np.inf:
+            raise ConfigError("options.moe", f"must be positive and finite, got {self.moe}")
+        if self.seed < 0:
+            raise ConfigError("options.seed", f"must be nonnegative, got {self.seed}")
+        if self.replications < MIN_REPLICATIONS:
+            raise ConfigError(
+                "options.replications",
+                f"need at least {MIN_REPLICATIONS} replications, got {self.replications}",
+            )
+
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
@@ -139,32 +166,10 @@ class RunConfig:
 
     model: DiseaseModel
     scenario_kind: str  # point | box | strata | groups
+    # the parsed value of that kind: a point array, a box, or a spec tuple
+    scenario: np.ndarray | ParameterBox | tuple[StratumSpec, ...] | tuple[GroupSpec, ...]
     budget: float
     options: Options = field(default_factory=Options)
-    point: np.ndarray | None = None
-    box: ParameterBox | None = None
-    strata: tuple[StratumSpec, ...] | None = None
-    groups: tuple[GroupSpec, ...] | None = None
-
-    def to_dict(self) -> dict:
-        model = {
-            "tests": [asdict(t) for t in self.model.tests],
-            "nominal": [[int(x) for x in row] for row in self.model.nominal],
-            "u": _floats(self.model.u),
-        }
-        kind = self.scenario_kind
-        if kind == "point":
-            scenario = _floats(self.point)
-        elif kind == "box":
-            scenario = _box_dict(self.box)
-        else:
-            scenario = [_entry_dict(e) for e in getattr(self, kind)]
-        return {
-            "model": model,
-            "scenario": {kind: scenario},
-            "budget": self.budget,
-            "options": asdict(self.options),
-        }
 
 
 def _floats(values) -> list[float]:
@@ -173,17 +178,6 @@ def _floats(values) -> list[float]:
 
 def _box_dict(box: ParameterBox) -> dict:
     return {"lower": _floats(box.lower), "upper": _floats(box.upper)}
-
-
-def _entry_dict(entry: StratumSpec | GroupSpec) -> dict:
-    out = {"name": entry.name, "fraction": entry.fraction}
-    if entry.point is not None:
-        out["point"] = _floats(entry.point)
-    if isinstance(entry, GroupSpec):
-        out["overrides"] = entry.overrides
-    elif entry.box is not None:
-        out["box"] = _box_dict(entry.box)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +339,14 @@ _OPTION_TYPES = {
 
 
 def _parse_options(doc) -> Options:
+    """The options, from the file with any flags laid over it: types here, ranges in Options."""
     values = {}
     for key, value in _object(doc, "options").items():
         if key not in _OPTION_TYPES:
             raise ConfigError(f"options.{key}", "unknown option")
         if not (key == "moe" and value is None):
             values[key] = _OPTION_TYPES[key](value, f"options.{key}")
-    options = Options(**values)
-    _check_options(options)
-    return options
+    return Options(**values)
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -388,29 +381,10 @@ def parse_config(doc: dict) -> RunConfig:
     return RunConfig(
         model=model,
         scenario_kind=kind,
+        scenario=parsed,
         budget=budget,
         options=_parse_options(doc.get("options", {})),
-        **{kind: parsed},
     )
-
-
-def _check_options(options: Options) -> None:
-    """Reject option values no subcommand can run with, from a file or a flag."""
-    if not 0.0 < options.alpha < 1.0:
-        raise ConfigError("options.alpha", f"must lie strictly in (0, 1), got {options.alpha}")
-    if not 0.0 < options.grid_step < np.inf:
-        raise ConfigError(
-            "options.grid_step", f"must be positive and finite, got {options.grid_step}"
-        )
-    if options.moe is not None and not 0.0 < options.moe < np.inf:
-        raise ConfigError("options.moe", f"must be positive and finite, got {options.moe}")
-    if options.seed < 0:
-        raise ConfigError("options.seed", f"must be nonnegative, got {options.seed}")
-    if options.replications < MIN_REPLICATIONS:
-        raise ConfigError(
-            "options.replications",
-            f"need at least {MIN_REPLICATIONS} replications, got {options.replications}",
-        )
 
 
 def load_config(path: str) -> RunConfig:
@@ -448,12 +422,12 @@ def fixture_path(name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _assumptions(model: DiseaseModel, point, box: ParameterBox | None, grid_step: float) -> dict:
-    """A1 at ``point``, or A2 over ``box`` when one is given, as report fields."""
-    if box is None:
-        a1 = check_a1(point, model)
+def _assumptions(model: DiseaseModel, where, grid_step: float) -> dict:
+    """A1 at a point, or A2 over a ``ParameterBox``, as report fields."""
+    if not isinstance(where, ParameterBox):
+        a1 = check_a1(where, model)
         return {"a1": {"ok": a1.ok, "witness": a1.pattern.label if a1.pattern else None}}
-    a2 = check_a2(box, model, grid_step=grid_step)
+    a2 = check_a2(where, model, grid_step=grid_step)
     return {
         "a2": {
             "ok": a2.ok,
@@ -464,34 +438,25 @@ def _assumptions(model: DiseaseModel, point, box: ParameterBox | None, grid_step
     }
 
 
-def run(
-    config: RunConfig,
-    subcommand: str,
-    moe: float | None = None,
-    alpha: float | None = None,
-    grid_step: float | None = None,
-    seed: int | None = None,
-    replications: int | None = None,
-    design_path: str | None = None,
-) -> dict:
-    """Dispatch one subcommand and return the machine report."""
+def run(config: RunConfig, subcommand: str, design_path: str | None = None) -> dict:
+    """Dispatch one subcommand on ``config`` and return the machine report."""
     if subcommand not in SUBCOMMANDS:
         raise ConfigError("subcommand", f"unknown subcommand {subcommand!r}")
-    if config.scenario_kind not in _SCENARIO_FOR[subcommand]:
+    kind, scenario, model, opts = (
+        config.scenario_kind, config.scenario, config.model, config.options
+    )
+    if kind not in _SCENARIO_FOR[subcommand]:
         raise ConfigError(
             "scenario",
             f"subcommand {subcommand!r} needs a "
-            f"{' or '.join(_SCENARIO_FOR[subcommand])} scenario, "
-            f"got {config.scenario_kind!r}",
+            f"{' or '.join(_SCENARIO_FOR[subcommand])} scenario, got {kind!r}",
         )
-    flags = dict(moe=moe, alpha=alpha, grid_step=grid_step, seed=seed, replications=replications)
-    opts = replace(config.options, **{k: v for k, v in flags.items() if v is not None})
-    _check_options(opts)
     grid_step, alpha, moe = opts.grid_step, opts.alpha, opts.moe
     # every box of the scenario is gridded; a lattice too large to build is
     # an error of the step, whether a flag or the file set it
+    boxes = [scenario] if kind == "box" else [s.box for s in scenario] if kind == "strata" else []
     with _at("options.grid_step"):
-        for box in (config.box, *(s.box for s in config.strata or ())):
+        for box in boxes:
             if box is not None:
                 box.lattice_size(grid_step)
 
@@ -501,38 +466,34 @@ def run(
     # document path it reports is the one the budget came from.
     if subcommand == "c-optimal":
         with _at("budget"):
-            report = solve_c_optimal(config.point, config.model, budget=config.budget)
-        return {**header, "parameter": _floats(config.point), **report.to_dict()}
+            report = solve_c_optimal(scenario, model, budget=config.budget)
+        return {**header, "parameter": _floats(scenario), **report.to_dict()}
 
     if subcommand == "worst-case":
         with _at("budget"):
-            report = worst_case_design(
-                config.box, config.model, grid_step=grid_step, budget=config.budget
-            )
-        return {**header, "box": _box_dict(config.box), **report.to_dict()}
+            report = worst_case_design(scenario, model, grid_step=grid_step, budget=config.budget)
+        return {**header, "box": _box_dict(scenario), **report.to_dict()}
 
     if subcommand == "strata":
         with _at("budget"):
-            report = allocate_districts(
-                config.strata, config.model, config.budget, grid_step=grid_step
-            )
+            report = allocate_districts(scenario, model, config.budget, grid_step=grid_step)
         return {**header, **report.to_dict()}
 
     if subcommand == "groups":
         with _at("budget"):
-            report = allocate_groups(config.groups, config.model, config.budget)
+            report = allocate_groups(scenario, model, config.budget)
         return {**header, **report.to_dict()}
 
     if subcommand == "budget":
         if moe is None:
             raise ConfigError("options.moe", "budget subcommand needs a margin of error")
-        solve = solve_c_optimal(config.point, config.model)
+        solve = solve_c_optimal(scenario, model)
         required = _margin_budget(solve, moe, alpha)
         with _at("options.moe"):
             solve = solve.priced(required)
         return {
             **header,
-            "parameter": _floats(config.point),
+            "parameter": _floats(scenario),
             "moe": moe,
             "alpha": alpha,
             "z": abs(normal_quantile(alpha / 2.0)),
@@ -543,39 +504,33 @@ def run(
     if subcommand == "simulate":
         if design_path is None:
             with _at("budget"):
-                design = solve_c_optimal(config.point, config.model, budget=config.budget).design
+                design = solve_c_optimal(scenario, model, budget=config.budget).design
         else:
-            design = _load_design(design_path, config.model, config.budget)
+            design = _load_design(design_path, model, config.budget)
         # a budget that buys no participant leaves nothing to sample
         with _at("budget" if design_path is None else "design.budget"):
             report = simulation_report(
-                config.point,
-                config.model,
+                scenario,
+                model,
                 design.fractions,
                 design.budget,
                 replications=opts.replications,
                 seed=opts.seed,
             )
-        return {**header, "parameter": _floats(config.point), **report}
+        return {**header, "parameter": _floats(scenario), **report}
 
     # check-assumptions
-    out = {**header, "scenario": config.scenario_kind}
-    if config.scenario_kind in ("point", "box"):
-        return {**out, **_assumptions(config.model, config.point, config.box, grid_step)}
-    groups = config.scenario_kind == "groups"
-    out["checks"] = [
-        {
-            "name": e.name,
-            **_assumptions(
-                e.model(config.model) if groups else config.model,
-                e.point,
-                None if groups else e.box,
-                grid_step,
-            ),
-        }
-        for e in config.groups or config.strata
-    ]
-    return out
+    out = {**header, "scenario": kind}
+    if kind in ("point", "box"):
+        return {**out, **_assumptions(model, scenario, grid_step)}
+    checks = []
+    for e in scenario:
+        if kind == "groups":
+            fields = _assumptions(e.model(model), e.point, grid_step)
+        else:  # a stratum gives a point or a box
+            fields = _assumptions(model, e.point if e.box is None else e.box, grid_step)
+        checks.append({"name": e.name, **fields})
+    return {**out, "checks": checks}
 
 
 # ---------------------------------------------------------------------------
@@ -592,12 +547,12 @@ def _design_table(design: dict, currency: str) -> list[str]:
                 f"{design['fractions'][label]:.6f}",
                 f"{design['counts'][label]:.1f}",
                 str(design["integer_counts"][label]),
-                f"{design['pattern_costs'][label]:g}",
+                f"{design['pattern_costs'][label]:.15g}",
             )
         )
     widths = [max(len(r[i]) for r in rows) for i in range(5)]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
-    lines.append(f"realized cost of integer design: {design['realized_cost']:g} {currency}")
+    lines.append(f"realized cost of integer design: {design['realized_cost']:.15g} {currency}")
     return lines
 
 
@@ -610,6 +565,8 @@ def render_table(report: dict) -> str:
             continue
         if isinstance(value, float):
             lines.append(f"{key}: {value:.10g}")
+        elif isinstance(value, (dict, list)):
+            lines.append(f"{key}: {json.dumps(value)}")
         else:
             lines.append(f"{key}: {value}")
     if "design" in report:
@@ -642,23 +599,23 @@ def main(argv=None) -> int:
     parser.add_argument("--design", default=None, help="design report file for simulate")
     args = parser.parse_args(argv)
 
+    flags = {k: v for k, v in vars(args).items() if k in _OPTION_TYPES and v is not None}
+
     try:
-        config = load_config(args.config)
-        report = run(
-            config,
-            args.subcommand,
-            moe=args.moe,
-            alpha=args.alpha,
-            grid_step=args.grid_step,
-            seed=args.seed,
-            replications=args.replications,
-            design_path=args.design,
-        )
+        doc = _read_json(args.config, ROOT_PATH)
+        # flags are laid over the file's options and pass the same one check
+        options = doc.get("options", {}) if isinstance(doc, dict) else None
+        if flags and isinstance(options, dict):
+            doc["options"] = {**options, **flags}
+        report = run(parse_config(doc), args.subcommand, design_path=args.design)
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (InfeasibleDesignError, ConvergenceError) as err:
         print(f"solver error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print(f"solver error: out of memory: {err}", file=sys.stderr)
         return 2
 
     if args.output == "json":

@@ -3,10 +3,15 @@ errors, subcommand dispatch, report stability, and exit codes."""
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import serodesign
 from serodesign import budget_for_margin, coptimal, solve_c_optimal
 from serodesign.coptimal import _solve_simplex
 from serodesign.cli import (
@@ -67,6 +72,11 @@ def edited(doc, value, *keys):
     return doc
 
 
+def with_options(config, **options):
+    """``config`` with the given options set, as a library caller sets them."""
+    return replace(config, options=replace(config.options, **options))
+
+
 def tiny_box_config():
     doc = copy.deepcopy(ROW1)
     doc["model"]["tests"][1]["cost"] = 100
@@ -80,7 +90,7 @@ class TestParseConfig:
         config = load_config(fixture_path("table1_row1"))
         assert [t.cost for t in config.model.tests] == [450, 1600, 300]
         assert config.scenario_kind == "point"
-        assert np.allclose(config.point, [0.10, 0.30, 0.01])
+        assert np.allclose(config.scenario, [0.10, 0.30, 0.01])
         assert config.budget == 1e7
         assert config.options.currency == "Rs"
 
@@ -132,12 +142,6 @@ class TestParseConfig:
         del doc["model"]["u"]
         config = parse_config(doc)
         assert np.array_equal(config.model.u, np.ones(3))
-
-    def test_round_trip_identity(self):
-        configs = [load_config(fixture_path(f"table1_row{row}")) for row in (1, 4, 5)]
-        for config in configs + [parse_config(STRATA)]:
-            again = parse_config(config.to_dict())
-            assert again.to_dict() == config.to_dict()
 
 
 class TestRun:
@@ -204,7 +208,7 @@ class TestRun:
 
     def test_budget_inversion(self):
         config = load_config(fixture_path("table1_row1"))
-        report = run(config, "budget", moe=0.01, alpha=0.05)
+        report = run(with_options(config, moe=0.01, alpha=0.05), "budget")
         z, required = report["z"], report["required_budget"]
         assert z == pytest.approx(1.959963984540054, abs=1e-9)
         assert z * np.sqrt(report["objective"] / required) == pytest.approx(0.01, rel=1e-9)
@@ -216,8 +220,8 @@ class TestRun:
         # the report of the two-solve path: a solve at budget 1 inside
         # budget_for_margin, then a solve at the required budget
         config = load_config(fixture_path(f"table1_row{row}"))
-        required = budget_for_margin(config.point, config.model, moe, alpha)
-        two_solves = solve_c_optimal(config.point, config.model, budget=required)
+        required = budget_for_margin(config.scenario, config.model, moe, alpha)
+        two_solves = solve_c_optimal(config.scenario, config.model, budget=required)
         calls = []
 
         def counted(*args, **kwargs):
@@ -225,15 +229,25 @@ class TestRun:
             return _solve_simplex(*args, **kwargs)
 
         monkeypatch.setattr(coptimal, "_solve_simplex", counted)
-        report = run(config, "budget", moe=moe, alpha=alpha)
+        report = run(with_options(config, moe=moe, alpha=alpha), "budget")
         assert len(calls) == 1
         assert report["required_budget"] == required
         body = {key: report[key] for key in two_solves.to_dict()}
         assert json.dumps(body) == json.dumps(two_solves.to_dict())
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("alpha", 1.5), ("grid_step", 0.0), ("moe", float("nan")), ("seed", -1),
+         ("replications", 2)],
+    )
+    def test_options_set_by_a_caller_are_checked(self, key, value):
+        config = load_config(fixture_path("table1_row1"))
+        with pytest.raises(ConfigError, match=rf"^options\.{key}: "):
+            with_options(config, **{key: value})
+
     def test_simulate_subcommand(self):
         config = load_config(fixture_path("table1_row1"))
-        report = run(config, "simulate", replications=50, seed=1)
+        report = run(with_options(config, replications=50, seed=1), "simulate")
         assert report["replications"] == 50
         assert 0.5 <= report["ratio"] <= 1.5
         assert 0.0 <= report["normality_pvalue"] <= 1.0
@@ -271,9 +285,9 @@ class TestRun:
         assert a == b
 
     def test_simulate_reports_reproducible(self):
-        config = load_config(fixture_path("table1_row1"))
-        a = json.dumps(run(config, "simulate", replications=20, seed=5))
-        b = json.dumps(run(config, "simulate", replications=20, seed=5))
+        config = with_options(load_config(fixture_path("table1_row1")), replications=20, seed=5)
+        a = json.dumps(run(config, "simulate"))
+        b = json.dumps(run(config, "simulate"))
         assert a == b
 
 
@@ -389,6 +403,18 @@ for _subcommand, _doc in (
 FLAGS = {"budget": ["--moe", "0.01"], "simulate": ["--replications", "8"]}
 
 
+# Prints the peak address space, in bytes, of a process that has run a
+# small worst-case request.
+FOOTPRINT = """
+import contextlib, io, sys
+from serodesign.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["worst-case", "--config", sys.argv[1], "--grid-step", "0.05"])
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmPeak:")))
+"""
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -440,6 +466,79 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "pattern" in out and "101" in out and "fraction" in out
+
+    def test_table_prints_money_exactly_and_nested_values_as_json(self):
+        config = load_config(fixture_path("table1_row1"))
+        table = render_table(run(replace(config, budget=12345678.0), "c-optimal"))
+        assert "realized cost of integer design: 12345450 Rs" in table.splitlines()
+        reports = [
+            run(parse_config(tiny_box_config()), "worst-case"),  # box, p_star
+            run(parse_config(tiny_box_config()), "check-assumptions"),  # a2
+            run(load_config(fixture_path("table1_row1")), "check-assumptions"),  # a1
+            run(parse_config(STRATA), "check-assumptions"),  # checks
+        ]
+        for report in reports:
+            nested = {
+                key: value
+                for key, value in report.items()
+                if isinstance(value, (dict, list)) and key not in ("design", "allocations")
+            }
+            printed = {}
+            for line in render_table(report).splitlines():
+                key, _, text = line.partition(": ")
+                if key in nested:
+                    printed[key] = text
+            assert printed.keys() == nested.keys()
+            for key, text in printed.items():
+                assert json.loads(text) == nested[key] and text == json.dumps(nested[key])
+
+    @pytest.mark.parametrize("subcommand, name", [("groups", "table1_row5"), ("strata", "strata")])
+    def test_table_output_of_allocations(self, capsys, tmp_path, subcommand, name):
+        path = fixture_path(name)
+        if name == "strata":
+            path = tmp_path / "strata.json"
+            path.write_text(json.dumps(STRATA))
+        assert main([subcommand, "--config", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert main([subcommand, "--config", str(path), "--output", "table"]) == 0
+        blocks = capsys.readouterr().out.rstrip("\n").split("\n\n")[1:]
+        assert len(blocks) == len(report["allocations"]) >= 2
+        for entry, block in zip(report["allocations"], blocks):
+            head, _, *rows, realized = block.splitlines()
+            assert head.startswith(f"stratum {entry['name']}: fraction ")
+            counts = entry["report"]["design"]["integer_counts"]
+            assert {row.split()[0]: int(row.split()[3]) for row in rows} == counts
+            assert any(counts.values())
+            assert realized.startswith("realized cost of integer design: ")
+
+    def test_out_of_memory_exit_two(self):
+        # Row4's worst case at grid step 0.002 (156,981 points) needs a 75 MB
+        # information stack.  Under an address-space cap 16 MB above the
+        # footprint of a small request, that array cannot be allocated, and
+        # the run ends in a solver error instead of a traceback.
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS") or not os.path.exists("/proc/self/status"):
+            pytest.skip("needs RLIMIT_AS and /proc/self/status")
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        src = os.path.dirname(os.path.dirname(serodesign.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        row4 = fixture_path("table1_row4")
+        footprint = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT, row4],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        cap = int(footprint.stdout) + 16 * 2**20
+        if hard != resource.RLIM_INFINITY and hard < cap:
+            pytest.skip("the hard address-space limit is below the cap")
+        done = subprocess.run(
+            [sys.executable, "-m", "serodesign", "worst-case", "--config", row4,
+             "--grid-step", "0.002"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)),
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("solver error: out of memory: ")
+        assert "Traceback" not in done.stderr
 
     def test_validation_error_exit_one(self, capsys, tmp_path):
         bad = copy.deepcopy(ROW1)

@@ -298,25 +298,35 @@ class TestTypedErrors:
             solve_c_optimal(np.full(4, 0.1), seven_test_model(), budget=1e6)
 
     def test_random_models_certify_or_raise_typed(self):
-        # Each solve returns a design that objective and kkt_check certify,
-        # or refuses it with a typed error; a singular optimum is refused by
-        # the same eigenvalue rule that makes objective call it unbounded.
+        # Each solve, at an interior point and on the faces of the simplex
+        # (one zero coordinate, the reference state at probability 0, a
+        # vertex), returns a design that objective and kkt_check certify and
+        # that is no worse than the uniform design, or refuses it with a
+        # typed error; a singular optimum is refused by the same eigenvalue
+        # rule that makes objective call it unbounded.
         outcomes = {"certified": 0, "typed": 0}
         for seed in range(60):
-            model, p = random_model(np.random.default_rng(seed))
-            try:
-                report = solve_c_optimal(p, model)
-            except InfeasibleDesignError:
-                outcomes["typed"] += 1
-                continue
-            except ConvergenceError as exc:
-                assert "singular" in str(exc)
-                outcomes["typed"] += 1
-                continue
-            v = report.design.fractions
-            assert math.isfinite(objective(v, p, model))
-            assert kkt_check(v, p, model) <= KKT_TOL * report.objective
-            outcomes["certified"] += 1
+            rng = np.random.default_rng(seed)
+            model, p = random_model(rng)
+            zero = p.copy()
+            zero[rng.integers(model.k)] = 0.0
+            full = rng.dirichlet(np.ones(model.k))  # sums to 1
+            vertex = np.eye(model.k)[rng.integers(model.k)]
+            for point in (p, zero, full, vertex):
+                try:
+                    report = solve_c_optimal(point, model)
+                except InfeasibleDesignError:
+                    outcomes["typed"] += 1
+                    continue
+                except ConvergenceError as exc:
+                    assert "singular" in str(exc)
+                    outcomes["typed"] += 1
+                    continue
+                v = report.design.fractions
+                assert math.isfinite(objective(v, point, model))
+                assert kkt_check(v, point, model) <= KKT_TOL * report.objective
+                assert objective(np.full(len(v), 1.0 / len(v)), point, model) >= report.objective
+                outcomes["certified"] += 1
         assert outcomes["certified"] >= 1 and outcomes["typed"] >= 1
 
 
