@@ -66,6 +66,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -583,7 +584,9 @@ def render_table(report: dict) -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="serodesign",
         description="Budget-constrained optimal designs for multi-test surveys",
@@ -597,7 +600,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="simulation seed")
     parser.add_argument("--replications", type=int, default=None, help="simulation replications")
     parser.add_argument("--design", default=None, help="design report file for simulate")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     flags = {k: v for k, v in vars(args).items() if k in _OPTION_TYPES and v is not None}
 

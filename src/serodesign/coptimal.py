@@ -185,14 +185,13 @@ class Design:
         raise KeyError(f"pattern {mask} not in design")
 
     def to_dict(self) -> dict:
-        counts = self.counts
-        ints = self.integer_counts
+        labels = [t.label for t in self.patterns]
         return {
             "budget": self.budget,
-            "fractions": {t.label: float(v) for t, v in zip(self.patterns, self.fractions)},
-            "counts": {t.label: float(w) for t, w in zip(self.patterns, counts)},
-            "integer_counts": {t.label: int(w) for t, w in zip(self.patterns, ints)},
-            "pattern_costs": {t.label: float(t.cost) for t in self.patterns},
+            "fractions": dict(zip(labels, self.fractions.tolist())),
+            "counts": dict(zip(labels, self.counts.tolist())),
+            "integer_counts": dict(zip(labels, map(int, self.integer_counts))),
+            "pattern_costs": dict(zip(labels, self.costs.tolist())),
             "realized_cost": self.realized_cost,
         }
 

@@ -4,11 +4,12 @@ Draws survey outcomes under a design (state first, then the outcome of
 the administered tests given the state), fits the constrained maximum
 likelihood estimate of the state probabilities, and compares the sample
 variance of the estimated target against the variance the design solver
-predicted.  Replications use independent, named counter-based random
-streams so runs are reproducible and order-independent.  The fits of all
-replications run as one batch: Newton's method on the active face of the
-simplex, each row leaving the batch once its projected gradient is
-certified, so a replication's estimate does not depend on the others.
+predicted.  All replications are drawn in one pass, each (replication,
+pattern) cell on its own named counter-based random stream, so runs are
+reproducible and order-independent.  The fits of all replications run as
+one batch: Newton's method on the active face of the simplex, each row
+leaving the batch once its projected gradient is certified, so a
+replication's estimate does not depend on the others.
 """
 
 from __future__ import annotations
@@ -73,6 +74,36 @@ def _stream(seed: int, replication: int, pattern_index: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _sample(design: Design, p, model: DiseaseModel, seed: int, replications: range):
+    """Outcome counts of many replications of one survey, in one pass: the
+    patterns with participants, their stacked ``(n, k+1)`` table ``P(y | state)``
+    and the ``(len(replications), n)`` int64 counts.  Each (replication,
+    pattern) cell is drawn on its own named stream."""
+    p = validate_parameter(p, model.k)
+    state_probs = np.append(p, max(1.0 - p.sum(), 0.0))
+    if p.sum() > 1.0:  # a sum up to 1 + 1e-9 is valid; numpy's multinomial rejects it
+        state_probs /= state_probs.sum()
+    drawn = [(i, int(n)) for i, n in enumerate(design.integer_counts) if n > 0]
+    if not drawn:
+        raise ValueError(
+            f"budget {design.budget:g} buys no participant: "
+            "the design has no pattern with a positive integer count"
+        )
+    patterns = tuple(design.patterns[i] for i, _ in drawn)
+    table = _pattern_tables(model)
+    spans = [table.spans[j] for j in table.positions(patterns)]
+    q = np.vstack([table.q[rows] for rows in spans])
+    ends = np.cumsum([rows.stop - rows.start for rows in spans]).tolist()
+    counts = np.empty((len(replications), ends[-1]), dtype=np.int64)
+    for r, row in zip(replications, counts):
+        for (index, n), start, stop in zip(drawn, [0, *ends], ends):
+            rng = _stream(seed, r, index)
+            states = rng.multinomial(n, state_probs)
+            # one draw per state, in state order; a state with no participant draws nothing
+            row[start:stop] = rng.multinomial(states, q[start:stop].T).sum(axis=0)
+    return patterns, q, counts
+
+
 def sample_outcomes(
     design: Design,
     p,
@@ -87,25 +118,9 @@ def sample_outcomes(
     only the per-pattern outcome counts are retained.  Deterministic given
     (seed, replication).
     """
-    p = validate_parameter(p, model.k)
-    state_probs = np.append(p, max(1.0 - p.sum(), 0.0))  # p may sum to 1 + 1 ulp
-    table = _pattern_tables(model)
-    patterns, counts = [], []
-    for index, (t, n) in enumerate(zip(design.patterns, design.integer_counts)):
-        if n <= 0:
-            continue
-        rng = _stream(seed, replication, index)
-        q = table.q[table.rows(t)]  # (n_y, k+1)
-        states = rng.multinomial(int(n), state_probs)
-        # one draw per state, in state order; a state with no participant draws nothing
-        patterns.append(t)
-        counts.append(rng.multinomial(states, q.T).sum(axis=0))
-    if not patterns:
-        raise ValueError(
-            f"budget {design.budget:g} buys no participant: "
-            "the design has no pattern with a positive integer count"
-        )
-    return SurveyDataset(patterns=tuple(patterns), counts=tuple(counts), seed=seed)
+    patterns, _, counts = _sample(design, p, model, seed, range(replication, replication + 1))
+    ends = np.cumsum([2 ** sum(t.mask) for t in patterns])[:-1]
+    return SurveyDataset(patterns=patterns, counts=tuple(np.split(counts[0], ends)), seed=seed)
 
 
 def _dataset_tables(dataset: SurveyDataset, model: DiseaseModel):
@@ -261,15 +276,12 @@ def simulate_estimates(
 ) -> np.ndarray:
     """Estimate u'p once per replication; independent streams per replication.
 
-    Every replication is sampled on its own streams, then all of them are
+    All replications are sampled in one pass, each on its own streams, then
     fitted together in one batched Newton solve.
     """
-    p = validate_parameter(p, model.k)
     if replications < 1:
         raise ValueError(f"need at least 1 replication, got {replications}")
-    datasets = [sample_outcomes(design, p, model, seed, replication=r) for r in range(replications)]
-    q, _ = _dataset_tables(datasets[0], model)
-    counts = np.array([np.concatenate(d.counts) for d in datasets], dtype=np.float64)
+    _, q, counts = _sample(design, p, model, seed, range(replications))
     return _fit(q, counts) @ model.u
 
 

@@ -650,6 +650,30 @@ class TestMain:
         assert report["replications"] == 20
         assert report["predicted_variance"] > 0
 
+    def test_consecutive_calls_share_no_values(self, capsys):
+        # the parser is built once per process; every call parses afresh
+        row1 = fixture_path("table1_row1")
+        assert main(["budget", "--config", row1, "--moe", "0.01", "--alpha", "0.1"]) == 0
+        assert json.loads(capsys.readouterr().out)["alpha"] == 0.1
+        assert main(["budget", "--config", row1]) == 1
+        assert capsys.readouterr().err.startswith("error: options.moe: ")
+        argv = ["simulate", "--config", row1, "--seed", "3", "--replications", "8"]
+        assert main([*argv, "--output", "table"]) == 0
+        assert "replications: 8" in capsys.readouterr().out
+        assert main(["c-optimal", "--config", row1]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "c-optimal"
+        assert main(["simulate", "--config", row1]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["seed"], report["replications"]) == (0, 200)
+
+    def test_simulate_at_a_point_summing_just_above_one(self, capsys, tmp_path):
+        # the point passes validation (sum <= 1 + 1e-9), so sampling must take it
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(edited(ROW1, [0.5, 0.5 + 5e-10, 0.0], "scenario", "point")))
+        assert main(["simulate", "--config", str(path), "--replications", "8"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["replications"] == 8 and report["parameter"][1] == 0.5 + 5e-10
+
     def test_render_table_matches_machine_report(self):
         config = load_config(fixture_path("table1_row1"))
         report = run(config, "c-optimal")

@@ -2,6 +2,8 @@
 against a brute-force grid oracle and an independent stationarity check,
 and the empirical-versus-predicted variance comparison."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -24,7 +26,7 @@ from serodesign import (
     solve_c_optimal,
 )
 from serodesign.model import _pattern_tables
-from serodesign.simulate import MLE_TOL, _stream
+from serodesign.simulate import MLE_TOL, _sample, _stream
 
 P0 = np.array([0.10, 0.30, 0.01])
 C = 1e7
@@ -135,6 +137,48 @@ class TestSampling:
                         for got, want in zip(dataset.counts, expected):
                             assert got.dtype == want.dtype
                             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("replications", [1, 7, 30])
+    def test_one_pass_matches_each_replication_bitwise(self, model_row1, replications):
+        # the batched count matrix holds, row by row, what sample_outcomes
+        # draws for that replication alone, on uniform designs whose small
+        # budgets leave patterns empty and on a design over a subset
+        patterns = all_patterns(model_row1)
+        uniform = np.full(len(patterns), 1.0 / len(patterns))
+        designs = [design_from_fractions(uniform, budget, patterns) for budget in (2e3, 4e3, C)]
+        assert (designs[0].integer_counts == 0).any() and (designs[1].integer_counts == 0).any()
+        subset = [patterns[1], patterns[4], patterns[6]]
+        designs.append(design_from_fractions([0.2, 0.5, 0.3], 1e5, subset))
+        for design in designs:
+            for seed in (0, 5, 123):
+                drawn, _, counts = _sample(design, P0, model_row1, seed, range(replications))
+                assert counts.dtype == np.int64 and counts.shape[0] == replications
+                for r, row in enumerate(counts):
+                    dataset = sample_outcomes(design, P0, model_row1, seed, replication=r)
+                    assert drawn == dataset.patterns
+                    assert row.tobytes() == np.concatenate(dataset.counts).tobytes()
+
+    def test_budget_buying_no_participant_rejected(self, model_row1):
+        full = make_pattern((1, 1, 1), model_row1)
+        design = design_from_fractions([1.0], 0.5 * full.cost, [full])
+        message = re.escape(
+            f"budget {design.budget:g} buys no participant: "
+            "the design has no pattern with a positive integer count"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_outcomes(design, P0, model_row1, seed=0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate_estimates(P0, model_row1, design, replications=3, seed=0)
+
+    def test_point_summing_just_above_one(self, model_row1, row1_solution):
+        # a parameter may sum to 1 + 1e-9, beyond what numpy's multinomial takes
+        p = np.array([0.5, 0.5 + 5e-10, 0.0])
+        design = row1_solution.design
+        dataset = sample_outcomes(design, p, model_row1, seed=4)
+        drawn = design.integer_counts[design.integer_counts > 0]
+        assert [int(c.sum()) for c in dataset.counts] == [int(n) for n in drawn]
+        estimates = simulate_estimates(p, model_row1, design, replications=3, seed=4)
+        assert np.isfinite(estimates).all()
 
     def test_frequencies_match_mixture_at_scale(self, model_row1):
         # one million participants on the full pattern: a goodness-of-fit
