@@ -28,9 +28,9 @@ print("=" * 72)
 report = worst_case_design(box, model, grid_step=0.01, budget=BUDGET)
 design = report.design
 print(f"worst-case parameter p* = {report.p_star}")
-print(f"game value a(v*; p*)    = {report.game_value:.4f}")
+print(f"game value a(v*; p*)    = {report.objective:.4f}")
 print(f"certified saddle gap    = {report.saddle_gap:.3e} "
-      f"({report.saddle_gap / report.game_value:.2e} relative)")
+      f"({report.saddle_gap / report.objective:.2e} relative)")
 for pattern, fraction, count in zip(design.patterns, design.fractions, design.integer_counts):
     if count > 0:
         print(f"  pattern {pattern.label}: {100 * fraction:5.2f}% of budget, {count:>6} participants")

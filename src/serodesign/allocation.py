@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -23,10 +23,11 @@ from .coptimal import (
     Design,
     InfeasibleDesignError,
     SolveReport,
+    _require_budget,
     solve_c_optimal,
 )
-from .minimax import SaddleReport, worst_case_design
-from .model import DiseaseModel, ParameterBox, validate_parameter
+from .minimax import worst_case_design
+from .model import DiseaseModel, ParameterBox
 
 __all__ = [
     "StratumSpec",
@@ -96,8 +97,12 @@ class StratumAllocation:
 
     name: str
     fraction: float
-    criterion_value: float  # a_d at the stratum's optimal fractions
-    report: Union[SolveReport, SaddleReport]  # priced at the stratum's budget
+    report: SolveReport  # priced at the stratum's budget; a SaddleReport for a box
+
+    @property
+    def criterion_value(self) -> float:
+        """a_d, the criterion value at the stratum's optimal fractions."""
+        return self.report.objective
 
     @property
     def design(self) -> Design:
@@ -149,14 +154,6 @@ class AllocationReport:
         }
 
 
-def _split_budget(
-    budget: float, fractions: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """Budget shares proportional to fraction * sqrt(criterion value)."""
-    weights = fractions * np.sqrt(values)
-    return budget * weights / weights.sum()
-
-
 def validate_entries(specs: Sequence[StratumSpec | GroupSpec], kind: str) -> np.ndarray:
     """Check a list of strata or groups and return their population fractions.
 
@@ -181,8 +178,7 @@ def _allocate(specs, kind: str, budget: float, solve) -> AllocationReport:
     """
     specs = list(specs)
     fractions = validate_entries(specs, kind)
-    if not budget > 0:
-        raise ValueError(f"budget must be positive, got {budget}")
+    _require_budget(budget)
 
     reports = []
     for s in specs:
@@ -190,18 +186,11 @@ def _allocate(specs, kind: str, budget: float, solve) -> AllocationReport:
             reports.append(solve(s))
         except InfeasibleDesignError as err:
             raise InfeasibleDesignError(f"{kind} {s.name!r}: {err}") from err
-    values = np.array(
-        [r.game_value if isinstance(r, SaddleReport) else r.objective for r in reports]
-    )
-    budgets = _split_budget(budget, fractions, values)
+    weights = fractions * np.sqrt([r.objective for r in reports])
+    budgets = budget * weights / weights.sum()
     entries = tuple(
-        StratumAllocation(
-            name=s.name,
-            fraction=s.fraction,
-            criterion_value=float(a),
-            report=r.priced(float(b)),
-        )
-        for s, b, a, r in zip(specs, budgets, values, reports)
+        StratumAllocation(name=s.name, fraction=s.fraction, report=r.priced(float(b)))
+        for s, b, r in zip(specs, budgets, reports)
     )
     return AllocationReport(entries=entries, budget=budget)
 
@@ -223,8 +212,7 @@ def allocate_districts(
 
     def solve(s: StratumSpec):
         if s.point is not None:
-            p = validate_parameter(s.point, model.k)
-            return solve_c_optimal(p, model)
+            return solve_c_optimal(s.point, model)
         return worst_case_design(s.box, model, grid_step=grid_step)
 
     return _allocate(strata, "stratum", budget, solve)
@@ -244,9 +232,7 @@ def allocate_groups(
     """
 
     def solve(g: GroupSpec):
-        group_model = g.model(model)
-        p = validate_parameter(g.point, group_model.k)
-        return solve_c_optimal(p, group_model)
+        return solve_c_optimal(g.point, g.model(model))
 
     return _allocate(groups, "group", budget, solve)
 

@@ -34,6 +34,7 @@ from .model import (
     TestPattern,
     _a1,
     _fisher_info_grid,
+    _require_finite,
     all_patterns,
     check_a1,
     fisher_info,
@@ -99,6 +100,23 @@ class ConvergenceError(Exception):
         self.best = best
 
 
+def _fractions(v, n: int) -> np.ndarray:
+    """v as n finite, nonnegative budget fractions; tiny negatives from
+    roundoff are clipped to 0."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (n,):
+        raise ValueError(f"need one fraction per pattern, got shape {v.shape}")
+    _require_finite(v, "fraction")
+    if (v < -1e-12).any():
+        raise ValueError(f"fractions must be nonnegative, got {v}")
+    return np.maximum(v, 0.0)
+
+
+def _require_budget(budget: float) -> None:
+    if not 0 < budget < math.inf:
+        raise ValueError(f"budget must be positive and finite, got {budget}")
+
+
 @dataclass(frozen=True, eq=False)
 class Design:
     """Budget fractions over test patterns and the implied participant counts."""
@@ -108,16 +126,10 @@ class Design:
     budget: float
 
     def __post_init__(self):
-        fractions = np.asarray(self.fractions, dtype=np.float64)
-        if fractions.shape != (len(self.patterns),):
-            raise ValueError("need one fraction per pattern")
-        if (fractions < -1e-12).any():
-            raise ValueError(f"fractions must be nonnegative, got {fractions}")
+        fractions = _fractions(self.fractions, len(self.patterns))
         if abs(fractions.sum() - 1.0) > 1e-9:
             raise ValueError(f"fractions must sum to 1, got {float(fractions.sum())!r}")
-        if not 0 < self.budget < math.inf:
-            raise ValueError(f"budget must be positive and finite, got {self.budget}")
-        fractions = np.maximum(fractions, 0.0)
+        _require_budget(self.budget)
         fractions.setflags(write=False)
         object.__setattr__(self, "patterns", tuple(self.patterns))
         object.__setattr__(self, "fractions", fractions)
@@ -289,12 +301,7 @@ def _sensitivities(infos: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _evaluate(v, p, model: DiseaseModel):
     """Validated fractions, pattern informations and _criterion at p."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (len(all_patterns(model)),):
-        raise ValueError(f"need one fraction per pattern, got shape {v.shape}")
-    if (v < -1e-12).any():
-        raise ValueError(f"fractions must be nonnegative, got {v}")
-    v = np.maximum(v, 0.0)
+    v = _fractions(v, len(all_patterns(model)))
     infos = _pattern_infos(validate_parameter(p, model.k), model)
     return (v, infos) + _criterion(v, infos, model.u)
 

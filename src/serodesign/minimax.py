@@ -8,7 +8,9 @@ The maximizer is the grid point of the feasible box (a small box
 intersected with the simplex) with the largest inner optimum
 ``min_v a(v; p)``; the inner minimization reuses the c-optimal solver, and
 the returned pair is certified by re-evaluating the design across the
-whole grid.
+whole grid.  A worst-case report is therefore a SolveReport at p*: its
+objective is the game value, and it adds p*, the saddle gap and the grid
+step.
 
 The grid is scanned best-first instead of exhaustively.  Every solved
 design ``v`` bounds the inner optimum from above at every grid point,
@@ -28,12 +30,11 @@ and iteration count that solving every grid point would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coptimal import (
-    Design,
     InfeasibleDesignError,
     SolveReport,
     _criterion,
@@ -78,38 +79,28 @@ PRUNE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
-class SaddleReport:
+class SaddleReport(SolveReport):
     """A certified approximate equilibrium of the worst-case design game.
 
-    ``inner`` is the minimizing player's design with its criterion value
-    a(v*; p*), the game value, and its first-order residual at p*.
+    A worst-case report is a SolveReport at p*: its design is the
+    minimizing player's fractions, its ``objective`` the game value
+    a(v*; p*) and its ``kkt_residual`` the first-order residual at p*.
+    ``saddle_gap`` is ``max_p a(v*; p) - a(v*; p*)`` over the grid of
+    step ``grid_step``.
     """
 
-    inner: SolveReport
     p_star: np.ndarray
     saddle_gap: float
     grid_step: float
 
-    @property
-    def design(self) -> Design:
-        return self.inner.design
-
-    @property
-    def game_value(self) -> float:
-        return self.inner.objective
-
-    def priced(self, budget: float) -> SaddleReport:
-        """This report with its design priced at ``budget``."""
-        return replace(self, inner=self.inner.priced(budget))
-
     def to_dict(self) -> dict:
         return {
             "p_star": [float(x) for x in self.p_star],
-            "game_value": self.game_value,
+            "game_value": self.objective,
             "saddle_gap": self.saddle_gap,
             "grid_step": self.grid_step,
-            "kkt_residual": self.inner.kkt_residual,
-            "min_variance": self.inner.min_variance,
+            "kkt_residual": self.kkt_residual,
+            "min_variance": self.min_variance,
             "design": self.design.to_dict(),
         }
 
@@ -211,13 +202,15 @@ def worst_case_design(
         g = _sensitivities(infos_star, x)
         residual = _kkt_residual_from(g, game_value, v_star)
 
-    inner = SolveReport(
+    return SaddleReport(
         design=design_from_fractions(v_star, budget, all_patterns(model)),
         objective=game_value,
         kkt_residual=residual,
         iterations=iterations,
+        p_star=p_star,
+        saddle_gap=gap,
+        grid_step=grid_step,
     )
-    return SaddleReport(inner=inner, p_star=p_star, saddle_gap=gap, grid_step=grid_step)
 
 
 def saddle_check(

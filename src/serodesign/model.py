@@ -119,6 +119,7 @@ class DiseaseModel:
             raise ValueError(
                 f"u must have length k={nominal.shape[0] - 1}, got shape {u.shape}"
             )
+        _require_finite(u, "u entry")
         if not np.any(u):
             raise ValueError("u must be nonzero")
         nominal.setflags(write=False)
@@ -295,14 +296,14 @@ class ParameterBox:
 
     def lattice_size(self, step: float) -> int:
         """Number of points of the box's lattice at ``step``, before the
-        simplex cut; raises when the step is not positive or the lattice
-        holds more than MAX_GRID_POINTS points.
+        simplex cut; raises when the step is not positive and finite, or
+        when the lattice holds more than MAX_GRID_POINTS points.
 
         Each axis holds the ``np.arange`` samples of ``grid``; the upper
         face it may add is not counted.
         """
-        if not step > 0:
-            raise ValueError(f"grid step must be positive, got {step}")
+        if not 0 < step < math.inf:
+            raise ValueError(f"grid step must be positive and finite, got {step}")
         with np.errstate(over="ignore"):  # a tiny step counts to inf
             size = float(np.prod(np.ceil((self.upper + 0.5 * step - self.lower) / step)))
         if size > MAX_GRID_POINTS:

@@ -197,7 +197,7 @@ def test_criterion_06_budget_scaling_exactness(model_row1):
 
 
 def test_criterion_07_kkt_residuals(row1, row2, row3, row4_worst_case, row5):
-    reports = [row1[0], row2, row3, row4_worst_case[0].inner] + [
+    reports = [row1[0], row2, row3, row4_worst_case[0]] + [
         e.report for e in row5.entries
     ]
     relative = [r.kkt_residual / r.objective for r in reports]

@@ -17,6 +17,9 @@ from serodesign import (
     allocate_groups,
     solve_c_optimal,
 )
+from serodesign import allocation
+
+from conftest import ROW4_BOX
 
 P0 = np.array([0.10, 0.30, 0.01])
 C = 1e7
@@ -120,6 +123,31 @@ class TestDistrictAllocation:
         strata = [StratumSpec(name="doomed", fraction=1.0, point=P0)]
         with pytest.raises(InfeasibleDesignError, match="doomed"):
             allocate_districts(strata, flat, C)
+
+    @pytest.mark.parametrize("budget", [math.inf, 0.0, -1.0])
+    def test_bad_budget_rejected_before_any_solve(self, model_row4, monkeypatch, budget):
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("solve_c_optimal", "worst_case_design"):
+            monkeypatch.setattr(allocation, name, counting(getattr(allocation, name)))
+        strata = [
+            StratumSpec(name="point", fraction=0.5, point=P0),
+            StratumSpec(name="box", fraction=0.5, box=ROW4_BOX),
+        ]
+        groups = [GroupSpec(name="all", fraction=1.0, point=P0)]
+        message = f"budget must be positive and finite, got {budget}"
+        with pytest.raises(ValueError, match=message):
+            allocate_districts(strata, model_row4, budget)
+        with pytest.raises(ValueError, match=message):
+            allocate_groups(groups, model_row4, budget)
+        assert calls == []
 
 
 class TestGroupAllocation:

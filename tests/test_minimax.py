@@ -55,14 +55,14 @@ class TestWorstCaseDesign:
         # budget split: about 2.5% on antibody-only, the rest on RTPCR+antibody
         v001 = report.design.fraction((0, 0, 1))
         assert v001 * 100 == pytest.approx(2.5, abs=0.3)
-        assert 0.0 <= report.saddle_gap <= SADDLE_TOL * report.game_value
+        assert 0.0 <= report.saddle_gap <= SADDLE_TOL * report.objective
 
     def test_point_box_reduces_to_local_solve(self, model_row1):
         box = ParameterBox(lower=ROW1_POINT, upper=ROW1_POINT)
         saddle = worst_case_design(box, model_row1, grid_step=0.01, budget=1e7)
         local = solve_c_optimal(ROW1_POINT, model_row1, budget=1e7)
         assert np.allclose(saddle.design.fractions, local.design.fractions, atol=1e-9)
-        assert saddle.game_value == pytest.approx(local.objective, rel=1e-12)
+        assert saddle.objective == pytest.approx(local.objective, rel=1e-12)
         assert np.allclose(saddle.p_star, ROW1_POINT)
 
     def test_restricting_to_one_pattern_costs_accuracy(self, model_row4, row4_worst_case):
@@ -80,10 +80,10 @@ class TestWorstCaseDesign:
 
     def test_game_value_matches_payoff_at_saddle(self, model_row4, row4_worst_case):
         report, _ = row4_worst_case
-        assert report.game_value == pytest.approx(
+        assert report.objective == pytest.approx(
             objective(report.design.fractions, report.p_star, model_row4), rel=1e-9
         )
-        assert report.inner.kkt_residual <= 1e-6 * report.game_value
+        assert report.kkt_residual <= 1e-6 * report.objective
 
     def test_infeasible_box_raises(self):
         from serodesign import InfeasibleDesignError, default_model
@@ -105,7 +105,7 @@ class TestWorstCaseDesign:
         monkeypatch.setattr(minimax, "SADDLE_TOL", 2e-4)
         refined = worst_case_design(ROW4_BOX, model_row4, grid_step=0.01)
         assert np.array_equal(refined.p_star, unrefined.p_star)
-        assert refined.saddle_gap <= 2e-4 * refined.game_value
+        assert refined.saddle_gap <= 2e-4 * refined.objective
         assert refined.saddle_gap < unrefined.saddle_gap
 
 
@@ -115,7 +115,7 @@ class TestWorstCaseDesign:
         fresh = worst_case_design(ROW4_BOX, model_row4, grid_step=0.01, budget=budget)
         assert json.dumps(report.to_dict()) == json.dumps(fresh.to_dict())
         assert report.design.fractions.tobytes() == fresh.design.fractions.tobytes()
-        assert report.inner.min_variance == fresh.inner.min_variance
+        assert report.min_variance == fresh.min_variance
 
 
 class TestSaddleCheck:
@@ -125,8 +125,8 @@ class TestSaddleCheck:
             report.design.fractions, report.p_star, ROW4_BOX, model_row4, grid_step=0.01
         )
         assert gap_p >= -1e-9 and gap_v >= -1e-9
-        assert gap_p <= SADDLE_TOL * report.game_value
-        assert gap_v <= SADDLE_TOL * report.game_value
+        assert gap_p <= SADDLE_TOL * report.objective
+        assert gap_v <= SADDLE_TOL * report.objective
 
     def test_minimax_dominates_maximin(self, model_row4):
         rng = np.random.default_rng(30)
@@ -160,15 +160,15 @@ class TestGridBehavior:
         gap_p, gap_v = saddle_check(
             report.design.fractions, report.p_star, ROW4_BOX, model_row4, grid_step=0.01
         )
-        minimax_upper = report.game_value + gap_p
-        assert report.game_value <= minimax_upper + 1e-12
-        assert minimax_upper - report.game_value <= SADDLE_TOL * report.game_value
+        minimax_upper = report.objective + gap_p
+        assert report.objective <= minimax_upper + 1e-12
+        assert minimax_upper - report.objective <= SADDLE_TOL * report.objective
 
     def test_refining_grid_never_loses_value(self, model_row4, row4_worst_case):
         report_fine, _ = row4_worst_case
         report_coarse = worst_case_design(ROW4_BOX, model_row4, grid_step=0.02)
-        assert report_fine.game_value >= report_coarse.game_value - (
-            SADDLE_TOL * report_coarse.game_value
+        assert report_fine.objective >= report_coarse.objective - (
+            SADDLE_TOL * report_coarse.objective
         )
 
 
@@ -214,9 +214,9 @@ def assert_matches_exhaustive(report, reference):
     p_star, fractions, value, gap, iterations, _ = reference
     assert np.array_equal(report.p_star, p_star)
     assert np.array_equal(report.design.fractions, fractions)
-    assert report.game_value == value
+    assert report.objective == value
     assert report.saddle_gap == gap
-    assert report.inner.iterations == iterations
+    assert report.iterations == iterations
 
 
 def random_box(rng):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from serodesign import (
+    Design,
     DiseaseModel,
     ParameterBox,
     TestSpec,
@@ -17,9 +18,12 @@ from serodesign import (
     conditional_prob,
     default_model,
     fisher_info,
+    kkt_check,
     make_pattern,
     mixture_prob,
+    objective,
     outcome_space,
+    saddle_check,
     solve_c_optimal,
     worst_case_design,
 )
@@ -33,6 +37,7 @@ from _suites import finite_difference_fisher, random_interior_points
 
 NA = None
 P0 = np.array([0.10, 0.30, 0.01])
+SMALL_BOX = ParameterBox(lower=[0.08, 0.28, 0.0], upper=[0.12, 0.32, 0.02])
 
 
 def uninformative_model():
@@ -142,6 +147,34 @@ class TestNonFiniteInputs:
     def test_infinite_box_bound_rejected(self):
         with pytest.raises(ValueError, match=r"box upper bound 1 must be finite, got inf"):
             ParameterBox(lower=[0.0, 0.1, 0.0], upper=[0.1, np.inf, 0.02])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(
+                lambda m, v: Design(patterns=all_patterns(m), fractions=v, budget=1e7), id="design"
+            ),
+            pytest.param(lambda m, v: objective(v, P0, m), id="objective"),
+            pytest.param(lambda m, v: kkt_check(v, P0, m), id="kkt_check"),
+            pytest.param(lambda m, v: saddle_check(v, P0, SMALL_BOX, m), id="saddle_check"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_fractions_rejected(self, call, bad):
+        v = np.full(7, 1.0 / 6.0)
+        v[2] = bad
+        with pytest.raises(ValueError, match=f"fraction 2 must be finite, got {bad}"):
+            call(default_model(), v)
+
+    def test_infinite_grid_step_rejected(self):
+        with pytest.raises(ValueError, match=r"grid step must be positive and finite, got inf"):
+            SMALL_BOX.lattice_size(np.inf)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        base = default_model()
+        with pytest.raises(ValueError, match=f"u entry 0 must be finite, got {bad}"):
+            DiseaseModel(tests=base.tests, nominal=base.nominal, u=[bad, 1.0, 1.0])
 
 
 class TestOutcomeSpace:
