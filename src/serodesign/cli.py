@@ -489,8 +489,8 @@ def run(config: RunConfig, subcommand: str, design_path: str | None = None) -> d
         if moe is None:
             raise ConfigError("options.moe", "budget subcommand needs a margin of error")
         solve = solve_c_optimal(scenario, model)
-        required = _margin_budget(solve, moe, alpha)
         with _at("options.moe"):
+            required = _margin_budget(solve, moe, alpha)
             solve = solve.priced(required)
         return {
             **header,

@@ -568,9 +568,14 @@ def _margin_budget(report: SolveReport, moe: float, alpha: float) -> float:
     """The budget at which ``report``'s design meets margin ``moe`` at level
     alpha, ``z^2 a(v*) / moe^2``; the fractions do not depend on the budget,
     so the report priced there is the optimal design at that budget."""
-    if not moe > 0:
-        raise ValueError(f"margin of error must be positive, got {moe}")
+    if not 0 < moe < math.inf:
+        raise ValueError(f"margin of error must be positive and finite, got {moe}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
     z = abs(normal_quantile(alpha / 2.0))
-    return z * z * report.objective / (moe * moe)
+    budget = z * z * report.objective / (moe * moe) if moe * moe else math.inf  # underflow to 0
+    if not 0 < budget < math.inf:
+        raise ValueError(
+            f"margin of error {moe:g} gives a budget of {budget:g}, not positive and finite"
+        )
+    return budget

@@ -224,11 +224,16 @@ def saddle_check(
 
     Returns ``(max_p a(v; p) - a(v; p*), a(v; p*) - min_v a(v; p*))``, the
     first maximized over the feasible grid and the second via one
-    c-optimal solve at p*.  Both are nonnegative up to roundoff, and both
-    below the saddle tolerance certify an approximate equilibrium.
+    c-optimal solve at p*.  The second is nonnegative up to roundoff, and
+    so is the first when p* is a grid point; both below the saddle
+    tolerance certify an approximate equilibrium.  Raises when p* lies
+    outside the box's bounds by more than the grid's 1e-12 slack.
     """
     v, infos_star, at_p_star, _ = _evaluate(v, p_star, model)
-    grid_infos = _pattern_infos(_box_grid(box, model, grid_step), model)
-    values = _criterion(v, grid_infos, model.u)[0]
+    pts = _box_grid(box, model, grid_step)
+    p_star = np.asarray(p_star, dtype=np.float64)
+    if (p_star < box.lower - 1e-12).any() or (p_star > box.upper + 1e-12).any():
+        raise ValueError(f"p* {p_star} lies outside the box from {box.lower} to {box.upper}")
+    values = _criterion(v, _pattern_infos(pts, model), model.u)[0]
     inner_value = _solve_simplex(infos_star, model.u)[1]
     return float(values.max() - at_p_star), float(at_p_star - inner_value)

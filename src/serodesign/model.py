@@ -14,7 +14,7 @@ Every outcome of every pattern is one row of a stacked pattern table,
 built once per model in one vectorized pass and cached: the rows follow
 ``all_patterns`` order and, within a pattern, ``outcome_space`` order.
 A row holds ``P(y | state)`` for every state, its deviation ``d`` from
-the reference state and the packed outer product ``d d'``, so the Fisher
+the reference state and the flattened outer product ``d d'``, so the Fisher
 information of every pattern, at one parameter point or on a whole grid,
 is a sum of rows weighted by the reciprocal mixture probabilities, and
 the assumption checks A1 and A2 are batched eigenvalue solves on it.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -151,25 +151,18 @@ class DiseaseModel:
         """New model with per-test sensitivity/specificity replaced.
 
         ``overrides`` maps test id to a dict with any of the keys
-        ``sensitivity`` and ``specificity``; unspecified entries inherit
-        from this model.
+        ``sensitivity`` and ``specificity``, and no other; unspecified
+        entries, and every cost, inherit from this model.
         """
         for test_id in overrides:
             self.test_index(test_id)  # raises KeyError for unknown ids
         tests = []
         for t in self.tests:
             ov = overrides.get(t.id, {})
-            unknown = set(ov) - {"sensitivity", "specificity", "cost"}
+            unknown = set(ov) - {"sensitivity", "specificity"}
             if unknown:
                 raise ValueError(f"override for test {t.id!r} has unknown keys {sorted(unknown)}")
-            tests.append(
-                TestSpec(
-                    id=t.id,
-                    cost=ov.get("cost", t.cost),
-                    sensitivity=ov.get("sensitivity", t.sensitivity),
-                    specificity=ov.get("specificity", t.specificity),
-                )
-            )
+            tests.append(replace(t, **ov))
         return DiseaseModel(tests=tuple(tests), nominal=self.nominal, u=self.u)
 
 
@@ -416,10 +409,9 @@ class _PatternTable:
     ``i`` are ``spans[i]``, in outcome_space order; ``starts`` holds the
     first row of every pattern.
     ``q[r, s] = P(y_r | state s)``, ``d = q[:, :k]`` minus the
-    reference column ``q_ref``, and ``outer`` packs the upper triangle of
-    ``d_r d_r'`` row by row; ``unpack`` gathers a packed triangle back
-    into a flattened symmetric ``k x k`` matrix.  The mixture probability
-    of row r at p is ``q_ref[r] + d[r] @ p``.
+    reference column ``q[:, k]``, and row r of ``outer`` is ``d_r d_r'``
+    flattened to ``k * k`` entries.  The mixture probability of row r at
+    p is ``q[r, k] + d[r] @ p``.
     """
 
     patterns: tuple[TestPattern, ...]
@@ -428,9 +420,7 @@ class _PatternTable:
     starts: np.ndarray
     q: np.ndarray
     d: np.ndarray
-    q_ref: np.ndarray
     outer: np.ndarray
-    unpack: np.ndarray
 
     def positions(self, patterns: Sequence[TestPattern]) -> list[int]:
         try:
@@ -472,9 +462,6 @@ def _pattern_tables(model: DiseaseModel) -> _PatternTable:
         factor = np.where(match, correct[:, j], 1.0 - correct[:, j])
         q *= np.where(conducted[:, j, None], factor, 1.0)
     d = q[:, :k] - q[:, k:]
-    upper_i, upper_j = np.triu_indices(k)
-    unpack = np.zeros((k, k), dtype=np.int64)
-    unpack[upper_i, upper_j] = unpack[upper_j, upper_i] = np.arange(upper_i.size)
 
     masks = (np.arange(1, 2**n)[:, None] & weights) > 0  # all_patterns order
     costs = np.zeros(masks.shape[0])
@@ -492,11 +479,9 @@ def _pattern_tables(model: DiseaseModel) -> _PatternTable:
         starts=np.array(offsets[:-1]),
         q=q,
         d=d,
-        q_ref=q[:, k].copy(),
-        outer=d[:, upper_i] * d[:, upper_j],
-        unpack=unpack.ravel(),
+        outer=(d[:, :, None] * d[:, None, :]).reshape(-1, k * k),
     )
-    for name in ("starts", "q", "d", "q_ref", "outer", "unpack"):
+    for name in ("starts", "q", "d", "outer"):
         getattr(table, name).setflags(write=False)
     return table
 
@@ -509,20 +494,20 @@ def _fisher_info_grid(p, model: DiseaseModel):
     giving (T, m, k, k).  Entry (i, j) of pattern t sums ``d_i d_j / P(y)``
     over its outcomes.  At a point every pattern's rows are summed at once;
     on a grid each pattern is one product of its reciprocal mixture
-    probabilities with its packed outer products, so no (m, rows, k^2)
-    array is formed.  Points are not validated here.
+    probabilities with its outer-product rows, so no (m, rows, k^2) array
+    is formed.  The reference column ``q[:, k]`` is read in place.
+    Points are not validated here.
     """
     table = _pattern_tables(model)
     p = np.asarray(p, dtype=np.float64)
     k = model.k
     if p.ndim == 1:
-        weighted = table.outer / (table.q_ref + table.d @ p)[:, None]
-        packed = np.add.reduceat(weighted, table.starts, axis=0)
-        return packed[:, table.unpack].reshape(-1, k, k)
+        weighted = table.outer / (table.q[:, k] + table.d @ p)[:, None]
+        return np.add.reduceat(weighted, table.starts, axis=0).reshape(-1, k, k)
     infos = np.empty((len(table.spans), p.shape[0], k * k))
     for out, rows in zip(infos, table.spans):
-        mix = table.q_ref[rows] + p @ table.d[rows].T
-        np.take(np.reciprocal(mix, out=mix) @ table.outer[rows], table.unpack, axis=1, out=out)
+        mix = table.q[rows, k] + p @ table.d[rows].T
+        np.matmul(np.reciprocal(mix, out=mix), table.outer[rows], out=out)
     return infos.reshape(len(table.spans), p.shape[0], k, k)
 
 

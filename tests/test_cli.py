@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import serodesign
-from serodesign import budget_for_margin, coptimal, solve_c_optimal
+from serodesign import budget_for_margin, coptimal, simulate, solve_c_optimal
 from serodesign.coptimal import _solve_simplex
 from serodesign.cli import (
     _SCENARIO_FOR,
@@ -300,6 +300,10 @@ MALFORMED = {
         "groups", edited(ROW5, 1.5, "scenario", "groups", 0, "overrides", "rat", "sensitivity"),
         [], None, "scenario.groups[0].overrides.rat",
     ),
+    "override-cost": (
+        "groups", edited(ROW5, 10, "scenario", "groups", 0, "overrides", "rat", "cost"),
+        [], None, "scenario.groups[0].overrides.rat",
+    ),
     "override-range-check": (
         "check-assumptions",
         edited(ROW5, 1.5, "scenario", "groups", 0, "overrides", "rat", "sensitivity"),
@@ -377,6 +381,9 @@ MALFORMED = {
         "strata", edited(STRATA, 1e22, "budget"), [], None, "budget",
     ),
     "moe-beyond-exact-counts": ("budget", ROW1, ["--moe", "1e-10"], None, "options.moe"),
+    # moe * moe underflows to 0: no finite budget meets the margin
+    "moe-squared-underflows-1e-170": ("budget", ROW1, ["--moe", "1e-170"], None, "options.moe"),
+    "moe-squared-underflows-1e-300": ("budget", ROW1, ["--moe", "1e-300"], None, "options.moe"),
     "design-budget-beyond-exact-counts": (
         "simulate", ROW1, [], json.dumps(edited(SAVED_DESIGN, 1e22, "design", "budget")),
         "design.budget",
@@ -621,6 +628,12 @@ class TestMain:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: options.") and "Traceback" not in err
+
+    def test_mle_step_cap_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(simulate, "MLE_MAX_STEPS", 0)
+        argv = ["simulate", "--config", fixture_path("table1_row1"), "--replications", "8"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("solver error: MLE did not converge")
 
     def test_replications_minimum_in_config(self):
         doc = copy.deepcopy(ROW1)

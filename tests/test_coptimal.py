@@ -30,6 +30,7 @@ from serodesign import (
     objective_gradient,
     solve_c_optimal,
 )
+from serodesign import coptimal
 from serodesign.coptimal import KKT_TOL, _criterion, _nonsingular
 from _suites import (
     golden_section_two_pattern,
@@ -329,6 +330,18 @@ class TestTypedErrors:
                 outcomes["certified"] += 1
         assert outcomes["certified"] >= 1 and outcomes["typed"] >= 1
 
+    def test_newton_step_cap_raises(self, monkeypatch, model_row1):
+        monkeypatch.setattr(coptimal, "MAX_NEWTON_STEPS", 3)
+        with pytest.raises(
+            ConvergenceError, match="no certified optimum after 3 of at most 3 Newton steps"
+        ):
+            solve_c_optimal(P0, model_row1)
+
+    def test_no_feasible_barrier_step_raises(self, monkeypatch, model_row1):
+        monkeypatch.setattr(coptimal, "MAX_BACKTRACKS", 0)
+        with pytest.raises(ConvergenceError, match="no strictly feasible barrier step"):
+            solve_c_optimal(P0, model_row1)
+
 
 # A three-point design of the benchmark's fixed requests.
 THREE_POINT_CASE = {
@@ -482,3 +495,9 @@ class TestBudgetForMargin:
             budget_for_margin(P0, model_row1, moe=0.0)
         with pytest.raises(ValueError, match="alpha"):
             budget_for_margin(P0, model_row1, moe=0.01, alpha=1.5)
+
+    @pytest.mark.parametrize("moe", [math.inf, 1e-300, 1e-170, 1e300])
+    def test_rejects_a_margin_without_a_positive_finite_budget(self, model_row1, moe):
+        # moe * moe is inf, underflows to 0, or gives a budget of 0 or inf
+        with pytest.raises(ValueError, match="margin of error"):
+            budget_for_margin(P0, model_row1, moe=moe)

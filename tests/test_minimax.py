@@ -151,6 +151,17 @@ class TestSaddleCheck:
         assert gap_p == pytest.approx(0.0, abs=1e-12)
         assert gap_v <= 1e-6 * local.objective
 
+    def test_p_star_outside_the_box_rejected(self):
+        # its first gap would be negative: a(v; p*) far beyond the box
+        # exceeds every value on the grid
+        box = ParameterBox(lower=[0.0, 0.0, 0.0], upper=[0.1, 0.1, 0.1])
+        v = np.full(7, 1.0 / 7.0)
+        with pytest.raises(ValueError, match=r"p\* .* lies outside the box"):
+            saddle_check(v, [0.5, 0.4, 0.05], box, default_model())
+        within_slack = np.array([0.1 + 5e-13, 0.05, 0.0])
+        gap_p, _ = saddle_check(v, within_slack, box, default_model(), grid_step=0.05)
+        assert gap_p >= -1e-9
+
 
 class TestGridBehavior:
     def test_value_sandwich(self, model_row4, row4_worst_case):

@@ -58,6 +58,14 @@ class TestTypes:
             with pytest.raises(ValueError, match="cost"):
                 TestSpec(id="x", cost=cost, sensitivity=0.9, specificity=0.9)
 
+    def test_overrides_take_only_reliabilities(self):
+        base = default_model()
+        with pytest.raises(ValueError, match=r"unknown keys \['cost'\]"):
+            base.with_test_overrides({"rat": {"sensitivity": 0.68, "cost": 10}})
+        sharp = base.with_test_overrides({"rat": {"sensitivity": 0.68}})
+        assert sharp.tests[0] == TestSpec(id="rat", cost=450.0, sensitivity=0.68, specificity=0.975)
+        assert sharp.tests[1:] == base.tests[1:]
+
     def test_default_model_shape(self):
         m = default_model()
         assert m.k == 3

@@ -107,6 +107,9 @@ def test_rows_follow_outcome_space_and_conditional_prob(model):
             for y in outcome_space(t)
         ]
         assert np.array_equal(table.q[rows], expected)  # the same products, bit for bit
+    d = table.q[:, : model.k] - table.q[:, model.k :]
+    assert table.outer.shape == (table.q.shape[0], model.k**2)
+    assert np.array_equal(table.outer, np.stack([np.outer(row, row).ravel() for row in d]))
 
 
 @PROPERTY
@@ -131,8 +134,10 @@ def test_grid_informations_match_point_informations(data):
     pts = data.draw(interior_points(model.k, 4))
     grid = _fisher_info_grid(pts, model)
     assert grid.shape == (len(all_patterns(model)), 4, model.k, model.k)
+    assert grid.flags.c_contiguous
     for i, p in enumerate(pts):
         point = _fisher_info_grid(p, model)
+        assert point.flags.c_contiguous
         assert np.abs(grid[:, i] - point).max() <= 1e-12 * scale(point)
 
 

@@ -9,6 +9,7 @@ import pytest
 import scipy.stats
 
 from serodesign import (
+    ConvergenceError,
     SurveyDataset,
     all_patterns,
     conditional_prob,
@@ -26,6 +27,7 @@ from serodesign import (
     solve_c_optimal,
 )
 from serodesign.model import _pattern_tables
+from serodesign import simulate
 from serodesign.simulate import MLE_TOL, _sample, _stream
 
 P0 = np.array([0.10, 0.30, 0.01])
@@ -324,6 +326,17 @@ class TestMLE:
         ten = simulate_estimates(P0, model_row1, design, replications=10, seed=12)
         three = simulate_estimates(P0, model_row1, design, replications=3, seed=12)
         assert np.abs(ten[:3] - three).max() <= 1e-12
+
+    def test_step_cap_raises_with_the_last_iterates(self, monkeypatch, model_row1, row1_solution):
+        monkeypatch.setattr(simulate, "MLE_MAX_STEPS", 0)
+        design = row1_solution.design
+        dataset = sample_outcomes(design, P0, model_row1, seed=17, replication=0)
+        with pytest.raises(ConvergenceError, match="MLE did not converge") as single:
+            mle(dataset, model_row1)
+        assert single.value.best.shape == (1, model_row1.k)
+        with pytest.raises(ConvergenceError, match="MLE did not converge") as batched:
+            simulate_estimates(P0, model_row1, design, replications=5, seed=3)
+        assert batched.value.best.shape == (5, model_row1.k)
 
     def test_estimates_reproducible(self, model_row1, row1_solution):
         design = row1_solution.design
