@@ -278,16 +278,22 @@ def _criterion(v: np.ndarray, infos: np.ndarray, u: np.ndarray):
     """(a, x): the criterion a = u' A^{-1} u and x = A^{-1} u of A = sum_t v_t infos[t].
 
     ``infos`` is (T, k, k), or (T, m, k, k) to evaluate m parameter points
-    at once, in which case a has shape (m,) and x shape (m, k).  Where A
-    is numerically singular (smallest eigenvalue at most SINGULAR_RATIO
-    times the largest) a is +inf and x is nan; every other blend is
-    solved for x in one batched ``np.linalg.solve``.
+    at once, in which case a has shape (m,) and x shape (m, k).
     """
-    a = _blend(v, infos)
-    good = _nonsingular(a)
+    return _criterion_from(_blend(v, infos), u)
+
+
+def _criterion_from(blended: np.ndarray, u: np.ndarray):
+    """_criterion of a blended information A, (k, k) or (m, k, k).
+
+    Where A is numerically singular (smallest eigenvalue at most
+    SINGULAR_RATIO times the largest) the criterion is +inf and x is nan;
+    every other blend is solved for x in one batched ``np.linalg.solve``.
+    """
+    good = _nonsingular(blended)
     values = np.full(good.shape, math.inf)
-    x = np.full(a.shape[:-1], math.nan)
-    solved = np.linalg.solve(a[good], u)
+    x = np.full(blended.shape[:-1], math.nan)
+    solved = np.linalg.solve(blended[good], u)
     x[good] = solved
     values[good] = solved @ u
     return values[()], x
@@ -406,7 +412,8 @@ def _solve_simplex(infos: np.ndarray, u: np.ndarray):
     ``(sum_t B_t)^{-1} u`` with the most central tau; tau grows by
     TAU_GROWTH at each centred point (squared Newton decrement at most
     1/4), steps are damped by 1/(1 + sqrt(decrement)) while the decrement
-    exceeds 1, and halved until every slack stays positive.
+    exceeds 1, and halved until every slack stays positive; the accepted
+    step's products ``B_t y`` and slacks start the next step.
 
     Once the duality gap T/tau is at most FINISH_GAP * u'y, _finish solves
     the optimality conditions on the patterns whose share of the barrier
@@ -429,12 +436,12 @@ def _solve_simplex(infos: np.ndarray, u: np.ndarray):
     except np.linalg.LinAlgError:
         raise InfeasibleDesignError("the summed pattern information matrix is singular") from None
     y = 0.5 * y_hat / math.sqrt((infos @ y_hat @ y_hat).max())
+    by = infos @ y
+    s = 1.0 - by @ y
     tau = None
     gap = FINISH_GAP
     steps = 0
     while steps < MAX_NEWTON_STEPS:
-        by = infos @ y
-        s = 1.0 - by @ y
         w = by / s[:, None]
         grad = 2.0 * w.sum(axis=0)  # of the barrier; the objective adds -tau u
         hess = 2.0 * _blend(1.0 / s, infos) + 4.0 * w.T @ w
@@ -470,14 +477,16 @@ def _solve_simplex(infos: np.ndarray, u: np.ndarray):
         t = 1.0 / (1.0 + math.sqrt(dec)) if dec > 1.0 else 1.0
         for _ in range(MAX_BACKTRACKS):
             trial = y + t * step
-            if (infos @ trial @ trial < 1.0).all():
+            b_trial = infos @ trial
+            s_trial = 1.0 - b_trial @ trial
+            if (s_trial > 0.0).all():  # exactly y' B_t y < 1 in IEEE arithmetic
                 break
             t *= 0.5
         else:
             raise ConvergenceError(
                 f"no strictly feasible barrier step after {steps} Newton steps"
             )
-        y = trial
+        y, by, s = trial, b_trial, s_trial
         steps += 1
     raise ConvergenceError(
         f"no certified optimum after {steps} of at most {MAX_NEWTON_STEPS} Newton steps"

@@ -12,19 +12,31 @@ whole grid.  A worst-case report is therefore a SolveReport at p*: its
 objective is the game value, and it adds p*, the saddle gap and the grid
 step.
 
-The grid is scanned best-first instead of exhaustively.  Every solved
-design ``v`` bounds the inner optimum from above at every grid point,
+Observing more tests never loses information: a pattern's outcome is a
+marginal of the all-tests outcome, so ``I_all(p) - I_t(p)`` is the
+expected information of the remaining tests given the observed ones, and
+is positive semidefinite.  The all-tests pattern therefore has the largest
+least eigenvalue at every point, and the box meets A2 exactly when that
+pattern is positive definite over the grid.  worst_case_design checks A2
+on that one pattern and runs the every-pattern check only when it fails,
+so roundoff between near-equal eigenvalues cannot change the verdict.
+
+The grid is scanned best-first instead of exhaustively.  Every design
+``v`` bounds the inner optimum from above at every grid point,
 ``min_w a(w; p) <= a(v; p)``, with no appeal to concavity, and one batched
-evaluation gives that bound over the whole grid.  The scan solves the open
-point with the largest bound and closes every point whose bound falls
-below the best solved value by more than PRUNE_MARGIN relative.  Each
-solve is deterministic and carries Elfving's dual certificate: its value
-comes from a dual point feasible to within CERTIFICATE_TOL (1e-10), and
-its design meets the optimality conditions to within the same tolerance,
-so every solved value lies within about 1e-10 relative of the inner
-optimum, far inside that margin.  Hence no closed point could have beaten
-or tied the incumbent, and the scan returns exactly the point, fractions
-and iteration count that solving every grid point would.
+evaluation gives that bound over the whole grid.  The bounds start at the
+all-tests design (every participant takes every test), whose worst point
+is a good guess of the worst case, so the scan solves that point first.
+It then solves the open point with the largest bound and closes every
+point whose bound falls below the best solved value by more than
+PRUNE_MARGIN relative.  Each solve is deterministic and carries Elfving's
+dual certificate: its value comes from a dual point feasible to within
+CERTIFICATE_TOL (1e-10), and its design meets the optimality conditions
+to within the same tolerance, so every solved value lies within about
+1e-10 relative of the inner optimum, far inside that margin.  Hence no
+closed point could have beaten or tied the incumbent, whatever the order
+of the solves, and the scan returns exactly the point, fractions and
+iteration count that solving every grid point would.
 """
 
 from __future__ import annotations
@@ -35,9 +47,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coptimal import (
+    ConvergenceError,
     InfeasibleDesignError,
     SolveReport,
+    _blend,
     _criterion,
+    _criterion_from,
     _evaluate,
     _kkt_residual_from,
     _pattern_infos,
@@ -47,6 +62,7 @@ from .coptimal import (
     design_from_fractions,
 )
 from .model import (
+    PD_TOLERANCE,
     DiseaseModel,
     ParameterBox,
     _a2,
@@ -109,11 +125,16 @@ def _envelope_argmax(grid_infos: np.ndarray, u: np.ndarray, solve_at) -> int:
     """Grid index with the largest inner optimum, ties to the smallest index.
 
     Best-first scan: ``bound[i]`` is the least ``a(v; p_i)`` over the designs
-    solved so far, an upper bound on the inner optimum at ``p_i``.  The open
-    point with the largest bound is solved next, and points whose bound
-    falls below the incumbent by more than PRUNE_MARGIN are closed.
+    seen so far, an upper bound on the inner optimum at ``p_i``.  The first
+    design seen is the all-tests pattern alone, the last in all_patterns
+    order, so the first point solved is where that design's variance is
+    largest.  The open point with the largest bound is solved next, and
+    points whose bound falls below the incumbent by more than PRUNE_MARGIN
+    are closed.  Each solved design is blended over the whole grid and the
+    open points indexed from the blends, so no slice of the (T, m, k, k)
+    stack is copied.
     """
-    bound = np.full(grid_infos.shape[1], math.inf)
+    bound = _criterion_from(grid_infos[-1], u)[0]
     open_idx = np.arange(grid_infos.shape[1])
     best_index, best_value = -1, -math.inf
     while open_idx.size:
@@ -124,9 +145,8 @@ def _envelope_argmax(grid_infos: np.ndarray, u: np.ndarray, solve_at) -> int:
             best_index, best_value = i, mu
         open_idx = np.delete(open_idx, pos)
         if open_idx.size:
-            bound[open_idx] = np.minimum(
-                bound[open_idx], _criterion(v, grid_infos[:, open_idx], u)[0]
-            )
+            blends = _blend(v, grid_infos)[open_idx]
+            bound[open_idx] = np.minimum(bound[open_idx], _criterion_from(blends, u)[0])
             open_idx = open_idx[bound[open_idx] >= (1.0 - PRUNE_MARGIN) * best_value]
     return best_index
 
@@ -141,11 +161,16 @@ def worst_case_design(
 
     The worst case p* maximizes the lower envelope ``min_v a(v; p)`` over
     the feasible grid and the returned fractions are the inner minimizer
-    at p*.  p* is found by a best-first scan that solves only the grid
-    points whose envelope bound (the least payoff of the designs solved so
-    far) could still reach the best solved value; the result is the one an
+    at p*.  A2 is checked on the all-tests pattern, which dominates every
+    other pattern's information (see the module docstring), and on every
+    pattern only when that check fails.  p* is found by a best-first scan
+    that starts at the grid point where the all-tests design's variance is
+    largest and then solves only the grid points whose envelope bound (the
+    least payoff of the all-tests design and of the designs solved so far)
+    could still reach the best solved value; the result is the one an
     exhaustive scan gives, including its tie-break toward the
-    lexicographically smallest point.  The saddle gap
+    lexicographically smallest point.  An inner solve's error names its
+    grid point.  The saddle gap
     ``max_p a(v*; p) - a(v*; p*)`` is evaluated over the grid; if it
     exceeds SADDLE_TOL relative, the fractions are refined by
     alternating best responses with uniform averaging of the minimizing
@@ -155,7 +180,10 @@ def worst_case_design(
     """
     pts = _box_grid(box, model, grid_step)
     grid_infos = _fisher_info_grid(pts, model)
-    if not _a2(grid_infos, pts, model).ok:
+    # I_all(p) >= I_t(p) for every pattern t, so the all-tests pattern has
+    # the best worst-case eigenvalue; only roundoff can favour another.
+    all_tests_ok = np.linalg.eigvalsh(grid_infos[-1])[:, 0].min() > PD_TOLERANCE
+    if not all_tests_ok and not _a2(grid_infos, pts, model).ok:
         raise InfeasibleDesignError(
             "no pattern has uniformly positive-definite information over the box; "
             "the worst-case variance is unbounded for every design"
@@ -167,7 +195,11 @@ def worst_case_design(
 
     def solve_at(i: int) -> tuple:
         if i not in solves:
-            solves[i] = _solve_simplex(grid_infos[:, i], u)
+            try:
+                solves[i] = _solve_simplex(grid_infos[:, i], u)
+            except (ConvergenceError, InfeasibleDesignError) as err:
+                err.args = (f"inner solve at grid point p = {pts[i].tolist()}: {err}",)
+                raise
         return solves[i]
 
     best_index = _envelope_argmax(grid_infos, u, solve_at)

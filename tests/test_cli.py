@@ -95,7 +95,10 @@ class TestParseConfig:
         assert config.options.currency == "Rs"
 
     def test_all_fixtures_parse(self):
-        for name in ("table1_row1", "table1_row2", "table1_row3", "table1_row4", "table1_row5"):
+        for name in (
+            "table1_row1", "table1_row2", "table1_row3", "table1_row4", "table1_row5",
+            "strata_three_districts",
+        ):
             config = load_config(fixture_path(name))
             assert config.budget == 1e7
 

@@ -32,6 +32,7 @@ RUNS = {
     "worst-case_row4_step0.01": ("worst-case", "table1_row4", ["--grid-step", "0.01"]),
     "worst-case_row4_step0.02": ("worst-case", "table1_row4", ["--grid-step", "0.02"]),
     "groups_row5": ("groups", "table1_row5", []),
+    "strata_three_districts": ("strata", "strata_three_districts", []),
     "check-assumptions_row1": ("check-assumptions", "table1_row1", []),
     "check-assumptions_row4": ("check-assumptions", "table1_row4", []),
     "check-assumptions_row5": ("check-assumptions", "table1_row5", []),

@@ -10,7 +10,11 @@ import pytest
 
 import serodesign.minimax as minimax
 from serodesign import (
+    ConvergenceError,
+    DiseaseModel,
+    InfeasibleDesignError,
     ParameterBox,
+    TestSpec,
     all_patterns,
     default_model,
     objective,
@@ -18,7 +22,13 @@ from serodesign import (
     solve_c_optimal,
     worst_case_design,
 )
-from serodesign.coptimal import _criterion, _pattern_infos, _solve_simplex
+from serodesign.coptimal import (
+    _blend,
+    _criterion,
+    _criterion_from,
+    _pattern_infos,
+    _solve_simplex,
+)
 from serodesign.minimax import REFINE_MAX_ROUNDS, SADDLE_TOL
 from _suites import random_interior_points, random_pd_fractions, worst_concavity_slack
 
@@ -267,14 +277,107 @@ class TestBoundPrunedSearch:
 
     @pytest.mark.parametrize("grid_step", [0.01, 0.02])
     def test_row4_solves_a_handful_of_points(self, model_row4, monkeypatch, grid_step):
-        solves = []
-        real = minimax._solve_simplex
-
-        def counted(*args, **kwargs):
-            solves.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(minimax, "_solve_simplex", counted)
+        solves = record_inner_solves(monkeypatch)
         worst_case_design(ROW4_BOX, model_row4, grid_step=grid_step)
         assert len(ROW4_BOX.grid(grid_step)) > 300
         assert len(solves) <= 50
+
+    def test_random_boxes_take_few_inner_solves(self, monkeypatch):
+        # a scan started at the first grid point solved 20 points over these
+        # boxes; starting at the all-tests design's worst point solves 13
+        solves = record_inner_solves(monkeypatch)
+        for seed in range(10):
+            rng = np.random.default_rng(500 + seed)
+            model = default_model(rtpcr_cost=float(rng.choice([100.0, 1000.0, 1600.0])))
+            worst_case_design(random_box(rng), model, grid_step=0.01)
+        assert len(solves) < 20
+
+    def test_open_point_bounds_equal_the_full_grid_evaluation(self, model_row4, row4_worst_case):
+        infos = _pattern_infos(ROW4_BOX.grid(0.01), model_row4)
+        u = model_row4.u
+        rng = np.random.default_rng(8)
+        open_idx = np.sort(rng.choice(infos.shape[1], 300, replace=False))
+        only_001 = np.eye(infos.shape[0])[0]  # singular everywhere: every bound is +inf
+        for v in (row4_worst_case[0].design.fractions, only_001, random_pd_fractions(rng, 7, 6)):
+            full = _criterion(v, infos, u)[0][open_idx]
+            bounds = _criterion_from(_blend(v, infos)[open_idx], u)[0]
+            assert bounds.tobytes() == full.tobytes()
+
+
+def record_inner_solves(monkeypatch) -> list:
+    """Arguments of every inner solve worst_case_design makes, in order."""
+    calls = []
+    real = minimax._solve_simplex
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(minimax, "_solve_simplex", recorded)
+    return calls
+
+
+class TestAllTestsPattern:
+    """The pattern that runs every test gates A2 and picks the first point solved."""
+
+    @pytest.mark.parametrize("n_tests", range(1, 8))
+    def test_last_pattern_runs_every_test(self, n_tests):
+        tests = [TestSpec(f"t{j}", 100.0 + j, 0.9, 0.95) for j in range(n_tests)]
+        model = DiseaseModel(tests=tests, nominal=[[1] * n_tests, [0] * n_tests], u=[1.0])
+        last = all_patterns(model)[-1]
+        assert last.mask == (1,) * n_tests
+        assert last.cost == sum(t.cost for t in tests)
+
+    def test_a2_of_every_pattern_skipped_on_a_feasible_box(self, model_row4, monkeypatch):
+        def fail(*args):
+            raise AssertionError("_a2 ran on a box whose all-tests pattern passes A2")
+
+        monkeypatch.setattr(minimax, "_a2", fail)
+        report = worst_case_design(ROW4_BOX, model_row4, grid_step=0.05)
+        assert report.objective > 0
+
+    def test_a2_failure_message_unchanged(self, monkeypatch):
+        # two tests, k = 3: states 1 and 2 give the same responses, so no
+        # pattern identifies p
+        tests = [TestSpec("a", 100.0, 0.9, 0.95), TestSpec("b", 300.0, 0.8, 0.97)]
+        model = DiseaseModel(tests=tests, nominal=[[1, 0], [0, 1], [0, 1], [0, 0]], u=np.ones(3))
+        box = ParameterBox(lower=[0.05, 0.05, 0.05], upper=[0.1, 0.1, 0.1])
+        calls = []
+        real = minimax._a2
+        monkeypatch.setattr(minimax, "_a2", lambda *args: calls.append(1) or real(*args))
+        message = (
+            "no pattern has uniformly positive-definite information over the box; "
+            "the worst-case variance is unbounded for every design"
+        )
+        with pytest.raises(InfeasibleDesignError) as err:
+            worst_case_design(box, model, grid_step=0.05)
+        assert str(err.value) == message
+        assert calls == [1]
+
+    def test_first_point_solved_is_the_all_tests_worst(self, model_row4, monkeypatch):
+        pts = ROW4_BOX.grid(0.02)
+        infos = _pattern_infos(pts, model_row4)
+        variance = np.linalg.solve(infos[-1], model_row4.u) @ model_row4.u
+        first = int(np.argmax(variance))
+        assert first != 0
+        solves = record_inner_solves(monkeypatch)
+        worst_case_design(ROW4_BOX, model_row4, grid_step=0.02)
+        assert np.array_equal(solves[0][0], infos[:, first])
+
+    def test_inner_solve_error_names_the_grid_point(self, model_row4, monkeypatch):
+        pts = ROW4_BOX.grid(0.02)
+        infos = _pattern_infos(pts, model_row4)
+        first = int(np.argmax(np.linalg.solve(infos[-1], model_row4.u) @ model_row4.u))
+        best = object()
+
+        def stalled(*args):
+            raise ConvergenceError("no certified optimum after 200 Newton steps", best=best)
+
+        monkeypatch.setattr(minimax, "_solve_simplex", stalled)
+        with pytest.raises(ConvergenceError) as err:
+            worst_case_design(ROW4_BOX, model_row4, grid_step=0.02)
+        assert str(err.value) == (
+            f"inner solve at grid point p = {pts[first].tolist()}: "
+            "no certified optimum after 200 Newton steps"
+        )
+        assert err.value.best is best
