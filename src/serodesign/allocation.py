@@ -40,6 +40,14 @@ __all__ = [
 ]
 
 
+def _check_entry(kind: str, name: str, fraction: float, fraction_noun: str) -> None:
+    """The rules a stratum and a group share: a name, and a fraction in (0, 1]."""
+    if not name:
+        raise ValueError(f"{kind} needs a nonempty name")
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"{kind} {name!r}: {fraction_noun} must lie in (0, 1], got {fraction}")
+
+
 @dataclass(frozen=True, eq=False)
 class StratumSpec:
     """One stratum: population fraction plus a point parameter or a box."""
@@ -50,13 +58,7 @@ class StratumSpec:
     box: ParameterBox | None = None
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("stratum needs a nonempty name")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError(
-                f"stratum {self.name!r}: population fraction must lie in (0, 1], "
-                f"got {self.fraction}"
-            )
+        _check_entry("stratum", self.name, self.fraction, "population fraction")
         if (self.point is None) == (self.box is None):
             raise ValueError(f"stratum {self.name!r}: give exactly one of point or box")
         if self.point is not None:
@@ -75,12 +77,7 @@ class GroupSpec:
     overrides: dict | None = None
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("group needs a nonempty name")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError(
-                f"group {self.name!r}: fraction must lie in (0, 1], got {self.fraction}"
-            )
+        _check_entry("group", self.name, self.fraction, "fraction")
         point = np.asarray(self.point, dtype=np.float64)
         point.setflags(write=False)
         object.__setattr__(self, "point", point)
@@ -172,8 +169,10 @@ def validate_entries(specs: Sequence[StratumSpec | GroupSpec], kind: str) -> np.
 
 
 def _allocate(specs, kind: str, budget: float, solve) -> AllocationReport:
-    """Solve each entry with ``solve(spec)``, split the budget, price each design.
+    """Solve each entry with ``solve(spec, budget)``, split the budget, price each design.
 
+    Each entry is solved at the total budget: a share is at most the total,
+    so a total whose counts are exact gives exact counts at every share.
     ``kind`` ("stratum" or "group") names the entries in error messages.
     """
     specs = list(specs)
@@ -183,7 +182,7 @@ def _allocate(specs, kind: str, budget: float, solve) -> AllocationReport:
     reports = []
     for s in specs:
         try:
-            reports.append(solve(s))
+            reports.append(solve(s, budget))
         except InfeasibleDesignError as err:
             raise InfeasibleDesignError(f"{kind} {s.name!r}: {err}") from err
     weights = fractions * np.sqrt([r.objective for r in reports])
@@ -210,10 +209,10 @@ def allocate_districts(
     population-weighted estimate across strata.
     """
 
-    def solve(s: StratumSpec):
+    def solve(s: StratumSpec, budget: float):
         if s.point is not None:
-            return solve_c_optimal(s.point, model)
-        return worst_case_design(s.box, model, grid_step=grid_step)
+            return solve_c_optimal(s.point, model, budget)
+        return worst_case_design(s.box, model, grid_step=grid_step, budget=budget)
 
     return _allocate(strata, "stratum", budget, solve)
 
@@ -231,8 +230,8 @@ def allocate_groups(
     symptomatic participants).
     """
 
-    def solve(g: GroupSpec):
-        return solve_c_optimal(g.point, g.model(model))
+    def solve(g: GroupSpec, budget: float):
+        return solve_c_optimal(g.point, g.model(model), budget)
 
     return _allocate(groups, "group", budget, solve)
 

@@ -241,7 +241,7 @@ def _read_json(path: str, where: str):
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except ValueError as err:
+        except (ValueError, RecursionError) as err:  # too deeply nested for the decoder
             raise ConfigError(where, f"not valid JSON: {err}") from None
 
 
@@ -488,7 +488,8 @@ def run(config: RunConfig, subcommand: str, design_path: str | None = None) -> d
     if subcommand == "budget":
         if moe is None:
             raise ConfigError("options.moe", "budget subcommand needs a margin of error")
-        solve = solve_c_optimal(scenario, model)
+        with _at("budget"):
+            solve = solve_c_optimal(scenario, model, budget=config.budget)
         with _at("options.moe"):
             required = _margin_budget(solve, moe, alpha)
             solve = solve.priced(required)

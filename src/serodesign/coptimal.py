@@ -78,7 +78,7 @@ SUPPORT_EPS = 1e-7
 KKT_TOL = 1e-6
 # A blended information matrix counts as singular below this spectral ratio.
 SINGULAR_RATIO = 1e-12
-# Relaxed counts this close to an integer round to it instead of down.
+# A relaxed count at most this far above an integer floors with no remainder.
 INTEGER_SNAP = 1e-9
 # Relaxed counts from here on are not all representable as doubles, so
 # rounding them to integers is no longer exact.
@@ -155,17 +155,16 @@ class Design:
     def integer_counts(self) -> np.ndarray:
         """Budget-feasible participant counts, each within one of ``counts``.
 
-        Every count is floored, except that a count within INTEGER_SNAP of
-        an integer is that integer, so a split whose arithmetic lands a hair
-        off a whole count keeps it.  Patterns then gain one participant
-        each, largest remainder first, wherever the spend stays within the
-        budget.  Computed once per design and read-only.
+        Every count is floored; one at most INTEGER_SNAP above a whole
+        number has no remainder.  Patterns then gain one participant each,
+        largest remainder first, wherever the spend stays within the budget,
+        so a count a hair below a whole number gets it only if the budget
+        pays for it.  Computed once per design and read-only.
         """
         w = self.counts
-        nearest = np.rint(w)
-        snapped = np.abs(w - nearest) <= INTEGER_SNAP
-        ints = np.where(snapped, nearest, np.floor(w))
-        remainder = np.where(snapped, 0.0, w - ints)
+        ints = np.floor(w)
+        remainder = w - ints
+        remainder[remainder <= INTEGER_SNAP] = 0.0
         costs = self.costs
         spend = float(ints @ costs)
         for t in np.argsort(-remainder, kind="stable"):
@@ -274,22 +273,20 @@ def _nonsingular(a: np.ndarray) -> np.ndarray:
     return (lam[..., -1] > 0.0) & (lam[..., 0] > SINGULAR_RATIO * lam[..., -1])
 
 
-def _criterion(v: np.ndarray, infos: np.ndarray, u: np.ndarray):
+def _criterion(v: np.ndarray, infos: np.ndarray, u: np.ndarray, at=None):
     """(a, x): the criterion a = u' A^{-1} u and x = A^{-1} u of A = sum_t v_t infos[t].
 
     ``infos`` is (T, k, k), or (T, m, k, k) to evaluate m parameter points
-    at once, in which case a has shape (m,) and x shape (m, k).
+    at once, in which case a has shape (m,) and x shape (m, k); ``at``
+    (an index into the m points) keeps only those points, after the blend,
+    so no slice of ``infos`` is copied.  Where A is numerically singular
+    (smallest eigenvalue at most SINGULAR_RATIO times the largest) the
+    criterion is +inf and x is nan; every other blend is solved for x in
+    one batched ``np.linalg.solve``.
     """
-    return _criterion_from(_blend(v, infos), u)
-
-
-def _criterion_from(blended: np.ndarray, u: np.ndarray):
-    """_criterion of a blended information A, (k, k) or (m, k, k).
-
-    Where A is numerically singular (smallest eigenvalue at most
-    SINGULAR_RATIO times the largest) the criterion is +inf and x is nan;
-    every other blend is solved for x in one batched ``np.linalg.solve``.
-    """
+    blended = _blend(v, infos)
+    if at is not None:
+        blended = blended[at]
     good = _nonsingular(blended)
     values = np.full(good.shape, math.inf)
     x = np.full(blended.shape[:-1], math.nan)

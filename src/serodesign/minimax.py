@@ -18,7 +18,7 @@ expected information of the remaining tests given the observed ones, and
 is positive semidefinite.  The all-tests pattern therefore has the largest
 least eigenvalue at every point, and the box meets A2 exactly when that
 pattern is positive definite over the grid.  worst_case_design checks A2
-on that one pattern and runs the every-pattern check only when it fails,
+on that one pattern and runs check_a2 on every pattern only when it fails,
 so roundoff between near-equal eigenvalues cannot change the verdict.
 
 The grid is scanned best-first instead of exhaustively.  Every design
@@ -50,9 +50,7 @@ from .coptimal import (
     ConvergenceError,
     InfeasibleDesignError,
     SolveReport,
-    _blend,
     _criterion,
-    _criterion_from,
     _evaluate,
     _kkt_residual_from,
     _pattern_infos,
@@ -65,17 +63,11 @@ from .model import (
     PD_TOLERANCE,
     DiseaseModel,
     ParameterBox,
-    _a2,
     _box_grid,
     _fisher_info_grid,
     all_patterns,
     check_a2,
 )
-
-# ``check_a2`` is not called here: worst_case_design runs A2 on the grid
-# informations it solves on.  It stays a name of this module because
-# perfbench's tracer wraps it here, and tests/test_package.py checks that
-# every wrapped name resolves.
 
 __all__ = ["SaddleReport", "worst_case_design", "saddle_check"]
 
@@ -130,11 +122,11 @@ def _envelope_argmax(grid_infos: np.ndarray, u: np.ndarray, solve_at) -> int:
     order, so the first point solved is where that design's variance is
     largest.  The open point with the largest bound is solved next, and
     points whose bound falls below the incumbent by more than PRUNE_MARGIN
-    are closed.  Each solved design is blended over the whole grid and the
-    open points indexed from the blends, so no slice of the (T, m, k, k)
-    stack is copied.
+    are closed.  Each solved design is blended over the whole grid and
+    _criterion keeps the open points of the blend, so no slice of the
+    (T, m, k, k) stack is copied.
     """
-    bound = _criterion_from(grid_infos[-1], u)[0]
+    bound = _criterion(np.ones(1), grid_infos[-1:], u)[0]
     open_idx = np.arange(grid_infos.shape[1])
     best_index, best_value = -1, -math.inf
     while open_idx.size:
@@ -145,8 +137,7 @@ def _envelope_argmax(grid_infos: np.ndarray, u: np.ndarray, solve_at) -> int:
             best_index, best_value = i, mu
         open_idx = np.delete(open_idx, pos)
         if open_idx.size:
-            blends = _blend(v, grid_infos)[open_idx]
-            bound[open_idx] = np.minimum(bound[open_idx], _criterion_from(blends, u)[0])
+            bound[open_idx] = np.minimum(bound[open_idx], _criterion(v, grid_infos, u, open_idx)[0])
             open_idx = open_idx[bound[open_idx] >= (1.0 - PRUNE_MARGIN) * best_value]
     return best_index
 
@@ -162,28 +153,27 @@ def worst_case_design(
     The worst case p* maximizes the lower envelope ``min_v a(v; p)`` over
     the feasible grid and the returned fractions are the inner minimizer
     at p*.  A2 is checked on the all-tests pattern, which dominates every
-    other pattern's information (see the module docstring), and on every
-    pattern only when that check fails.  p* is found by a best-first scan
-    that starts at the grid point where the all-tests design's variance is
-    largest and then solves only the grid points whose envelope bound (the
-    least payoff of the all-tests design and of the designs solved so far)
-    could still reach the best solved value; the result is the one an
-    exhaustive scan gives, including its tie-break toward the
-    lexicographically smallest point.  An inner solve's error names its
-    grid point.  The saddle gap
+    other pattern's information (see the module docstring); check_a2 runs
+    on every pattern of the same grid only when that check fails.  p* is
+    found by a best-first scan that starts at the grid point where the
+    all-tests design's variance is largest and then solves only the grid
+    points whose envelope bound (the least payoff of the all-tests design
+    and of the designs solved so far) could still reach the best solved
+    value; the result is the one an exhaustive scan gives, including its
+    tie-break toward the lexicographically smallest point.  An inner
+    solve's error names its grid point.  The saddle gap
     ``max_p a(v*; p) - a(v*; p*)`` is evaluated over the grid; if it
-    exceeds SADDLE_TOL relative, the fractions are refined by
-    alternating best responses with uniform averaging of the minimizing
-    player's iterates until the gap closes or the round cap is reached.
-    Inner solves are memoized per grid point across the scan and the
-    refinement.
+    exceeds SADDLE_TOL relative, the fractions are refined by alternating
+    best responses with uniform averaging of the minimizing player's
+    iterates until the gap closes or the round cap is reached.  Inner
+    solves are memoized per grid point across the scan and the refinement.
     """
     pts = _box_grid(box, model, grid_step)
     grid_infos = _fisher_info_grid(pts, model)
     # I_all(p) >= I_t(p) for every pattern t, so the all-tests pattern has
     # the best worst-case eigenvalue; only roundoff can favour another.
     all_tests_ok = np.linalg.eigvalsh(grid_infos[-1])[:, 0].min() > PD_TOLERANCE
-    if not all_tests_ok and not _a2(grid_infos, pts, model).ok:
+    if not all_tests_ok and not check_a2(box, model, grid_step).ok:
         raise InfeasibleDesignError(
             "no pattern has uniformly positive-definite information over the box; "
             "the worst-case variance is unbounded for every design"

@@ -543,17 +543,6 @@ def _a1(infos: np.ndarray, model: DiseaseModel) -> A1Result:
     return A1Result(True, all_patterns(model)[hits[0]]) if hits.size else A1Result(False, None)
 
 
-def _a2(infos: np.ndarray, pts: np.ndarray, model: DiseaseModel) -> A2Result:
-    """A2 on the (T, m, k, k) pattern informations of ``model`` on the grid ``pts``."""
-    lam = np.linalg.eigvalsh(infos)[..., 0]  # (T, m)
-    argmin = lam.argmin(axis=1)
-    worst = lam[np.arange(lam.shape[0]), argmin]
-    t = int(np.argmax(worst))  # the first pattern with the best worst case
-    return A2Result(
-        bool(worst[t] > PD_TOLERANCE), float(worst[t]), pts[argmin[t]], all_patterns(model)[t]
-    )
-
-
 def _box_grid(box: ParameterBox, model: DiseaseModel, grid_step: float) -> np.ndarray:
     if box.k != model.k:
         raise ValueError(f"box dimension {box.k} != model parameter dimension {model.k}")
@@ -573,9 +562,17 @@ def check_a2(box: ParameterBox, model: DiseaseModel, grid_step: float = 0.01) ->
     """Is some pattern's information uniformly positive definite over the box?
 
     Evaluates the smallest eigenvalue of every pattern's information matrix
-    on the feasible grid and reports the pattern with the best worst-case
-    eigenvalue (the first in all_patterns order on a tie) together with the
-    first grid point attaining it.
+    on the feasible grid, in one batched ``eigvalsh``, and reports the
+    pattern with the best worst-case eigenvalue (the first in all_patterns
+    order on a tie) together with the first grid point attaining it; A2
+    holds when that eigenvalue is above PD_TOLERANCE.  worst_case_design
+    calls it only when the all-tests pattern fails on its own.
     """
     pts = _box_grid(box, model, grid_step)
-    return _a2(_fisher_info_grid(pts, model), pts, model)
+    lam = np.linalg.eigvalsh(_fisher_info_grid(pts, model))[..., 0]  # (T, m)
+    argmin = lam.argmin(axis=1)
+    worst = lam[np.arange(lam.shape[0]), argmin]
+    t = int(np.argmax(worst))  # the first pattern with the best worst case
+    return A2Result(
+        bool(worst[t] > PD_TOLERANCE), float(worst[t]), pts[argmin[t]], all_patterns(model)[t]
+    )

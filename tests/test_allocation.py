@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from serodesign import (
+    AllocationReport,
     GroupSpec,
     InfeasibleDesignError,
     ParameterBox,
     StratumSpec,
     allocate_districts,
     allocate_groups,
+    default_model,
     solve_c_optimal,
+    validate_entries,
 )
 from serodesign import allocation
 
@@ -148,6 +151,64 @@ class TestDistrictAllocation:
         with pytest.raises(ValueError, match=message):
             allocate_groups(groups, model_row4, budget)
         assert calls == []
+
+
+    def test_tiny_costs_solve_at_the_real_budget(self):
+        # at costs of 1e-19 times the paper's, a budget of 1 would buy more
+        # than 2**53 participants; every entry is solved at the budget given
+        tiny = default_model(rat_cost=450e-19, rtpcr_cost=100e-19, antibody_cost=300e-19)
+        strata = [
+            StratumSpec(name="point", fraction=0.5, point=P0),
+            StratumSpec(name="box", fraction=0.5, box=ROW4_BOX),
+        ]
+        report = allocate_districts(strata, tiny, 1e-12, grid_step=0.05)
+        assert sum(e.budget for e in report.entries) == pytest.approx(1e-12, rel=1e-12)
+        groups = allocate_groups([GroupSpec(name="all", fraction=1.0, point=P0)], tiny, 1e-12)
+        assert groups.entries[0].budget == 1e-12
+
+
+# Each rule on a stratum, a group or a list of them, with its message.
+ENTRY_ERRORS = {
+    "stratum-name-empty": (
+        lambda: StratumSpec(name="", fraction=0.5, point=P0),
+        "stratum needs a nonempty name",
+    ),
+    "group-name-empty": (
+        lambda: GroupSpec(name="", fraction=0.5, point=P0),
+        "group needs a nonempty name",
+    ),
+    "stratum-fraction": (
+        lambda: StratumSpec(name="a", fraction=0.0, point=P0),
+        "stratum 'a': population fraction must lie in (0, 1], got 0.0",
+    ),
+    "group-fraction": (
+        lambda: GroupSpec(name="a", fraction=1.5, point=P0),
+        "group 'a': fraction must lie in (0, 1], got 1.5",
+    ),
+    "stratum-neither-point-nor-box": (
+        lambda: StratumSpec(name="a", fraction=0.5),
+        "stratum 'a': give exactly one of point or box",
+    ),
+    "stratum-point-and-box": (
+        lambda: StratumSpec(name="a", fraction=0.5, point=P0, box=ROW4_BOX),
+        "stratum 'a': give exactly one of point or box",
+    ),
+    "no-entries": (lambda: validate_entries([], "stratum"), "need at least one stratum"),
+}
+
+
+@pytest.mark.parametrize("case", list(ENTRY_ERRORS))
+def test_entry_error_message(case):
+    call, message = ENTRY_ERRORS[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_unknown_entry_name():
+    with pytest.raises(KeyError) as err:
+        AllocationReport(entries=(), budget=C).entry("west")
+    assert err.value.args[0] == "no stratum named 'west'"
 
 
 class TestGroupAllocation:

@@ -147,6 +147,49 @@ class TestParseConfig:
         assert np.array_equal(config.model.u, np.ones(3))
 
 
+# A document shape the CLI rejects itself, with the error it reports.
+SHAPE_ERRORS = {
+    "cost-not-a-number": (
+        edited(ROW1, "cheap", "model", "tests", 0, "cost"),
+        "model.tests[0].cost: expected a number, got 'cheap'",
+    ),
+    "point-empty": (
+        edited(ROW1, [], "scenario", "point"),
+        "scenario.point: expected a nonempty list of numbers, got []",
+    ),
+    "nominal-not-rows": (
+        edited(ROW1, [1, 0, 1], "model", "nominal"),
+        "model.nominal: expected a list of rows",
+    ),
+    "box-length": (
+        edited(ROW1, {"box": {"lower": [0.0, 0.1], "upper": [0.1, 0.2]}}, "scenario"),
+        "scenario.box: lower and upper must each have 3 entries",
+    ),
+    "strata-not-a-list": (
+        edited(ROW1, {"strata": {"north": 1.0}}, "scenario"),
+        "scenario.strata: expected a list, got {'north': 1.0}",
+    ),
+    "unknown-option": (
+        edited(ROW1, 2, "options", "colour"),
+        "options.colour: unknown option",
+    ),
+    "unknown-top-level-field": (
+        edited(ROW1, {}, "extra"),
+        "extra: unknown top-level field",
+    ),
+    "budget-zero": (edited(ROW1, 0, "budget"), "budget: must be positive, got 0.0"),
+    "budget-negative": (edited(ROW1, -5, "budget"), "budget: must be positive, got -5.0"),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_ERRORS))
+def test_shape_error_message(case):
+    doc, message = SHAPE_ERRORS[case]
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert str(err.value) == message
+
+
 class TestRun:
     def test_c_optimal_row1(self):
         config = load_config(fixture_path("table1_row1"))
@@ -281,6 +324,12 @@ class TestRun:
         with pytest.raises(ConfigError, match="needs a box scenario"):
             run(config, "worst-case")
 
+    def test_unknown_subcommand_is_config_error(self):
+        config = load_config(fixture_path("table1_row1"))
+        with pytest.raises(ConfigError) as err:
+            run(config, "best-case")
+        assert str(err.value) == "subcommand: unknown subcommand 'best-case'"
+
     def test_reports_byte_identical(self):
         config = load_config(fixture_path("table1_row1"))
         a = json.dumps(run(config, "c-optimal"), indent=2)
@@ -352,6 +401,8 @@ MALFORMED = {
         "c-optimal", edited(ROW1, 1.7, "model", "nominal", 0, 0), [], None, "model",
     ),
     "design-invalid-json": ("simulate", ROW1, [], "{not json", "design"),
+    # deeper than the JSON decoder's recursion limit
+    "design-nested-too-deep": ("simulate", ROW1, [], "[" * 100_000 + "]" * 100_000, "design"),
     "design-list": ("simulate", ROW1, [], "[1, 2]", "design"),
     "design-fractions-half": (
         "simulate", ROW1, [],
@@ -564,12 +615,13 @@ class TestMain:
         [
             (b"\x89PNG\r\n\x1a\n\x00\xff\xfe", "<config>: not valid JSON: "),
             (b"[1, 2, 3]", "<config>: configuration must be an object"),
+            (b"[" * 100_000 + b"]" * 100_000, "<config>: not valid JSON: "),
             (
                 json.dumps({key: ROW1[key] for key in ("scenario", "budget")}).encode(),
                 "model: missing required field",
             ),
         ],
-        ids=["binary", "top-level-array", "missing-top-level-key"],
+        ids=["binary", "top-level-array", "nested-too-deep", "missing-top-level-key"],
     )
     def test_document_root_errors_exit_one(self, capsys, tmp_path, text, message):
         config = tmp_path / "config.json"
@@ -665,6 +717,47 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         assert report["replications"] == 20
         assert report["predicted_variance"] > 0
+
+    def test_design_file_with_an_unknown_pattern(self, capsys, tmp_path):
+        config_path = tmp_path / "row1.json"
+        config_path.write_text(json.dumps(ROW1))
+        design_path = tmp_path / "design.json"
+        design_path.write_text(json.dumps({"fractions": {"101": 0.5, "1111": 0.5}}))
+        argv = ["simulate", "--config", str(config_path), "--design", str(design_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: design.fractions.1111: unknown pattern label\n"
+
+    @pytest.mark.parametrize(
+        "subcommand, name, flags",
+        [
+            ("budget", "table1_row1", ["--moe", "0.01"]),
+            ("groups", "table1_row5", []),
+            ("strata", "strata_three_districts", []),
+        ],
+    )
+    def test_tiny_costs_solve_at_the_real_budget(self, capsys, tmp_path, subcommand, name, flags):
+        # every cost and the budget 1e-19 times the fixture's: a budget of 1
+        # would buy more than 2**53 participants, the document's buys as many
+        # as the fixture's does
+        doc = fixture_doc(name)
+        for test in doc["model"]["tests"]:
+            test["cost"] *= 1e-19
+        doc["budget"] *= 1e-19
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        assert main([subcommand, "--config", str(path), *flags]) == 0
+        tiny = json.loads(capsys.readouterr().out)
+        assert main([subcommand, "--config", fixture_path(name), *flags]) == 0
+        full = json.loads(capsys.readouterr().out)
+
+        def designs(report):
+            if "allocations" in report:
+                return [entry["report"]["design"] for entry in report["allocations"]]
+            return [report["design"]]
+
+        for small, design in zip(designs(tiny), designs(full), strict=True):
+            assert small["integer_counts"] == design["integer_counts"]
+            assert small["fractions"] == pytest.approx(design["fractions"], abs=1e-12)
 
     def test_consecutive_calls_share_no_values(self, capsys):
         # the parser is built once per process; every call parses afresh

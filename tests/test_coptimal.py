@@ -31,7 +31,7 @@ from serodesign import (
     solve_c_optimal,
 )
 from serodesign import coptimal
-from serodesign.coptimal import KKT_TOL, _criterion, _nonsingular
+from serodesign.coptimal import KKT_TOL, _criterion, _nonsingular, _solve_simplex
 from _suites import (
     golden_section_two_pattern,
     random_pd_fractions,
@@ -416,6 +416,37 @@ class TestDesignFromFractions:
             left = budget - design.realized_cost
             assert not (short & (design.costs <= left)).any()
 
+    def test_count_a_hair_below_a_whole_number_stays_within_budget(self, model_row1):
+        # 1000 participants of 101 cost 1e-10 of a participant more than the
+        # budget, so the design buys 999
+        full = [make_pattern((1, 0, 1), model_row1)]
+        design = design_from_fractions([1.0], (1000 - 1e-10) * full[0].cost, full)
+        assert 1000 - 1e-9 < design.counts[0] < 1000
+        assert design.integer_counts[0] == 999
+        assert design.realized_cost <= design.budget
+
+    @pytest.mark.parametrize(
+        "whole, other, other_count, expected",
+        [
+            # 6 of 001 lands a hair below 6, and the budget buys the sixth
+            (6, 4, 7.0, {"001": 6, "101": 7}),
+            # 1 of 001 lands a hair above 1; the half 111 left over would buy
+            # another 001, which the hair does not earn
+            (1, 6, 3.5, {"001": 1, "111": 3}),
+        ],
+    )
+    def test_whole_counts_survive_split_roundoff(
+        self, model_row1, whole, other, other_count, expected
+    ):
+        pats = all_patterns(model_row1)
+        budget = whole * pats[0].cost + other_count * pats[other].cost
+        v = np.zeros(len(pats))
+        v[0] = whole * pats[0].cost / budget
+        v[other] = 1.0 - v[0]
+        design = design_from_fractions(v, budget, pats)
+        assert 0 < abs(design.counts[0] - whole) < 1e-12  # the split's roundoff
+        assert nonzero_counts(design) == expected
+
     def test_linear_in_budget(self, model_row1):
         pats = all_patterns(model_row1)
         rng = np.random.default_rng(3)
@@ -501,3 +532,48 @@ class TestBudgetForMargin:
         # moe * moe is inf, underflows to 0, or gives a budget of 0 or inf
         with pytest.raises(ValueError, match="margin of error"):
             budget_for_margin(P0, model_row1, moe=moe)
+
+
+# Each rule on a solver input, with its message.
+INPUT_ERRORS = {
+    "fractions-shape": (
+        lambda m: design_from_fractions([0.5, 0.5], 1e7, all_patterns(m)),
+        ValueError,
+        "need one fraction per pattern, got shape (2,)",
+    ),
+    "quantile-zero": (
+        lambda m: normal_quantile(0.0),
+        ValueError,
+        "quantile argument must lie strictly in (0, 1), got 0.0",
+    ),
+    "quantile-one": (
+        lambda m: normal_quantile(1.0),
+        ValueError,
+        "quantile argument must lie strictly in (0, 1), got 1.0",
+    ),
+    "kkt-singular-blend": (
+        lambda m: kkt_check(np.eye(7)[0], P0, m),  # 001 alone cannot identify p
+        ValueError,
+        "blended information matrix is singular; KKT residual undefined",
+    ),
+    "summed-information-singular": (
+        lambda m: _solve_simplex(np.zeros((2, 3, 3)), m.u),
+        InfeasibleDesignError,
+        "the summed pattern information matrix is singular",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_ERRORS))
+def test_input_error_message(case):
+    call, error, message = INPUT_ERRORS[case]
+    with pytest.raises(error) as err:
+        call(default_model())
+    assert str(err.value) == message
+
+
+def test_fraction_of_an_unknown_pattern(model_row1):
+    design = solve_c_optimal(P0, model_row1).design
+    with pytest.raises(KeyError) as err:
+        design.fraction((1, 1, 1, 1))
+    assert err.value.args[0] == "pattern (1, 1, 1, 1) not in design"

@@ -23,9 +23,7 @@ from serodesign import (
     worst_case_design,
 )
 from serodesign.coptimal import (
-    _blend,
     _criterion,
-    _criterion_from,
     _pattern_infos,
     _solve_simplex,
 )
@@ -300,7 +298,7 @@ class TestBoundPrunedSearch:
         only_001 = np.eye(infos.shape[0])[0]  # singular everywhere: every bound is +inf
         for v in (row4_worst_case[0].design.fractions, only_001, random_pd_fractions(rng, 7, 6)):
             full = _criterion(v, infos, u)[0][open_idx]
-            bounds = _criterion_from(_blend(v, infos)[open_idx], u)[0]
+            bounds = _criterion(v, infos, u, open_idx)[0]
             assert bounds.tobytes() == full.tobytes()
 
 
@@ -330,9 +328,9 @@ class TestAllTestsPattern:
 
     def test_a2_of_every_pattern_skipped_on_a_feasible_box(self, model_row4, monkeypatch):
         def fail(*args):
-            raise AssertionError("_a2 ran on a box whose all-tests pattern passes A2")
+            raise AssertionError("check_a2 ran on a box whose all-tests pattern passes A2")
 
-        monkeypatch.setattr(minimax, "_a2", fail)
+        monkeypatch.setattr(minimax, "check_a2", fail)
         report = worst_case_design(ROW4_BOX, model_row4, grid_step=0.05)
         assert report.objective > 0
 
@@ -343,8 +341,8 @@ class TestAllTestsPattern:
         model = DiseaseModel(tests=tests, nominal=[[1, 0], [0, 1], [0, 1], [0, 0]], u=np.ones(3))
         box = ParameterBox(lower=[0.05, 0.05, 0.05], upper=[0.1, 0.1, 0.1])
         calls = []
-        real = minimax._a2
-        monkeypatch.setattr(minimax, "_a2", lambda *args: calls.append(1) or real(*args))
+        real = minimax.check_a2
+        monkeypatch.setattr(minimax, "check_a2", lambda *args: calls.append(1) or real(*args))
         message = (
             "no pattern has uniformly positive-definite information over the box; "
             "the worst-case variance is unbounded for every design"

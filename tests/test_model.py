@@ -11,6 +11,7 @@ from serodesign import (
     Design,
     DiseaseModel,
     ParameterBox,
+    TestPattern,
     TestSpec,
     all_patterns,
     check_a1,
@@ -25,6 +26,7 @@ from serodesign import (
     outcome_space,
     saddle_check,
     solve_c_optimal,
+    validate_parameter,
     worst_case_design,
 )
 from serodesign.model import (
@@ -134,6 +136,94 @@ class TestTypes:
             check_a2(box, m, grid_step=1e-9)
         with pytest.raises(ValueError, match="lattice"):
             worst_case_design(box, m, grid_step=1e-300)
+
+
+BASE = default_model()
+FULL = make_pattern((1, 0, 1), BASE)
+
+# Each rule a model type or helper enforces on its inputs, with its message.
+VALIDATION_ERRORS = {
+    "test-id-empty": (
+        lambda: TestSpec(id="", cost=1.0, sensitivity=0.9, specificity=0.9),
+        "test id must be a nonempty string",
+    ),
+    "model-no-tests": (
+        lambda: DiseaseModel(tests=(), nominal=[[1], [0]], u=[1.0]),
+        "model needs at least one test",
+    ),
+    "model-duplicate-ids": (
+        lambda: DiseaseModel(tests=BASE.tests[:1] * 2, nominal=[[1, 0], [0, 0]], u=[1.0]),
+        "duplicate test ids: ['rat', 'rat']",
+    ),
+    "model-nominal-columns": (
+        lambda: DiseaseModel(tests=BASE.tests, nominal=[[1, 0], [0, 0]], u=[1.0]),
+        "nominal matrix must have one column per test, got shape (2, 2)",
+    ),
+    "model-one-state": (
+        lambda: DiseaseModel(tests=BASE.tests, nominal=[[0, 0, 0]], u=[]),
+        "nominal matrix needs at least one non-reference state",
+    ),
+    "model-u-length": (
+        lambda: DiseaseModel(tests=BASE.tests, nominal=BASE.nominal, u=[1.0, 1.0]),
+        "u must have length k=3, got shape (2,)",
+    ),
+    "pattern-mask-entries": (
+        lambda: TestPattern(mask=(1, 2, 0), cost=1.0),
+        "pattern mask entries must be 0 or 1, got (1, 2, 0)",
+    ),
+    "pattern-cost": (
+        lambda: TestPattern(mask=(1, 0, 0), cost=0.0),
+        "pattern cost must be positive",
+    ),
+    "make-pattern-length": (
+        lambda: make_pattern((1, 0), BASE),
+        "mask length 2 != number of tests 3",
+    ),
+    "parameter-shape": (
+        lambda: validate_parameter([0.1, 0.2], 3),
+        "parameter must have length 3, got shape (2,)",
+    ),
+    "parameter-negative": (
+        lambda: validate_parameter([-0.5, 0.25, 0.25], 3),
+        "parameter entries must be nonnegative, got [-0.5   0.25  0.25]",
+    ),
+    "box-shapes": (
+        lambda: ParameterBox(lower=[0.0, 0.0], upper=[0.1, 0.1, 0.1]),
+        "lower and upper must be vectors of the same length",
+    ),
+    "box-negative-bound": (
+        lambda: ParameterBox(lower=[-0.5, 0.0, 0.0], upper=[0.1, 0.1, 0.1]),
+        "box lower bounds must be nonnegative, got [-0.5  0.   0. ]",
+    ),
+    "box-lower-above-upper": (
+        lambda: ParameterBox(lower=[0.2, 0.0, 0.0], upper=[0.1, 0.1, 0.1]),
+        "box needs lower <= upper in every coordinate",
+    ),
+    "outcome-length": (
+        lambda: conditional_prob((1, NA), 0, FULL, BASE),
+        "outcome length 2 != pattern length 3",
+    ),
+    "state-range": (
+        lambda: conditional_prob((1, NA, 0), 4, FULL, BASE),
+        "state must be in 0..3, got 4",
+    ),
+    "box-dimension": (
+        lambda: check_a2(ParameterBox(lower=[0.1, 0.1], upper=[0.2, 0.2]), BASE),
+        "box dimension 2 != model parameter dimension 3",
+    ),
+    "foreign-mask": (
+        lambda: fisher_info(TestPattern(mask=(1, 0), cost=1.0), P0, BASE),
+        "pattern mask (1, 0) does not select from this model's 3 tests",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(VALIDATION_ERRORS))
+def test_validation_error_message(case):
+    call, message = VALIDATION_ERRORS[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestNonFiniteInputs:

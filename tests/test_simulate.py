@@ -398,3 +398,52 @@ class TestVarianceCheck:
         # sanity of the test itself: an exponential sample is rejected
         rng = np.random.default_rng(8)
         assert jarque_bera_pvalue(rng.exponential(size=500)) < 0.01
+
+
+BASE = default_model()
+PAIR = make_pattern((1, 0, 1), BASE)
+DESIGN = design_from_fractions(np.eye(7)[4], C, all_patterns(BASE))
+
+# Each rule on a dataset or a replication count, with its message.
+INPUT_ERRORS = {
+    "dataset-count-vectors": (
+        lambda: SurveyDataset(patterns=(PAIR,), counts=(), seed=0),
+        "need one count vector per pattern",
+    ),
+    "dataset-count-shape": (
+        lambda: SurveyDataset(patterns=(PAIR,), counts=([1, 2, 3],), seed=0),
+        "pattern 101: expected 4 outcome counts, got shape (3,)",
+    ),
+    "dataset-negative-count": (
+        lambda: SurveyDataset(patterns=(PAIR,), counts=([1, -1, 0, 0],), seed=0),
+        "pattern 101: negative outcome count",
+    ),
+    "mle-empty": (
+        lambda: mle(SurveyDataset(patterns=(), counts=(), seed=0), BASE),
+        "dataset is empty",
+    ),
+    "mle-no-observations": (
+        lambda: mle(SurveyDataset(patterns=(PAIR,), counts=([0, 0, 0, 0],), seed=0), BASE),
+        "dataset has no observations",
+    ),
+    "no-replications": (
+        lambda: simulate_estimates(P0, BASE, DESIGN, replications=0, seed=0),
+        "need at least 1 replication, got 0",
+    ),
+    "normality-too-few-values": (
+        lambda: jarque_bera_pvalue(np.arange(7.0)),
+        "need at least 8 values for a normality test, got 7",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_ERRORS))
+def test_input_error_message(case):
+    call, message = INPUT_ERRORS[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_constant_values_are_not_normal():
+    assert jarque_bera_pvalue(np.full(8, 0.4)) == 0.0
