@@ -405,8 +405,9 @@ def _load_design(path: str, model: DiseaseModel, budget: float) -> Design:
             raise ConfigError(f"design.fractions.{label}", "unknown pattern label")
         fractions[labels.index(label)] = _number(value, f"design.fractions.{label}")
     budget = _number(doc.get("budget", budget), "design.budget")
+    cheapest = min(t.cost for t in model.tests)  # buys at most one of any pattern
     with _at("design"):
-        design = Design(patterns=tuple(patterns), fractions=fractions, budget=1.0)
+        design = Design(patterns=patterns, fractions=fractions, budget=cheapest)
     with _at("design.budget"):
         return replace(design, budget=budget)
 

@@ -34,6 +34,7 @@ from .model import (
     TestPattern,
     _a1,
     _fisher_info_grid,
+    _identifies,
     _require_finite,
     all_patterns,
     check_a1,
@@ -76,8 +77,6 @@ MAX_BACKTRACKS = 60
 SUPPORT_EPS = 1e-7
 # Relative first-order residual accepted as optimal.
 KKT_TOL = 1e-6
-# A blended information matrix counts as singular below this spectral ratio.
-SINGULAR_RATIO = 1e-12
 # A relaxed count at most this far above an integer floors with no remainder.
 INTEGER_SNAP = 1e-9
 # Relaxed counts from here on are not all representable as doubles, so
@@ -265,35 +264,21 @@ def _blend(v: np.ndarray, infos: np.ndarray) -> np.ndarray:
     return np.einsum("t,t...->...", v, infos)
 
 
-def _nonsingular(a: np.ndarray) -> np.ndarray:
-    """Whether the symmetric a (also stacked) is numerically nonsingular: its
-    largest eigenvalue is positive and its smallest exceeds SINGULAR_RATIO
-    times the largest."""
-    lam = np.linalg.eigvalsh(a)
-    return (lam[..., -1] > 0.0) & (lam[..., 0] > SINGULAR_RATIO * lam[..., -1])
-
-
 def _criterion(v: np.ndarray, infos: np.ndarray, u: np.ndarray, at=None):
     """(a, x): the criterion a = u' A^{-1} u and x = A^{-1} u of A = sum_t v_t infos[t].
 
     ``infos`` is (T, k, k), or (T, m, k, k) to evaluate m parameter points
     at once, in which case a has shape (m,) and x shape (m, k); ``at``
     (an index into the m points) keeps only those points, after the blend,
-    so no slice of ``infos`` is copied.  Where A is numerically singular
-    (smallest eigenvalue at most SINGULAR_RATIO times the largest) the
-    criterion is +inf and x is nan; every other blend is solved for x in
-    one batched ``np.linalg.solve``.
+    so no slice of ``infos`` is copied.  Every blend is solved for x in one
+    batched ``np.linalg.solve``, so the support of v must identify p
+    (_identifies); _evaluate checks that for a caller's fractions.
     """
     blended = _blend(v, infos)
     if at is not None:
         blended = blended[at]
-    good = _nonsingular(blended)
-    values = np.full(good.shape, math.inf)
-    x = np.full(blended.shape[:-1], math.nan)
-    solved = np.linalg.solve(blended[good], u)
-    x[good] = solved
-    values[good] = solved @ u
-    return values[()], x
+    x = np.linalg.solve(blended, u)
+    return (x @ u)[()], x
 
 
 def _sensitivities(infos: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -303,9 +288,11 @@ def _sensitivities(infos: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _evaluate(v, p, model: DiseaseModel):
-    """Validated fractions, pattern informations and _criterion at p."""
+    """Validated fractions, pattern informations and _criterion at p; +inf unless v identifies p."""
     v = _fractions(v, len(all_patterns(model)))
     infos = _pattern_infos(validate_parameter(p, model.k), model)
+    if not _identifies(v > SUPPORT_EPS, model):
+        return v, infos, math.inf, np.full(model.k, math.nan)
     return (v, infos) + _criterion(v, infos, model.u)
 
 
@@ -313,10 +300,8 @@ def objective(v, p, model: DiseaseModel) -> float:
     """Variance criterion a(v; p) = u' (sum_t v_t I_t(p)/c_t)^{-1} u.
 
     Computed by one linear solve with the blended information matrix,
-    never an explicit inverse of it.  Returns +inf when that
-    matrix is numerically singular (smallest eigenvalue at most
-    SINGULAR_RATIO = 1e-12 times the largest), which happens when v is
-    supported on patterns that cannot jointly identify the parameter.
+    never an explicit inverse of it.  Returns +inf when the support of v
+    (its fractions above SUPPORT_EPS) does not identify the parameter.
     """
     return float(_evaluate(v, p, model)[2])
 
@@ -397,8 +382,8 @@ def _finish(infos: np.ndarray, u: np.ndarray, y: np.ndarray, lam: np.ndarray, ac
     return y, lam, float(np.abs(f).max()), steps
 
 
-def _solve_simplex(infos: np.ndarray, u: np.ndarray):
-    """Minimize a(v) = u' (sum_t v_t B_t)^{-1} u over the simplex; B_t = infos[t].
+def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
+    """Minimize a(v) = u' (sum_t v_t B_t)^{-1} u over the simplex; B_t = infos[t], u = model.u.
 
     Returns (v, objective, residual, steps).  By Elfving's theorem the
     minimum is (max u'y)^2 over {y : y' B_t y <= 1 for all t}, and the
@@ -422,16 +407,14 @@ def _solve_simplex(infos: np.ndarray, u: np.ndarray):
     ``g_t = objective * y' B_t y``, with no inverse of A(v).  ``steps``
     counts the barrier and finish Newton steps.
 
-    Raises InfeasibleDesignError when sum_t B_t is singular, and
-    ConvergenceError when the certified optimum's information matrix is
-    singular by the rule of _criterion, or when no certificate is reached
-    within MAX_NEWTON_STEPS steps.
+    Raises InfeasibleDesignError when no design identifies p, so sum_t B_t
+    is singular, and ConvergenceError when the certified optimum's support
+    does not (_identifies) or no certificate comes within MAX_NEWTON_STEPS.
     """
-    n = infos.shape[0]
-    try:
-        y_hat = np.linalg.solve(infos.sum(axis=0), u)
-    except np.linalg.LinAlgError:
-        raise InfeasibleDesignError("the summed pattern information matrix is singular") from None
+    n, u = infos.shape[0], model.u
+    if not _identifies(np.ones(n, dtype=bool), model):
+        raise InfeasibleDesignError("the summed pattern information matrix is singular")
+    y_hat = np.linalg.solve(infos.sum(axis=0), u)
     y = 0.5 * y_hat / math.sqrt((infos @ y_hat @ y_hat).max())
     by = infos @ y
     s = 1.0 - by @ y
@@ -459,7 +442,7 @@ def _solve_simplex(infos: np.ndarray, u: np.ndarray):
                     and resid <= CERTIFICATE_TOL
                 ):
                     v = np.maximum(lam, 0.0) / total
-                    if not _nonsingular(_blend(v, infos)):
+                    if not _identifies(v > SUPPORT_EPS, model):
                         raise ConvergenceError(
                             f"the optimal design found after {steps} Newton steps has a "
                             f"singular information matrix (support of {np.count_nonzero(v)} "
@@ -499,7 +482,7 @@ def solve_c_optimal(p, model: DiseaseModel, budget: float = 1.0) -> SolveReport:
     has positive-definite information at p, and ConvergenceError whenever
     the returned design would not be certified: its first-order residual
     exceeds ``KKT_TOL`` relative (the error carries that design as
-    ``best``), or its information matrix is singular.
+    ``best``), or its support does not identify p.
     """
     p = validate_parameter(p, model.k)
     infos = _fisher_info_grid(p, model)
@@ -509,7 +492,7 @@ def solve_c_optimal(p, model: DiseaseModel, budget: float = 1.0) -> SolveReport:
             "every design has unbounded variance"
         )
     _per_cost(infos, model)
-    v, mu, residual, iterations = _solve_simplex(infos, model.u)
+    v, mu, residual, iterations = _solve_simplex(infos, model)
     report = SolveReport(
         design=Design(patterns=all_patterns(model), fractions=v, budget=budget),
         objective=mu,
@@ -567,7 +550,8 @@ def budget_for_margin(p, model: DiseaseModel, moe: float, alpha: float = 0.05) -
     critical value at level alpha, so the returned budget satisfies the
     margin with equality.
     """
-    return _margin_budget(solve_c_optimal(p, model), moe, alpha)
+    cheapest = min(t.cost for t in model.tests)  # buys at most one of any pattern
+    return _margin_budget(solve_c_optimal(p, model, budget=cheapest), moe, alpha)
 
 
 def _margin_budget(report: SolveReport, moe: float, alpha: float) -> float:

@@ -186,7 +186,7 @@ def worst_case_design(
     def solve_at(i: int) -> tuple:
         if i not in solves:
             try:
-                solves[i] = _solve_simplex(grid_infos[:, i], u)
+                solves[i] = _solve_simplex(grid_infos[:, i], model)
             except (ConvergenceError, InfeasibleDesignError) as err:
                 err.args = (f"inner solve at grid point p = {pts[i].tolist()}: {err}",)
                 raise
@@ -248,14 +248,17 @@ def saddle_check(
     first maximized over the feasible grid and the second via one
     c-optimal solve at p*.  The second is nonnegative up to roundoff, and
     so is the first when p* is a grid point; both below the saddle
-    tolerance certify an approximate equilibrium.  Raises when p* lies
-    outside the box's bounds by more than the grid's 1e-12 slack.
+    tolerance certify an approximate equilibrium.  Raises when the support
+    of v does not identify p, or when p* lies outside the box's bounds by
+    more than the grid's 1e-12 slack.
     """
     v, infos_star, at_p_star, _ = _evaluate(v, p_star, model)
+    if at_p_star == math.inf:
+        raise ValueError("blended information matrix is singular; saddle gaps undefined")
     pts = _box_grid(box, model, grid_step)
     p_star = np.asarray(p_star, dtype=np.float64)
     if (p_star < box.lower - 1e-12).any() or (p_star > box.upper + 1e-12).any():
         raise ValueError(f"p* {p_star} lies outside the box from {box.lower} to {box.upper}")
     values = _criterion(v, _pattern_infos(pts, model), model.u)[0]
-    inner_value = _solve_simplex(infos_star, model.u)[1]
+    inner_value = _solve_simplex(infos_star, model)[1]
     return float(values.max() - at_p_star), float(at_p_star - inner_value)

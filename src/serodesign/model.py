@@ -411,7 +411,7 @@ class _PatternTable:
     ``q[r, s] = P(y_r | state s)``, ``d = q[:, :k]`` minus the
     reference column ``q[:, k]``, and row r of ``outer`` is ``d_r d_r'``
     flattened to ``k * k`` entries.  The mixture probability of row r at
-    p is ``q[r, k] + d[r] @ p``.
+    p is ``q[r, k] + d[r] @ p``, and ``gram[i]`` sums pattern i's ``outer`` rows.
     """
 
     patterns: tuple[TestPattern, ...]
@@ -421,6 +421,7 @@ class _PatternTable:
     q: np.ndarray
     d: np.ndarray
     outer: np.ndarray
+    gram: np.ndarray
 
     def positions(self, patterns: Sequence[TestPattern]) -> list[int]:
         try:
@@ -468,6 +469,7 @@ def _pattern_tables(model: DiseaseModel) -> _PatternTable:
     for j, test in enumerate(model.tests):  # summed in test order, as make_pattern does
         costs += np.where(masks[:, j], test.cost, 0.0)
     offsets = [0, *itertools.accumulate((2 ** masks.sum(axis=1)).tolist())]
+    outer = (d[:, :, None] * d[:, None, :]).reshape(-1, k * k)
     patterns = tuple(
         TestPattern(mask=tuple(mask), cost=cost)
         for mask, cost in zip(masks.astype(np.int64).tolist(), costs.tolist())
@@ -479,11 +481,20 @@ def _pattern_tables(model: DiseaseModel) -> _PatternTable:
         starts=np.array(offsets[:-1]),
         q=q,
         d=d,
-        outer=(d[:, :, None] * d[:, None, :]).reshape(-1, k * k),
+        outer=outer,
+        gram=np.add.reduceat(outer, offsets[:-1], axis=0).reshape(-1, k, k),
     )
-    for name in ("starts", "q", "d", "outer"):
+    for name in ("starts", "q", "d", "outer", "gram"):
         getattr(table, name).setflags(write=False)
     return table
+
+
+def _identifies(support: np.ndarray, model: DiseaseModel) -> bool:
+    """Whether the patterns marked in ``support`` identify p: their stacked ``d``
+    rows, so their summed ``gram``, have rank k (matrix_rank's tolerance), which
+    decides at every p if blends of their informations ``D' diag(1/P) D`` are singular."""
+    lam = np.linalg.eigvalsh(_pattern_tables(model).gram[support].sum(axis=0))
+    return bool(lam[0] > lam[-1] * model.k * np.finfo(float).eps)
 
 
 def _fisher_info_grid(p, model: DiseaseModel):

@@ -72,6 +72,20 @@ def edited(doc, value, *keys):
     return doc
 
 
+def scaled(doc, scale):
+    """A copy of ``doc`` with every test's cost and the budget times ``scale``.
+
+    At 1e-19 a budget of 1 would buy more than 2**53 participants, where
+    integer counts are no longer exact; the document's own budget buys as
+    many as at scale 1.
+    """
+    doc = copy.deepcopy(doc)
+    for test in doc["model"]["tests"]:
+        test["cost"] *= scale
+    doc["budget"] *= scale
+    return doc
+
+
 def with_options(config, **options):
     """``config`` with the given options set, as a library caller sets them."""
     return replace(config, options=replace(config.options, **options))
@@ -263,8 +277,8 @@ class TestRun:
         "row, moe, alpha", [(1, 0.01, 0.05), (2, 0.004, 0.1), (3, 0.02, 0.01)]
     )
     def test_budget_solves_once(self, monkeypatch, row, moe, alpha):
-        # the report of the two-solve path: a solve at budget 1 inside
-        # budget_for_margin, then a solve at the required budget
+        # the report of the two-solve path: a solve inside budget_for_margin,
+        # then a solve at the required budget
         config = load_config(fixture_path(f"table1_row{row}"))
         required = budget_for_margin(config.scenario, config.model, moe, alpha)
         two_solves = solve_c_optimal(config.scenario, config.model, budget=required)
@@ -280,6 +294,12 @@ class TestRun:
         assert report["required_budget"] == required
         body = {key: report[key] for key in two_solves.to_dict()}
         assert json.dumps(body) == json.dumps(two_solves.to_dict())
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-19])
+    def test_budget_for_margin_is_the_required_budget(self, scale):
+        config = with_options(parse_config(scaled(ROW1, scale)), moe=0.01)
+        required = run(config, "budget")["required_budget"]
+        assert budget_for_margin(config.scenario, config.model, 0.01) == required
 
     @pytest.mark.parametrize(
         "key, value",
@@ -718,6 +738,16 @@ class TestMain:
         assert report["replications"] == 20
         assert report["predicted_variance"] > 0
 
+    def test_design_file_at_tiny_costs(self, capsys, tmp_path):
+        config_path = tmp_path / "tiny.json"
+        config_path.write_text(json.dumps(scaled(ROW1, 1e-19)))
+        assert main(["c-optimal", "--config", str(config_path)]) == 0
+        design_path = tmp_path / "design.json"
+        design_path.write_text(capsys.readouterr().out)
+        argv = ["simulate", "--config", str(config_path), "--design", str(design_path)]
+        assert main([*argv, "--replications", "8"]) == 0
+        assert json.loads(capsys.readouterr().out)["budget"] == ROW1["budget"] * 1e-19
+
     def test_design_file_with_an_unknown_pattern(self, capsys, tmp_path):
         config_path = tmp_path / "row1.json"
         config_path.write_text(json.dumps(ROW1))
@@ -736,15 +766,8 @@ class TestMain:
         ],
     )
     def test_tiny_costs_solve_at_the_real_budget(self, capsys, tmp_path, subcommand, name, flags):
-        # every cost and the budget 1e-19 times the fixture's: a budget of 1
-        # would buy more than 2**53 participants, the document's buys as many
-        # as the fixture's does
-        doc = fixture_doc(name)
-        for test in doc["model"]["tests"]:
-            test["cost"] *= 1e-19
-        doc["budget"] *= 1e-19
         path = tmp_path / "tiny.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(scaled(fixture_doc(name), 1e-19)))
         assert main([subcommand, "--config", str(path), *flags]) == 0
         tiny = json.loads(capsys.readouterr().out)
         assert main([subcommand, "--config", fixture_path(name), *flags]) == 0

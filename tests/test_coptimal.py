@@ -20,6 +20,7 @@ from serodesign import (
     TestSpec,
     all_patterns,
     budget_for_margin,
+    conditional_prob,
     default_model,
     design_from_fractions,
     fisher_info,
@@ -28,10 +29,11 @@ from serodesign import (
     normal_quantile,
     objective,
     objective_gradient,
+    outcome_space,
     solve_c_optimal,
 )
 from serodesign import coptimal
-from serodesign.coptimal import KKT_TOL, _criterion, _nonsingular, _solve_simplex
+from serodesign.coptimal import KKT_TOL, SUPPORT_EPS, _criterion, _pattern_infos, _solve_simplex
 from _suites import (
     golden_section_two_pattern,
     random_pd_fractions,
@@ -60,29 +62,17 @@ PROPERTY = settings(
 
 
 @st.composite
-def info_stacks(draw, grid: bool, singular: bool | None = None):
-    """(v, infos, u, made_singular): T pattern informations at a point,
-    (T, k, k), or on a grid of m points, (T, m, k, k).
+def info_stacks(draw, grid: bool):
+    """(v, infos, u): T pattern informations at a point, (T, k, k), or on a
+    grid of m points, (T, m, k, k).
 
     Each information is G G' + I/20 for G with entries in [-1, 1], so every
-    nonnegative nonzero blend has condition number at most 20 k^2 + 1.  At the
-    points marked singular (each drawn unless ``singular`` fixes them)
-    every pattern's row and column j is zeroed, or the whole information,
-    so the blend there is exactly singular.
+    nonnegative nonzero blend has condition number at most 20 k^2 + 1.
     """
     n_patterns, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
     m = draw(st.integers(1, 6)) if grid else 1
     g = draw(arrays(np.float64, (n_patterns, m, k, k), elements=st.floats(-1.0, 1.0)))
     infos = g @ np.swapaxes(g, -1, -2) + np.eye(k) / 20.0
-    flags = st.booleans() if singular is None else st.just(singular)
-    made_singular = np.array(draw(st.lists(flags, min_size=m, max_size=m)))
-    for i in np.flatnonzero(made_singular):
-        j = draw(st.integers(0, k))  # k zeroes the whole information
-        if j == k:
-            infos[:, i] = 0.0
-        else:
-            infos[:, i, j, :] = 0.0
-            infos[:, i, :, j] = 0.0
     weights = st.sampled_from([0.0, 0.1, 0.5, 1.0])
     v = np.array(draw(st.lists(weights, min_size=n_patterns, max_size=n_patterns)))
     if not v.any():
@@ -91,24 +81,18 @@ def info_stacks(draw, grid: bool, singular: bool | None = None):
     signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=k, max_size=k))
     u = np.array(u) * np.array(signs)
     if not grid:
-        infos, made_singular = infos[:, 0], made_singular[0]
-    return v, infos, u, made_singular
+        infos = infos[:, 0]
+    return v, infos, u
 
 
-def assert_kernel_matches_inverse(v, infos, u, made_singular):
+def assert_kernel_matches_inverse(v, infos, u):
     values, x = _criterion(v, infos, u)
     values = np.asarray(values)
     blends = np.tensordot(v, infos, axes=1)
-    good = _nonsingular(blends)
-    assert np.array_equal(good, ~made_singular)
-    assert values.shape == good.shape and x.shape == blends.shape[:-1]
-    assert (values[~good] == math.inf).all()
-    assert np.isnan(x[~good]).all()
-    reference = np.array([u @ np.linalg.inv(a) @ u for a in blends[good]])
-    np.testing.assert_allclose(values[good], reference, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(
-        x[good], np.linalg.inv(blends[good]) @ u, rtol=1e-10, atol=1e-12
-    )
+    assert values.shape == blends.shape[:-2] and x.shape == blends.shape[:-1]
+    inverses = np.linalg.inv(blends)
+    np.testing.assert_allclose(values, inverses @ u @ u, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(x, inverses @ u, rtol=1e-10, atol=1e-12)
 
 
 class TestCriterionKernel:
@@ -122,10 +106,77 @@ class TestCriterionKernel:
     def test_on_a_grid(self, stack):
         assert_kernel_matches_inverse(*stack)
 
-    @PROPERTY
-    @given(st.booleans().flatmap(lambda grid: info_stacks(grid=grid, singular=True)))
-    def test_every_blend_singular(self, stack):
-        assert_kernel_matches_inverse(*stack)
+
+@st.composite
+def supported_designs(draw):
+    """(model, p, v): a model of 2-5 tests and k = 2-4 with distinct nominal
+    rows, an interior point p, and fractions on 1-3 random patterns."""
+    n_tests = draw(st.integers(2, 5))
+    k = draw(st.integers(2, min(4, 2**n_tests - 1)))
+    tests = [
+        TestSpec(f"t{j}", draw(st.floats(50.0, 2000.0)), draw(st.floats(0.55, 0.99)),
+                 draw(st.floats(0.55, 0.99)))
+        for j in range(n_tests)
+    ]
+    rows = draw(st.lists(st.integers(0, 2**n_tests - 1), min_size=k + 1, max_size=k + 1, unique=True))
+    nominal = [[(r >> j) & 1 for j in range(n_tests)] for r in rows]
+    u = np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=k, max_size=k)))
+    u *= draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=k, max_size=k))
+    model = DiseaseModel(tests=tests, nominal=nominal, u=u)
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k + 1, max_size=k + 1)))
+    p = (weights / weights.sum())[:k]
+    support = draw(st.sets(st.integers(0, 2**n_tests - 2), min_size=1, max_size=3))
+    v = np.zeros(2**n_tests - 1)
+    for t in support:
+        v[t] = draw(st.floats(0.05, 1.0))
+    return model, p, v / v.sum()
+
+
+def outcome_rows(model, pattern):
+    """(d, q): the pattern's rows of P(y | state), one per outcome, from
+    conditional_prob, and their deviations from the reference state."""
+    q = np.array([
+        [conditional_prob(y, s, pattern, model) for s in range(model.k + 1)]
+        for y in outcome_space(pattern)
+    ])
+    return q[:, :-1] - q[:, -1:], q
+
+
+class TestIdentification:
+    """A design's information is singular exactly when the outcome rows of
+    its support have rank below k, at every p and for any costs."""
+
+    @settings(PROPERTY, max_examples=200)  # about one in six supports identifies p
+    @given(supported_designs())
+    def test_objective_is_infinite_exactly_below_full_rank(self, case):
+        model, p, v = case
+        support = [(t, x) for t, x in zip(all_patterns(model), v) if x > 0]
+        rows = [outcome_rows(model, t) for t, _ in support]
+        value = objective(v, p, model)
+        if np.linalg.matrix_rank(np.vstack([d for d, _ in rows])) < model.k:
+            assert value == math.inf
+            return
+        info = sum(
+            x / t.cost * d.T @ (d / (q @ np.append(p, 1.0 - p.sum()))[:, None])
+            for (t, x), (d, q) in zip(support, rows)
+        )
+        expected = model.u @ np.linalg.inv(info) @ model.u
+        np.testing.assert_allclose(value, expected, rtol=1e-9)
+
+    @pytest.mark.parametrize("v", [
+        [0.5, 0.5 - SUPPORT_EPS, SUPPORT_EPS],
+        [0.0, 0.0, SUPPORT_EPS],
+        [0.5, 0.5, 1e-12],
+        [1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0],
+    ])
+    def test_no_fraction_above_the_support_threshold_on_the_identifying_pattern(self, v):
+        # two tests and k = 3: only the pattern of both tests identifies p;
+        # the patterns of one test have rank 1 each, and 2 together
+        tests = [TestSpec("a", 100.0, 0.9, 0.95), TestSpec("b", 300.0, 0.8, 0.97)]
+        model = DiseaseModel(tests=tests, nominal=[[1, 0], [0, 1], [1, 1], [0, 0]], u=np.ones(3))
+        assert objective(v, [0.1, 0.2, 0.3], model) == math.inf
+        assert math.isfinite(objective([0.5, 0.5 - 2e-7, 2e-7], [0.1, 0.2, 0.3], model))
 
 
 class TestObjective:
@@ -303,8 +354,8 @@ class TestTypedErrors:
         # (one zero coordinate, the reference state at probability 0, a
         # vertex), returns a design that objective and kkt_check certify and
         # that is no worse than the uniform design, or refuses it with a
-        # typed error; a singular optimum is refused by the same eigenvalue
-        # rule that makes objective call it unbounded.
+        # typed error; a singular optimum is refused by the same rank rule
+        # on its support that makes objective call it unbounded.
         outcomes = {"certified": 0, "typed": 0}
         for seed in range(60):
             rng = np.random.default_rng(seed)
@@ -534,6 +585,14 @@ class TestBudgetForMargin:
             budget_for_margin(P0, model_row1, moe=moe)
 
 
+def fair_coin_tests(model):
+    """The model with every sensitivity and specificity 0.5: no outcome
+    depends on the state, so no design identifies p."""
+    return model.with_test_overrides(
+        {t.id: {"sensitivity": 0.5, "specificity": 0.5} for t in model.tests}
+    )
+
+
 # Each rule on a solver input, with its message.
 INPUT_ERRORS = {
     "fractions-shape": (
@@ -557,7 +616,7 @@ INPUT_ERRORS = {
         "blended information matrix is singular; KKT residual undefined",
     ),
     "summed-information-singular": (
-        lambda m: _solve_simplex(np.zeros((2, 3, 3)), m.u),
+        lambda m: _solve_simplex(_pattern_infos(P0, fair_coin_tests(m)), fair_coin_tests(m)),
         InfeasibleDesignError,
         "the summed pattern information matrix is singular",
     ),

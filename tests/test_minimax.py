@@ -159,6 +159,12 @@ class TestSaddleCheck:
         assert gap_p == pytest.approx(0.0, abs=1e-12)
         assert gap_v <= 1e-6 * local.objective
 
+    def test_design_that_does_not_identify_p_rejected(self, model_row4):
+        # pattern 001 alone, the antibody test, cannot tell infection states apart
+        with pytest.raises(ValueError) as err:
+            saddle_check(np.eye(7)[0], [0.06, 0.45, 0.0], ROW4_BOX, model_row4)
+        assert str(err.value) == "blended information matrix is singular; saddle gaps undefined"
+
     def test_p_star_outside_the_box_rejected(self):
         # its first gap would be negative: a(v; p*) far beyond the box
         # exceeds every value on the grid
@@ -201,7 +207,7 @@ def exhaustive_worst_case(box, model, grid_step, saddle_tol=SADDLE_TOL):
     u = model.u
     best_index, best = -1, None
     for i in range(len(pts)):
-        solve = _solve_simplex(infos[:, i], u)
+        solve = _solve_simplex(infos[:, i], model)
         if best is None or solve[1] > best[1]:
             best_index, best = i, solve
     v_star, value, _, iterations = best
@@ -218,7 +224,7 @@ def exhaustive_worst_case(box, model, grid_step, saddle_tol=SADDLE_TOL):
         for _ in range(REFINE_MAX_ROUNDS):
             v_avg = np.mean(iterates, axis=0)
             reply = int(np.argmax(_criterion(v_avg, infos, u)[0]))
-            iterates.append(_solve_simplex(infos[:, reply], u)[0])
+            iterates.append(_solve_simplex(infos[:, reply], model)[0])
             gap_avg = gap_of(np.mean(iterates, axis=0))
             if gap_avg < gap_best:
                 v_best, gap_best = np.mean(iterates, axis=0), gap_avg
@@ -295,8 +301,7 @@ class TestBoundPrunedSearch:
         u = model_row4.u
         rng = np.random.default_rng(8)
         open_idx = np.sort(rng.choice(infos.shape[1], 300, replace=False))
-        only_001 = np.eye(infos.shape[0])[0]  # singular everywhere: every bound is +inf
-        for v in (row4_worst_case[0].design.fractions, only_001, random_pd_fractions(rng, 7, 6)):
+        for v in (row4_worst_case[0].design.fractions, random_pd_fractions(rng, 7, 6)):
             full = _criterion(v, infos, u)[0][open_idx]
             bounds = _criterion(v, infos, u, open_idx)[0]
             assert bounds.tobytes() == full.tobytes()
