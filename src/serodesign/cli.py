@@ -79,6 +79,7 @@ from .allocation import (
     validate_entries,
 )
 from .coptimal import (
+    SUPPORT_EPS,
     ConvergenceError,
     Design,
     InfeasibleDesignError,
@@ -92,6 +93,7 @@ from .model import (
     DiseaseModel,
     ParameterBox,
     TestSpec,
+    _pattern_tables,
     all_patterns,
     check_a1,
     check_a2,
@@ -408,6 +410,8 @@ def _load_design(path: str, model: DiseaseModel, budget: float) -> Design:
     cheapest = min(t.cost for t in model.tests)  # buys at most one of any pattern
     with _at("design"):
         design = Design(patterns=patterns, fractions=fractions, budget=cheapest)
+        if not _pattern_tables(model).identifies(design.fractions > SUPPORT_EPS):
+            raise ValueError("its patterns do not identify p, so its variance is unbounded")
     with _at("design.budget"):
         return replace(design, budget=budget)
 
@@ -628,7 +632,7 @@ def main(argv=None) -> int:
         return 2
 
     if args.output == "json":
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report, indent=2, allow_nan=False))
     else:
         print(render_table(report))
     return 0

@@ -30,11 +30,12 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
+    PD_TOLERANCE,
     DiseaseModel,
     TestPattern,
     _a1,
     _fisher_info_grid,
-    _identifies,
+    _pattern_tables,
     _require_finite,
     all_patterns,
     check_a1,
@@ -141,9 +142,11 @@ class Design:
                 "are no longer exact"
             )
 
-    @property
+    @cached_property
     def costs(self) -> np.ndarray:
-        return _costs(self.patterns)
+        costs = np.array([t.cost for t in self.patterns], dtype=np.float64)
+        costs.setflags(write=False)
+        return costs
 
     @property
     def counts(self) -> np.ndarray:
@@ -215,6 +218,10 @@ class SolveReport:
     kkt_residual: float
     iterations: int
 
+    def __post_init__(self):
+        if not math.isfinite(self.min_variance):  # Infinity is not JSON
+            raise ValueError(f"budget {self.design.budget:g} makes the variance infinite")
+
     @property
     def min_variance(self) -> float:
         """The achieved variance at the design's budget, ``objective / budget``."""
@@ -241,14 +248,10 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def _costs(patterns: Sequence[TestPattern]) -> np.ndarray:
-    return np.array([t.cost for t in patterns], dtype=np.float64)
-
-
 def _per_cost(infos: np.ndarray, model: DiseaseModel) -> np.ndarray:
     """Divide a (T, ..., k, k) information stack of the model's patterns by
     their costs, in place."""
-    costs = _costs(all_patterns(model))
+    costs = _pattern_tables(model).costs
     infos /= costs.reshape(costs.shape + (1,) * (infos.ndim - 1))
     return infos
 
@@ -259,11 +262,6 @@ def _pattern_infos(p, model: DiseaseModel) -> np.ndarray:
     return _per_cost(_fisher_info_grid(p, model), model)
 
 
-def _blend(v: np.ndarray, infos: np.ndarray) -> np.ndarray:
-    """sum_t v_t infos[t]; infos is (T, k, k) or (T, m, k, k)."""
-    return np.einsum("t,t...->...", v, infos)
-
-
 def _criterion(v: np.ndarray, infos: np.ndarray, u: np.ndarray, at=None):
     """(a, x): the criterion a = u' A^{-1} u and x = A^{-1} u of A = sum_t v_t infos[t].
 
@@ -272,9 +270,9 @@ def _criterion(v: np.ndarray, infos: np.ndarray, u: np.ndarray, at=None):
     (an index into the m points) keeps only those points, after the blend,
     so no slice of ``infos`` is copied.  Every blend is solved for x in one
     batched ``np.linalg.solve``, so the support of v must identify p
-    (_identifies); _evaluate checks that for a caller's fractions.
+    (_PatternTable.identifies); _evaluate checks that for a caller's fractions.
     """
-    blended = _blend(v, infos)
+    blended = np.einsum("t,t...->...", v, infos)
     if at is not None:
         blended = blended[at]
     x = np.linalg.solve(blended, u)
@@ -291,7 +289,7 @@ def _evaluate(v, p, model: DiseaseModel):
     """Validated fractions, pattern informations and _criterion at p; +inf unless v identifies p."""
     v = _fractions(v, len(all_patterns(model)))
     infos = _pattern_infos(validate_parameter(p, model.k), model)
-    if not _identifies(v > SUPPORT_EPS, model):
+    if not _pattern_tables(model).identifies(v > SUPPORT_EPS):
         return v, infos, math.inf, np.full(model.k, math.nan)
     return (v, infos) + _criterion(v, infos, model.u)
 
@@ -365,7 +363,7 @@ def _finish(infos: np.ndarray, u: np.ndarray, y: np.ndarray, lam: np.ndarray, ac
     res = np.abs(f).max()
     steps = 0
     for steps in range(1, FINISH_STEPS + 1):
-        jac[:k, :k] = (2.0 * scale) * _blend(lam_s, b)
+        jac[:k, :k] = (2.0 * scale) * np.einsum("t,t...->...", lam_s, b)
         jac[:k, k:] = (2.0 * scale) * by.T
         jac[k:, :k] = 2.0 * by
         dz = np.linalg.lstsq(jac, -f, rcond=1e-10)[0]
@@ -409,23 +407,26 @@ def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
 
     Raises InfeasibleDesignError when no design identifies p, so sum_t B_t
     is singular, and ConvergenceError when the certified optimum's support
-    does not (_identifies) or no certificate comes within MAX_NEWTON_STEPS.
+    does not (_PatternTable.identifies) or no certificate comes within
+    MAX_NEWTON_STEPS.
     """
     n, u = infos.shape[0], model.u
-    if not _identifies(np.ones(n, dtype=bool), model):
+    if not _pattern_tables(model).identified:
         raise InfeasibleDesignError("the summed pattern information matrix is singular")
     y_hat = np.linalg.solve(infos.sum(axis=0), u)
     y = 0.5 * y_hat / math.sqrt((infos @ y_hat @ y_hat).max())
     by = infos @ y
     s = 1.0 - by @ y
+    rhs = np.empty((u.size, 2))  # columns: the barrier gradient, then u
+    rhs[:, 1] = u
     tau = None
     gap = FINISH_GAP
     steps = 0
     while steps < MAX_NEWTON_STEPS:
         w = by / s[:, None]
-        grad = 2.0 * w.sum(axis=0)  # of the barrier; the objective adds -tau u
-        hess = 2.0 * _blend(1.0 / s, infos) + 4.0 * w.T @ w
-        h_grad, h_u = np.linalg.solve(hess, np.array([grad, u]).T).T
+        grad = rhs[:, 0] = 2.0 * w.sum(axis=0)  # of the barrier; the objective adds -tau u
+        hess = 2.0 * np.einsum("t,t...->...", 1.0 / s, infos) + 4.0 * w.T @ w
+        h_grad, h_u = np.linalg.solve(hess, rhs).T
         if tau is None:
             tau = (h_u @ grad) / (h_u @ u)
         dec = (grad - tau * u) @ (h_grad - tau * h_u)
@@ -442,7 +443,7 @@ def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
                     and resid <= CERTIFICATE_TOL
                 ):
                     v = np.maximum(lam, 0.0) / total
-                    if not _identifies(v > SUPPORT_EPS, model):
+                    if not _pattern_tables(model).identifies(v > SUPPORT_EPS):
                         raise ConvergenceError(
                             f"the optimal design found after {steps} Newton steps has a "
                             f"singular information matrix (support of {np.count_nonzero(v)} "
@@ -459,7 +460,7 @@ def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
             trial = y + t * step
             b_trial = infos @ trial
             s_trial = 1.0 - b_trial @ trial
-            if (s_trial > 0.0).all():  # exactly y' B_t y < 1 in IEEE arithmetic
+            if s_trial.min() > 0.0:  # exactly y' B_t y < 1 in IEEE arithmetic
                 break
             t *= 0.5
         else:
@@ -486,7 +487,8 @@ def solve_c_optimal(p, model: DiseaseModel, budget: float = 1.0) -> SolveReport:
     """
     p = validate_parameter(p, model.k)
     infos = _fisher_info_grid(p, model)
-    if not _a1(infos, model).ok:
+    # A1 holds when the all-tests pattern, which dominates (see minimax), is PD
+    if not (np.linalg.eigvalsh(infos[-1])[0] > PD_TOLERANCE or _a1(infos, model).ok):
         raise InfeasibleDesignError(
             "no test pattern has positive-definite information at p; "
             "every design has unbounded variance"

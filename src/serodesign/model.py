@@ -11,8 +11,8 @@ mixture over states, and whose Fisher information drives every design
 computation downstream.
 
 Every outcome of every pattern is one row of a stacked pattern table,
-built once per model in one vectorized pass and cached: the rows follow
-``all_patterns`` order and, within a pattern, ``outcome_space`` order.
+built once per model and cached: the rows follow ``all_patterns`` order
+and, within a pattern, ``outcome_space`` order, a layout shared per test count.
 A row holds ``P(y | state)`` for every state, its deviation ``d`` from
 the reference state and the flattened outer product ``d d'``, so the Fisher
 information of every pattern, at one parameter point or on a whole grid,
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -105,7 +105,7 @@ class DiseaseModel:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate test ids: {ids}")
         nominal = np.asarray(self.nominal)
-        if not np.isin(nominal, (0, 1)).all():
+        if not ((nominal == 0) | (nominal == 1)).all():
             raise ValueError("nominal matrix entries must be 0 or 1")
         nominal = nominal.astype(np.int64, copy=False)
         if nominal.ndim != 2 or nominal.shape[1] != len(tests):
@@ -394,20 +394,38 @@ def mixture_prob(y: Outcome, t: TestPattern, p, model: DiseaseModel) -> float:
     return float(total)
 
 
-# Models whose pattern tables the cache keeps.  The cache is keyed by model
-# identity, so a bound keeps models parsed and discarded by a long-running
-# caller from staying alive; a request touches a few models at most.
+# Models whose pattern tables, and test counts whose layouts, the caches keep.
+# The table cache is keyed by model identity, so a bound keeps models parsed
+# and dropped by a long-running caller from staying alive; a request uses few.
 PATTERN_TABLE_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=PATTERN_TABLE_CACHE_SIZE)
+def _layout(n: int):
+    """(codes, masks, index, spans, starts) of every pattern table of n tests:
+    ``codes[j, r]`` marks test j in row r as not conducted (0), outcome 0 (1)
+    or outcome 1 (2), and sorting the 3^n - 1 rows by (mask, outcome bits), first
+    test most significant, puts them in all_patterns, then outcome_space order."""
+    weights = 1 << np.arange(n - 1, -1, -1)  # first test most significant
+    codes = (np.arange(3**n)[:, None] // 3 ** np.arange(n - 1, -1, -1)) % 3
+    codes = codes[np.lexsort(((codes == 2) @ weights, (codes > 0) @ weights))[1:]]  # drop "no test"
+    masks = (np.arange(1, 2**n)[:, None] & weights) > 0  # all_patterns order
+    offsets = [0, *itertools.accumulate((2 ** masks.sum(axis=1)).tolist())]
+    codes, starts = codes.T.astype(np.int8), np.array(offsets[:-1])
+    for array in (codes, masks, starts):
+        array.setflags(write=False)
+    index = {mask: i for i, mask in enumerate(map(tuple, masks.astype(np.int64).tolist()))}
+    return codes, masks, index, tuple(map(slice, offsets[:-1], offsets[1:])), starts
 
 
 @dataclass(frozen=True, eq=False)
 class _PatternTable:
     """Every outcome of every pattern of one model, one row per outcome.
 
-    ``patterns`` (which carry their costs) follow all_patterns order, and
-    ``index`` maps a mask to its position there.  The rows of pattern
-    ``i`` are ``spans[i]``, in outcome_space order; ``starts`` holds the
-    first row of every pattern.
+    ``patterns`` (which carry their costs, also in ``costs``) follow
+    all_patterns order, and ``index`` maps a mask to its position there.
+    The rows of pattern ``i`` are ``spans[i]``, in outcome_space order;
+    ``starts`` holds the first row of every pattern (all three _layout's).
     ``q[r, s] = P(y_r | state s)``, ``d = q[:, :k]`` minus the
     reference column ``q[:, k]``, and row r of ``outer`` is ``d_r d_r'``
     flattened to ``k * k`` entries.  The mixture probability of row r at
@@ -415,6 +433,7 @@ class _PatternTable:
     """
 
     patterns: tuple[TestPattern, ...]
+    costs: np.ndarray
     index: dict
     spans: tuple[slice, ...]
     starts: np.ndarray
@@ -435,66 +454,56 @@ class _PatternTable:
     def rows(self, t: TestPattern) -> slice:
         return self.spans[self.positions((t,))[0]]
 
+    def identifies(self, support) -> bool:
+        """Whether the patterns marked in ``support`` identify p: their stacked ``d``
+        rows, so their summed ``gram``, have rank k (matrix_rank's tolerance), which
+        decides at every p if blends of their informations ``D' diag(1/P) D`` are singular."""
+        lam = np.linalg.eigvalsh(self.gram[support].sum(axis=0))
+        return bool(lam[0] > lam[-1] * lam.size * np.finfo(float).eps)
+
+    @cached_property
+    def identified(self) -> bool:
+        """Whether all patterns together identify p, decided once per model."""
+        return self.identifies(slice(None))
+
 
 @lru_cache(maxsize=PATTERN_TABLE_CACHE_SIZE)
 def _pattern_tables(model: DiseaseModel) -> _PatternTable:
-    """The stacked pattern table of a model, built in one vectorized pass.
+    """The stacked pattern table of a model, on the layout of its test count.
 
-    Each of the 3^n - 1 codes marks every test as not conducted, outcome 0
-    or outcome 1; sorting the codes by (mask, outcome bits) with the first
-    test most significant puts them in all_patterns order, then
-    outcome_space order.  Q multiplies the per-test channel factors in
-    test order, a factor of exactly 1.0 standing for a test not conducted,
-    so every entry is the product conditional_prob forms.
-    """
-    n, k = model.n_tests, model.k
-    weights = 1 << np.arange(n - 1, -1, -1)  # first test most significant
-    codes = (np.arange(3**n)[:, None] // 3 ** np.arange(n - 1, -1, -1)) % 3
-    conducted, positive = codes > 0, codes == 2
-    order = np.lexsort((positive @ weights, conducted @ weights))[1:]  # drop "no test"
-    conducted, positive = conducted[order], positive[order]
-
+    Q gathers test j's factor ``channel[code, state, j]``, exactly 1.0 for
+    a test not conducted, and multiplies them in test order, so every
+    entry is the product conditional_prob forms."""
+    k = model.k
+    codes, masks, index, spans, starts = _layout(model.n_tests)
     sens = np.array([t.sensitivity for t in model.tests])
     spec = np.array([t.specificity for t in model.tests])
-    correct = np.where(model.nominal == 1, sens, spec)  # (k+1, n)
-    q = np.ones((order.size, k + 1))
-    for j in range(n):
-        match = positive[:, j, None] == (model.nominal[None, :, j] == 1)
-        factor = np.where(match, correct[:, j], 1.0 - correct[:, j])
-        q *= np.where(conducted[:, j, None], factor, 1.0)
+    positive = np.where(model.nominal == 1, sens, 1.0 - spec)  # (k+1, n)
+    negative = np.where(model.nominal == 1, 1.0 - sens, spec)
+    channel = np.stack([np.ones_like(positive), negative, positive])
+    q = channel[codes[0], :, 0]
+    for j in range(1, model.n_tests):
+        q *= channel[codes[j], :, j]
     d = q[:, :k] - q[:, k:]
 
-    masks = (np.arange(1, 2**n)[:, None] & weights) > 0  # all_patterns order
     costs = np.zeros(masks.shape[0])
     for j, test in enumerate(model.tests):  # summed in test order, as make_pattern does
         costs += np.where(masks[:, j], test.cost, 0.0)
-    offsets = [0, *itertools.accumulate((2 ** masks.sum(axis=1)).tolist())]
     outer = (d[:, :, None] * d[:, None, :]).reshape(-1, k * k)
-    patterns = tuple(
-        TestPattern(mask=tuple(mask), cost=cost)
-        for mask, cost in zip(masks.astype(np.int64).tolist(), costs.tolist())
-    )
     table = _PatternTable(
-        patterns=patterns,
-        index={t.mask: i for i, t in enumerate(patterns)},
-        spans=tuple(map(slice, offsets[:-1], offsets[1:])),
-        starts=np.array(offsets[:-1]),
+        patterns=tuple(map(TestPattern, index, costs.tolist())),
+        costs=costs,
+        index=index,
+        spans=spans,
+        starts=starts,
         q=q,
         d=d,
         outer=outer,
-        gram=np.add.reduceat(outer, offsets[:-1], axis=0).reshape(-1, k, k),
+        gram=np.add.reduceat(outer, starts, axis=0).reshape(-1, k, k),
     )
-    for name in ("starts", "q", "d", "outer", "gram"):
+    for name in ("costs", "q", "d", "outer", "gram"):
         getattr(table, name).setflags(write=False)
     return table
-
-
-def _identifies(support: np.ndarray, model: DiseaseModel) -> bool:
-    """Whether the patterns marked in ``support`` identify p: their stacked ``d``
-    rows, so their summed ``gram``, have rank k (matrix_rank's tolerance), which
-    decides at every p if blends of their informations ``D' diag(1/P) D`` are singular."""
-    lam = np.linalg.eigvalsh(_pattern_tables(model).gram[support].sum(axis=0))
-    return bool(lam[0] > lam[-1] * model.k * np.finfo(float).eps)
 
 
 def _fisher_info_grid(p, model: DiseaseModel):

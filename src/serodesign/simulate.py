@@ -67,18 +67,19 @@ class SurveyDataset:
         object.__setattr__(self, "counts", counts)
 
 
-def _stream(seed: int, replication: int, pattern_index: int) -> np.random.Generator:
-    # Philox is counter-based; the spawn key names the (replication, pattern)
-    # stream so parallel replications stay reproducible.
+def _key(seed: int, replication: int, pattern_index: int) -> np.ndarray:
+    # The Philox key of a (replication, pattern) cell: Philox is counter-based,
+    # and the spawn key names the stream so parallel replications stay reproducible.
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication, pattern_index))
-    return np.random.Generator(np.random.Philox(ss))
+    return ss.generate_state(2, np.uint64)
 
 
 def _sample(design: Design, p, model: DiseaseModel, seed: int, replications: range):
     """Outcome counts of many replications of one survey, in one pass: the
     patterns with participants, their stacked ``(n, k+1)`` table ``P(y | state)``
     and the ``(len(replications), n)`` int64 counts.  Each (replication,
-    pattern) cell is drawn on its own named stream."""
+    pattern) cell is drawn on its own named stream: one Philox generator,
+    re-keyed through its ``state`` to the cell's _key."""
     p = validate_parameter(p, model.k)
     state_probs = np.append(p, max(1.0 - p.sum(), 0.0))
     if p.sum() > 1.0:  # a sum up to 1 + 1e-9 is valid; numpy's multinomial rejects it
@@ -94,13 +95,17 @@ def _sample(design: Design, p, model: DiseaseModel, seed: int, replications: ran
     spans = [table.spans[j] for j in table.positions(patterns)]
     q = np.vstack([table.q[rows] for rows in spans])
     ends = np.cumsum([rows.stop - rows.start for rows in spans]).tolist()
-    counts = np.empty((len(replications), ends[-1]), dtype=np.int64)
+    counts = np.zeros((len(replications), ends[-1]), dtype=np.int64)
+    bits = np.random.Philox(0)
+    rng, fresh = np.random.Generator(bits), bits.state
     for r, row in zip(replications, counts):
         for (index, n), start, stop in zip(drawn, [0, *ends], ends):
-            rng = _stream(seed, r, index)
-            states = rng.multinomial(n, state_probs)
-            # one draw per state, in state order; a state with no participant draws nothing
-            row[start:stop] = rng.multinomial(states, q[start:stop].T).sum(axis=0)
+            fresh["state"]["key"] = _key(seed, r, index)
+            bits.state = fresh
+            cell = row[start:stop]
+            for s, n_s in enumerate(rng.multinomial(n, state_probs).tolist()):
+                if n_s:  # a state with no participant would draw nothing
+                    cell += rng.multinomial(n_s, q[start:stop, s])
     return patterns, q, counts
 
 

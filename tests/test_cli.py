@@ -462,6 +462,21 @@ MALFORMED = {
         "simulate", ROW1, [], json.dumps(edited(SAVED_DESIGN, 1e22, "design", "budget")),
         "design.budget",
     ),
+    # objective / budget overflows: a variance of Infinity is not JSON
+    "c-optimal-budget-variance-overflows": (
+        "c-optimal", edited(ROW1, 1e-310, "budget"), [], None, "budget",
+    ),
+    "worst-case-budget-variance-overflows": (
+        "worst-case", edited(tiny_box_config(), 1e-310, "budget"), [], None, "budget",
+    ),
+    "strata-budget-variance-overflows": (
+        "strata", edited(STRATA, 1e-310, "budget"), [], None, "budget",
+    ),
+    # the antibody test alone does not identify p: its variance is unbounded
+    "design-not-identifying": (
+        "simulate", ROW1, [], json.dumps({"design": {"budget": 1e7, "fractions": {"001": 1.0}}}),
+        "design",
+    ),
 }
 
 # A grid step whose lattice over a box is too large to build: from a flag

@@ -82,10 +82,15 @@ def assert_matches(actual, expected, path="report", scale=0.0):
         assert actual == expected, path
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.mark.parametrize("name", list(RUNS))
 def test_report_matches_golden(capsys, name):
     assert main(_argv(name)) == 0
-    actual = json.loads(capsys.readouterr().out)
+    # strict JSON: NaN and Infinity are rejected
+    actual = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
     with open(_golden_path(name), encoding="utf-8") as handle:
         expected = json.load(handle)
     assert_matches(actual, expected)

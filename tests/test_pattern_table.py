@@ -10,23 +10,29 @@ loop of per-pattern eigenvalue solves on independently built matrices.
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from serodesign import (
     DiseaseModel,
+    InfeasibleDesignError,
     ParameterBox,
     TestSpec,
     all_patterns,
     check_a1,
     check_a2,
     conditional_prob,
+    default_model,
     fisher_info,
     make_pattern,
     mixture_prob,
     outcome_space,
+    solve_c_optimal,
+    worst_case_design,
 )
-from serodesign.model import PD_TOLERANCE, _fisher_info_grid, _pattern_tables
+from serodesign.coptimal import _pattern_infos, _solve_simplex
+from serodesign.model import PD_TOLERANCE, _fisher_info_grid, _layout, _pattern_tables
 
 # Derandomized, so every run draws the same models; the bounds keep the
 # suite's run time near that of the rest of tier-1.
@@ -190,3 +196,81 @@ def test_a2_matches_a_loop_of_per_pattern_eigenvalues(data):
     witness = lam[patterns.index(result.pattern)]
     at = [i for i, p in enumerate(pts) if np.array_equal(p, result.argmin)]
     assert len(at) == 1 and at[0] in first_within_roundoff(witness, int(np.argmin(witness)))
+
+
+def shares_layout(table, n_tests):
+    _, _, index, spans, starts = _layout(n_tests)
+    return table.index is index and table.spans is spans and table.starts is starts
+
+
+def test_models_with_one_test_count_share_one_layout():
+    base = default_model()
+    four = DiseaseModel(
+        tests=base.tests + (TestSpec(id="pcr2", cost=10.0, sensitivity=0.9, specificity=0.9),),
+        nominal=np.hstack([base.nominal, base.nominal[:, 1:2]]),
+        u=base.u,
+    )
+    assert _layout(3) is _layout(3)
+    for model in (base, default_model(rtpcr_cost=100.0), four):
+        assert shares_layout(_pattern_tables(model), model.n_tests)
+    assert _layout(4)[0].shape == (4, 3**4 - 1)
+    assert _pattern_tables(four).index is not _pattern_tables(base).index
+
+
+def coin_flips(model):
+    """``model`` with every test's sensitivity and specificity at 0.5."""
+    tests = tuple(
+        TestSpec(id=t.id, cost=t.cost, sensitivity=0.5, specificity=0.5) for t in model.tests
+    )
+    return DiseaseModel(tests=tests, nominal=model.nominal, u=model.u)
+
+
+def test_models_sharing_a_layout_keep_their_own_rows_costs_and_rank():
+    base = default_model()
+    variants = {
+        "base": base,
+        "group": base.with_test_overrides({"rat": {"sensitivity": 0.68}}),
+        "costs": default_model(rtpcr_cost=1053.0),
+        "nominal": DiseaseModel(tests=base.tests, nominal=base.nominal[[1, 0, 2, 3]], u=base.u),
+        # states 0 and 1 answer every test alike, so no design identifies p
+        "twins": DiseaseModel(tests=base.tests, nominal=base.nominal[[0, 0, 2, 3]], u=base.u),
+        "coins": coin_flips(base),
+    }
+    tables = {name: _pattern_tables(model) for name, model in variants.items()}
+    for name, model in variants.items():
+        table = tables[name]
+        assert shares_layout(table, 3), name
+        for t in table.patterns:
+            expected = [
+                [conditional_prob(y, s, t, model) for s in range(model.k + 1)]
+                for y in outcome_space(t)
+            ]
+            assert np.array_equal(table.q[table.rows(t)], expected), name
+        costs = [make_pattern(t.mask, model).cost for t in table.patterns]
+        assert table.costs.tolist() == costs == [t.cost for t in table.patterns], name
+        rank = np.linalg.matrix_rank(table.d)
+        assert table.identified == (rank == model.k) == (name not in ("twins", "coins")), name
+    for name in ("group", "nominal", "coins"):
+        assert not np.array_equal(tables[name].q, tables["base"].q), name
+    assert not np.array_equal(tables["costs"].costs, tables["base"].costs)
+
+
+def test_coin_flip_tests_keep_their_infeasibility_messages():
+    model = coin_flips(default_model())
+    p = np.array([0.1, 0.3, 0.01])
+    with pytest.raises(InfeasibleDesignError) as err:
+        solve_c_optimal(p, model)
+    assert str(err.value) == (
+        "no test pattern has positive-definite information at p; "
+        "every design has unbounded variance"
+    )
+    box = ParameterBox(lower=np.array([0.05, 0.2, 0.0]), upper=np.array([0.09, 0.3, 0.01]))
+    with pytest.raises(InfeasibleDesignError) as err:
+        worst_case_design(box, model, grid_step=0.02)
+    assert str(err.value) == (
+        "no pattern has uniformly positive-definite information over the box; "
+        "the worst-case variance is unbounded for every design"
+    )
+    with pytest.raises(InfeasibleDesignError) as err:
+        _solve_simplex(_pattern_infos(p, model), model)
+    assert str(err.value) == "the summed pattern information matrix is singular"

@@ -28,7 +28,7 @@ from serodesign import (
 )
 from serodesign.model import _pattern_tables
 from serodesign import simulate
-from serodesign.simulate import MLE_TOL, _sample, _stream
+from serodesign.simulate import MLE_TOL, _key, _sample
 
 P0 = np.array([0.10, 0.30, 0.01])
 C = 1e7
@@ -128,7 +128,8 @@ class TestSampling:
                         for index, (t, n) in enumerate(zip(patterns, design.integer_counts)):
                             if n <= 0:
                                 continue
-                            rng = _stream(seed, replication, index)
+                            key = _key(seed, replication, index)
+                            rng = np.random.Generator(np.random.Philox(key=key))
                             q = table.q[table.rows(t)]
                             counts = np.zeros(q.shape[0], dtype=np.int64)
                             for s, n_s in enumerate(rng.multinomial(int(n), state_probs)):
@@ -159,6 +160,20 @@ class TestSampling:
                     dataset = sample_outcomes(design, P0, model_row1, seed, replication=r)
                     assert drawn == dataset.patterns
                     assert row.tobytes() == np.concatenate(dataset.counts).tobytes()
+
+    def test_one_pass_from_a_later_replication_matches_each_bitwise(self, model_row1):
+        # the generator is re-keyed for every cell, so a pass that starts at
+        # replication 5 draws what each replication draws alone
+        patterns = all_patterns(model_row1)
+        design = design_from_fractions(np.full(len(patterns), 1.0 / len(patterns)), C, patterns)
+        replications = range(5, 9)
+        for seed in (0, 123):
+            drawn, _, counts = _sample(design, P0, model_row1, seed, replications)
+            assert counts.shape[0] == len(replications)
+            for r, row in zip(replications, counts):
+                dataset = sample_outcomes(design, P0, model_row1, seed, replication=r)
+                assert drawn == dataset.patterns
+                assert row.tobytes() == np.concatenate(dataset.counts).tobytes()
 
     def test_budget_buying_no_participant_rejected(self, model_row1):
         full = make_pattern((1, 1, 1), model_row1)
