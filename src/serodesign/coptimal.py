@@ -30,10 +30,9 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
-    PD_TOLERANCE,
     DiseaseModel,
     TestPattern,
-    _a1,
+    _all_tests_pd,
     _fisher_info_grid,
     _pattern_tables,
     _require_finite,
@@ -44,8 +43,8 @@ from .model import (
 )
 
 # ``check_a1`` and ``fisher_info`` are not called here: solve_c_optimal
-# builds every pattern's information once and runs A1 on it.  They stay
-# names of this module because perfbench's tracer wraps them here, and
+# gates A1 on the all-tests pattern's information.  They stay names of
+# this module because perfbench's tracer wraps them here, and
 # tests/test_package.py checks that every wrapped name resolves.
 
 __all__ = [
@@ -426,7 +425,10 @@ def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
         w = by / s[:, None]
         grad = rhs[:, 0] = 2.0 * w.sum(axis=0)  # of the barrier; the objective adds -tau u
         hess = 2.0 * np.einsum("t,t...->...", 1.0 / s, infos) + 4.0 * w.T @ w
-        h_grad, h_u = np.linalg.solve(hess, rhs).T
+        try:
+            h_grad, h_u = np.linalg.solve(hess, rhs).T
+        except np.linalg.LinAlgError:
+            raise ConvergenceError(f"singular barrier Hessian at Newton step {steps}") from None
         if tau is None:
             tau = (h_u @ grad) / (h_u @ u)
         dec = (grad - tau * u) @ (h_grad - tau * h_u)
@@ -487,8 +489,7 @@ def solve_c_optimal(p, model: DiseaseModel, budget: float = 1.0) -> SolveReport:
     """
     p = validate_parameter(p, model.k)
     infos = _fisher_info_grid(p, model)
-    # A1 holds when the all-tests pattern, which dominates (see minimax), is PD
-    if not (np.linalg.eigvalsh(infos[-1])[0] > PD_TOLERANCE or _a1(infos, model).ok):
+    if not _all_tests_pd(infos[-1]):
         raise InfeasibleDesignError(
             "no test pattern has positive-definite information at p; "
             "every design has unbounded variance"

@@ -18,6 +18,11 @@ the reference state and the flattened outer product ``d d'``, so the Fisher
 information of every pattern, at one parameter point or on a whole grid,
 is a sum of rows weighted by the reciprocal mixture probabilities, and
 the assumption checks A1 and A2 are batched eigenvalue solves on it.
+
+A pattern's outcome is a marginal of the all-tests outcome, so by the
+data-processing inequality for Fisher information (Zamir 1998, IEEE Trans.
+Inf. Theory 44) ``I_all(p) - I_t(p)`` is positive semidefinite for every
+pattern t at every p: the all-tests pattern alone decides A1 and A2.
 """
 
 from __future__ import annotations
@@ -557,10 +562,10 @@ class A2Result(NamedTuple):
     pattern: TestPattern | None
 
 
-def _a1(infos: np.ndarray, model: DiseaseModel) -> A1Result:
-    """A1 on the (T, k, k) pattern informations of ``model`` at one point."""
-    hits = np.flatnonzero(np.linalg.eigvalsh(infos)[:, 0] > PD_TOLERANCE)
-    return A1Result(True, all_patterns(model)[hits[0]]) if hits.size else A1Result(False, None)
+def _all_tests_pd(infos: np.ndarray) -> bool:
+    """A1 at a point, or A2 over a grid: is the all-tests information,
+    (k, k) or (m, k, k), positive definite everywhere?"""
+    return bool(np.linalg.eigvalsh(infos)[..., 0].min() > PD_TOLERANCE)
 
 
 def _box_grid(box: ParameterBox, model: DiseaseModel, grid_step: float) -> np.ndarray:
@@ -575,7 +580,9 @@ def check_a1(p, model: DiseaseModel) -> A1Result:
     Positive definite means a smallest eigenvalue above PD_TOLERANCE.
     Returns the first such pattern in all_patterns order, or (False, None).
     """
-    return _a1(_fisher_info_grid(validate_parameter(p, model.k), model), model)
+    infos = _fisher_info_grid(validate_parameter(p, model.k), model)
+    hits = np.flatnonzero(np.linalg.eigvalsh(infos)[:, 0] > PD_TOLERANCE)
+    return A1Result(True, all_patterns(model)[hits[0]]) if hits.size else A1Result(False, None)
 
 
 def check_a2(box: ParameterBox, model: DiseaseModel, grid_step: float = 0.01) -> A2Result:
@@ -585,8 +592,7 @@ def check_a2(box: ParameterBox, model: DiseaseModel, grid_step: float = 0.01) ->
     on the feasible grid, in one batched ``eigvalsh``, and reports the
     pattern with the best worst-case eigenvalue (the first in all_patterns
     order on a tie) together with the first grid point attaining it; A2
-    holds when that eigenvalue is above PD_TOLERANCE.  worst_case_design
-    calls it only when the all-tests pattern fails on its own.
+    holds when that eigenvalue is above PD_TOLERANCE.
     """
     pts = _box_grid(box, model, grid_step)
     lam = np.linalg.eigvalsh(_fisher_info_grid(pts, model))[..., 0]  # (T, m)

@@ -25,6 +25,8 @@ from serodesign.cli import (
     run,
 )
 
+from conftest import SINGULAR_HESSIAN_CONFIG
+
 ROW1 = {
     "model": {
         "tests": [
@@ -679,6 +681,15 @@ class TestMain:
         code = main(["c-optimal", "--config", str(path)])
         assert code == 2
         assert "solver error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["c-optimal"], ["budget", "--moe", "0.01"], ["simulate"]])
+    def test_singular_barrier_hessian_exit_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "near_coin.json"
+        path.write_text(json.dumps(SINGULAR_HESSIAN_CONFIG))
+        assert main([*argv, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "solver error: singular barrier Hessian at Newton step "
+        )
 
     def test_singular_end_point_exit_two(self, capsys, tmp_path):
         doc = {

@@ -20,6 +20,7 @@ from serodesign import (
     TestSpec,
     all_patterns,
     budget_for_margin,
+    check_a1,
     conditional_prob,
     default_model,
     design_from_fractions,
@@ -39,6 +40,8 @@ from _suites import (
     random_pd_fractions,
     worst_convexity_slack,
 )
+
+from conftest import SINGULAR_HESSIAN_CONFIG
 
 P0 = np.array([0.10, 0.30, 0.01])
 
@@ -380,6 +383,12 @@ class TestTypedErrors:
                 assert objective(np.full(len(v), 1.0 / len(v)), point, model) >= report.objective
                 outcomes["certified"] += 1
         assert outcomes["certified"] >= 1 and outcomes["typed"] >= 1
+
+    def test_singular_barrier_hessian_raises_convergence_error(self, singular_hessian_model):
+        point = SINGULAR_HESSIAN_CONFIG["scenario"]["point"]
+        assert check_a1(point, singular_hessian_model).ok
+        with pytest.raises(ConvergenceError, match=r"^singular barrier Hessian at Newton step \d+$"):
+            solve_c_optimal(point, singular_hessian_model)
 
     def test_newton_step_cap_raises(self, monkeypatch, model_row1):
         monkeypatch.setattr(coptimal, "MAX_NEWTON_STEPS", 3)

@@ -4,11 +4,13 @@ equilibrium certification."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import serodesign.minimax as minimax
+import serodesign.model as model_module
 from serodesign import (
     ConvergenceError,
     DiseaseModel,
@@ -320,6 +322,16 @@ def record_inner_solves(monkeypatch) -> list:
     return calls
 
 
+def unidentified_model():
+    """Two tests, k = 3: states 1 and 2 give the same responses, so no
+    pattern identifies p."""
+    tests = [TestSpec("a", 100.0, 0.9, 0.95), TestSpec("b", 300.0, 0.8, 0.97)]
+    return DiseaseModel(tests=tests, nominal=[[1, 0], [0, 1], [0, 1], [0, 0]], u=np.ones(3))
+
+
+UNIDENTIFIED_BOX = ParameterBox(lower=[0.05, 0.05, 0.05], upper=[0.1, 0.1, 0.1])
+
+
 class TestAllTestsPattern:
     """The pattern that runs every test gates A2 and picks the first point solved."""
 
@@ -331,31 +343,36 @@ class TestAllTestsPattern:
         assert last.mask == (1,) * n_tests
         assert last.cost == sum(t.cost for t in tests)
 
-    def test_a2_of_every_pattern_skipped_on_a_feasible_box(self, model_row4, monkeypatch):
+    def test_a2_gated_on_the_all_tests_pattern_alone(self, model_row4, monkeypatch):
+        # check_a2 never runs, and a failing box builds its grid
+        # information once, in worst_case_design itself
         def fail(*args):
-            raise AssertionError("check_a2 ran on a box whose all-tests pattern passes A2")
+            raise AssertionError("worst_case_design ran check_a2")
 
         monkeypatch.setattr(minimax, "check_a2", fail)
+        builds = []
+        for module in (minimax, model_module):
+            real = module._fisher_info_grid
+            monkeypatch.setattr(
+                module,
+                "_fisher_info_grid",
+                lambda *args, real=real: builds.append(1) or real(*args),
+            )
         report = worst_case_design(ROW4_BOX, model_row4, grid_step=0.05)
         assert report.objective > 0
+        builds.clear()
+        with pytest.raises(InfeasibleDesignError):
+            worst_case_design(UNIDENTIFIED_BOX, unidentified_model(), grid_step=0.05)
+        assert builds == [1]
 
-    def test_a2_failure_message_unchanged(self, monkeypatch):
-        # two tests, k = 3: states 1 and 2 give the same responses, so no
-        # pattern identifies p
-        tests = [TestSpec("a", 100.0, 0.9, 0.95), TestSpec("b", 300.0, 0.8, 0.97)]
-        model = DiseaseModel(tests=tests, nominal=[[1, 0], [0, 1], [0, 1], [0, 0]], u=np.ones(3))
-        box = ParameterBox(lower=[0.05, 0.05, 0.05], upper=[0.1, 0.1, 0.1])
-        calls = []
-        real = minimax.check_a2
-        monkeypatch.setattr(minimax, "check_a2", lambda *args: calls.append(1) or real(*args))
+    def test_a2_failure_message_unchanged(self):
         message = (
             "no pattern has uniformly positive-definite information over the box; "
             "the worst-case variance is unbounded for every design"
         )
         with pytest.raises(InfeasibleDesignError) as err:
-            worst_case_design(box, model, grid_step=0.05)
+            worst_case_design(UNIDENTIFIED_BOX, unidentified_model(), grid_step=0.05)
         assert str(err.value) == message
-        assert calls == [1]
 
     def test_first_point_solved_is_the_all_tests_worst(self, model_row4, monkeypatch):
         pts = ROW4_BOX.grid(0.02)
@@ -384,3 +401,11 @@ class TestAllTestsPattern:
             "no certified optimum after 200 Newton steps"
         )
         assert err.value.best is best
+
+    def test_singular_barrier_hessian_names_the_grid_point(self, singular_hessian_model):
+        box = ParameterBox(lower=[0.2, 0.4, 0.15, 0.0], upper=[0.24, 0.44, 0.19, 0.02])
+        with pytest.raises(ConvergenceError) as err:
+            worst_case_design(box, singular_hessian_model, grid_step=0.02)
+        where, reason = str(err.value).split(": ", 1)
+        assert where in [f"inner solve at grid point p = {p.tolist()}" for p in box.grid(0.02)]
+        assert re.fullmatch(r"singular barrier Hessian at Newton step \d+", reason)

@@ -34,6 +34,8 @@ from serodesign import (
 from serodesign.coptimal import _pattern_infos, _solve_simplex
 from serodesign.model import PD_TOLERANCE, _fisher_info_grid, _layout, _pattern_tables
 
+from conftest import ROW1_POINT, ROW4_BOX
+
 # Derandomized, so every run draws the same models; the bounds keep the
 # suite's run time near that of the rest of tier-1.
 PROPERTY = settings(
@@ -217,10 +219,11 @@ def test_models_with_one_test_count_share_one_layout():
     assert _pattern_tables(four).index is not _pattern_tables(base).index
 
 
-def coin_flips(model):
-    """``model`` with every test's sensitivity and specificity at 0.5."""
+def coin_flips(model, reliability=0.5):
+    """``model`` with every test's sensitivity and specificity at ``reliability``."""
     tests = tuple(
-        TestSpec(id=t.id, cost=t.cost, sensitivity=0.5, specificity=0.5) for t in model.tests
+        TestSpec(id=t.id, cost=t.cost, sensitivity=reliability, specificity=reliability)
+        for t in model.tests
     )
     return DiseaseModel(tests=tests, nominal=model.nominal, u=model.u)
 
@@ -255,22 +258,55 @@ def test_models_sharing_a_layout_keep_their_own_rows_costs_and_rank():
     assert not np.array_equal(tables["costs"].costs, tables["base"].costs)
 
 
+A1_MESSAGE = (
+    "no test pattern has positive-definite information at p; "
+    "every design has unbounded variance"
+)
+A2_MESSAGE = (
+    "no pattern has uniformly positive-definite information over the box; "
+    "the worst-case variance is unbounded for every design"
+)
+
+
 def test_coin_flip_tests_keep_their_infeasibility_messages():
     model = coin_flips(default_model())
     p = np.array([0.1, 0.3, 0.01])
     with pytest.raises(InfeasibleDesignError) as err:
         solve_c_optimal(p, model)
-    assert str(err.value) == (
-        "no test pattern has positive-definite information at p; "
-        "every design has unbounded variance"
-    )
+    assert str(err.value) == A1_MESSAGE
     box = ParameterBox(lower=np.array([0.05, 0.2, 0.0]), upper=np.array([0.09, 0.3, 0.01]))
     with pytest.raises(InfeasibleDesignError) as err:
         worst_case_design(box, model, grid_step=0.02)
-    assert str(err.value) == (
-        "no pattern has uniformly positive-definite information over the box; "
-        "the worst-case variance is unbounded for every design"
-    )
+    assert str(err.value) == A2_MESSAGE
     with pytest.raises(InfeasibleDesignError) as err:
         _solve_simplex(_pattern_infos(p, model), model)
     assert str(err.value) == "the summed pattern information matrix is singular"
+
+
+def test_near_coin_flip_tests_fail_the_numeric_gates():
+    # 1e-4 from a coin flip the rank rule still calls p identified, but the
+    # all-tests information is PD only in exact arithmetic: the solvers'
+    # numeric A1 and A2 gates refuse it instead of running a Newton path
+    # on a numerically singular problem.
+    model = coin_flips(default_model(), 0.5001)
+    assert _pattern_tables(model).identified
+    least = np.linalg.eigvalsh(_fisher_info_grid(ROW1_POINT, model)[-1])[0]
+    assert least < PD_TOLERANCE
+    with pytest.raises(InfeasibleDesignError) as err:
+        solve_c_optimal(ROW1_POINT, model)
+    assert str(err.value) == A1_MESSAGE
+    with pytest.raises(InfeasibleDesignError) as err:
+        worst_case_design(ROW4_BOX, model, grid_step=0.02)
+    assert str(err.value) == A2_MESSAGE
+
+
+@PROPERTY
+@given(st.data())
+def test_all_tests_information_dominates_every_pattern(data):
+    # A pattern's outcome is a marginal of the all-tests outcome, so
+    # I_all(p) - I_t(p) is PSD: the fact both solver gates rest on.
+    model = data.draw(models())
+    pts = data.draw(interior_points(model.k, 3))
+    infos = _fisher_info_grid(pts, model)
+    gaps = np.linalg.eigvalsh(infos[-1] - infos)[..., 0]  # (T, m)
+    assert gaps.min() >= -1e-12 * scale(infos)
