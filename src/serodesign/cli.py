@@ -438,8 +438,8 @@ def _assumptions(model: DiseaseModel, where, grid_step: float) -> dict:
         "a2": {
             "ok": a2.ok,
             "lambda_min": a2.lambda_min,
-            "argmin": _floats(a2.argmin) if a2.argmin is not None else None,
-            "witness": a2.pattern.label if a2.pattern else None,
+            "argmin": _floats(a2.argmin),
+            "witness": a2.pattern.label,
         }
     }
 

@@ -15,14 +15,14 @@ built once per model and cached: the rows follow ``all_patterns`` order
 and, within a pattern, ``outcome_space`` order, a layout shared per test count.
 A row holds ``P(y | state)`` for every state, its deviation ``d`` from
 the reference state and the flattened outer product ``d d'``, so the Fisher
-information of every pattern, at one parameter point or on a whole grid,
-is a sum of rows weighted by the reciprocal mixture probabilities, and
-the assumption checks A1 and A2 are batched eigenvalue solves on it.
+information of a pattern, at one parameter point or on a whole grid, is a
+sum of its rows weighted by the reciprocal mixture probabilities.
 
 A pattern's outcome is a marginal of the all-tests outcome, so by the
 data-processing inequality for Fisher information (Zamir 1998, IEEE Trans.
 Inf. Theory 44) ``I_all(p) - I_t(p)`` is positive semidefinite for every
-pattern t at every p: the all-tests pattern alone decides A1 and A2.
+pattern t at every p: the all-tests pattern alone decides A1 and A2.  The
+gates and check_a2 read it alone; check_a1 scans for the first witness.
 """
 
 from __future__ import annotations
@@ -456,8 +456,11 @@ class _PatternTable:
                 f"{len(self.patterns[0].mask)} tests"
             ) from None
 
-    def rows(self, t: TestPattern) -> slice:
-        return self.spans[self.positions((t,))[0]]
+    def stacked(self, patterns: Sequence[TestPattern]) -> tuple[np.ndarray, list[int]]:
+        """The ``q`` rows of ``patterns``, stacked in order, and the row after each one's last."""
+        spans = [self.spans[i] for i in self.positions(patterns)]
+        ends = list(itertools.accumulate(rows.stop - rows.start for rows in spans))
+        return np.vstack([self.q[rows] for rows in spans]), ends
 
     def identifies(self, support) -> bool:
         """Whether the patterns marked in ``support`` identify p: their stacked ``d``
@@ -511,6 +514,14 @@ def _pattern_tables(model: DiseaseModel) -> _PatternTable:
     return table
 
 
+def _rows_info(table: _PatternTable, rows: slice, p: np.ndarray, out=None) -> np.ndarray:
+    """Information of the pattern on table ``rows`` on an (m, k) grid, (m, k, k): reciprocal
+    mixture probabilities times ``outer`` rows, into flat (m, k^2) ``out`` if given."""
+    mix = table.q[rows, -1] + p @ table.d[rows].T
+    info = np.matmul(np.reciprocal(mix, out=mix), table.outer[rows], out=out)
+    return info.reshape(p.shape + p.shape[-1:])
+
+
 def _fisher_info_grid(p, model: DiseaseModel):
     """Fisher information of every pattern, in all_patterns order, at one
     point or on a grid.
@@ -518,10 +529,8 @@ def _fisher_info_grid(p, model: DiseaseModel):
     ``p`` is one parameter (k,), giving (T, k, k), or an (m, k) grid,
     giving (T, m, k, k).  Entry (i, j) of pattern t sums ``d_i d_j / P(y)``
     over its outcomes.  At a point every pattern's rows are summed at once;
-    on a grid each pattern is one product of its reciprocal mixture
-    probabilities with its outer-product rows, so no (m, rows, k^2) array
-    is formed.  The reference column ``q[:, k]`` is read in place.
-    Points are not validated here.
+    on a grid each pattern is one _rows_info product, so no (m, rows, k^2)
+    array is formed.  Points are not validated here.
     """
     table = _pattern_tables(model)
     p = np.asarray(p, dtype=np.float64)
@@ -531,8 +540,7 @@ def _fisher_info_grid(p, model: DiseaseModel):
         return np.add.reduceat(weighted, table.starts, axis=0).reshape(-1, k, k)
     infos = np.empty((len(table.spans), p.shape[0], k * k))
     for out, rows in zip(infos, table.spans):
-        mix = table.q[rows, k] + p @ table.d[rows].T
-        np.matmul(np.reciprocal(mix, out=mix), table.outer[rows], out=out)
+        _rows_info(table, rows, p, out=out)
     return infos.reshape(len(table.spans), p.shape[0], k, k)
 
 
@@ -558,8 +566,8 @@ class A1Result(NamedTuple):
 class A2Result(NamedTuple):
     ok: bool
     lambda_min: float
-    argmin: np.ndarray | None
-    pattern: TestPattern | None
+    argmin: np.ndarray
+    pattern: TestPattern
 
 
 def _all_tests_pd(infos: np.ndarray) -> bool:
@@ -588,17 +596,14 @@ def check_a1(p, model: DiseaseModel) -> A1Result:
 def check_a2(box: ParameterBox, model: DiseaseModel, grid_step: float = 0.01) -> A2Result:
     """Is some pattern's information uniformly positive definite over the box?
 
-    Evaluates the smallest eigenvalue of every pattern's information matrix
-    on the feasible grid, in one batched ``eigvalsh``, and reports the
-    pattern with the best worst-case eigenvalue (the first in all_patterns
-    order on a tie) together with the first grid point attaining it; A2
-    holds when that eigenvalue is above PD_TOLERANCE.
+    ``I_all(p) - I_t(p)`` is positive semidefinite for every pattern t (see
+    the module docstring), so the all-tests pattern decides and is the
+    witness.  One ``eigvalsh`` on its feasible-grid informations gives the
+    least eigenvalue and the first grid point attaining it; A2 holds when
+    it is above PD_TOLERANCE.
     """
     pts = _box_grid(box, model, grid_step)
-    lam = np.linalg.eigvalsh(_fisher_info_grid(pts, model))[..., 0]  # (T, m)
-    argmin = lam.argmin(axis=1)
-    worst = lam[np.arange(lam.shape[0]), argmin]
-    t = int(np.argmax(worst))  # the first pattern with the best worst case
-    return A2Result(
-        bool(worst[t] > PD_TOLERANCE), float(worst[t]), pts[argmin[t]], all_patterns(model)[t]
-    )
+    table = _pattern_tables(model)
+    lam = np.linalg.eigvalsh(_rows_info(table, table.spans[-1], pts))[:, 0]
+    at = int(lam.argmin())
+    return A2Result(bool(lam[at] > PD_TOLERANCE), float(lam[at]), pts[at], table.patterns[-1])

@@ -77,9 +77,9 @@ def _key(seed: int, replication: int, pattern_index: int) -> np.ndarray:
 def _sample(design: Design, p, model: DiseaseModel, seed: int, replications: range):
     """Outcome counts of many replications of one survey, in one pass: the
     patterns with participants, their stacked ``(n, k+1)`` table ``P(y | state)``
-    and the ``(len(replications), n)`` int64 counts.  Each (replication,
-    pattern) cell is drawn on its own named stream: one Philox generator,
-    re-keyed through its ``state`` to the cell's _key."""
+    and row ends (_PatternTable.stacked), and the ``(len(replications), n)`` int64
+    counts.  Each (replication, pattern) cell is drawn on its own named stream:
+    one Philox generator, re-keyed through its ``state`` to the cell's _key."""
     p = validate_parameter(p, model.k)
     state_probs = np.append(p, max(1.0 - p.sum(), 0.0))
     if p.sum() > 1.0:  # a sum up to 1 + 1e-9 is valid; numpy's multinomial rejects it
@@ -91,10 +91,7 @@ def _sample(design: Design, p, model: DiseaseModel, seed: int, replications: ran
             "the design has no pattern with a positive integer count"
         )
     patterns = tuple(design.patterns[i] for i, _ in drawn)
-    table = _pattern_tables(model)
-    spans = [table.spans[j] for j in table.positions(patterns)]
-    q = np.vstack([table.q[rows] for rows in spans])
-    ends = np.cumsum([rows.stop - rows.start for rows in spans]).tolist()
+    q, ends = _pattern_tables(model).stacked(patterns)
     counts = np.zeros((len(replications), ends[-1]), dtype=np.int64)
     bits = np.random.Philox(0)
     rng, fresh = np.random.Generator(bits), bits.state
@@ -106,7 +103,7 @@ def _sample(design: Design, p, model: DiseaseModel, seed: int, replications: ran
             for s, n_s in enumerate(rng.multinomial(n, state_probs).tolist()):
                 if n_s:  # a state with no participant would draw nothing
                     cell += rng.multinomial(n_s, q[start:stop, s])
-    return patterns, q, counts
+    return patterns, q, ends, counts
 
 
 def sample_outcomes(
@@ -123,15 +120,13 @@ def sample_outcomes(
     only the per-pattern outcome counts are retained.  Deterministic given
     (seed, replication).
     """
-    patterns, _, counts = _sample(design, p, model, seed, range(replication, replication + 1))
-    ends = np.cumsum([2 ** sum(t.mask) for t in patterns])[:-1]
-    return SurveyDataset(patterns=patterns, counts=tuple(np.split(counts[0], ends)), seed=seed)
+    patterns, _, ends, counts = _sample(design, p, model, seed, range(replication, replication + 1))
+    return SurveyDataset(patterns=patterns, counts=tuple(np.split(counts[0], ends[:-1])), seed=seed)
 
 
 def _dataset_tables(dataset: SurveyDataset, model: DiseaseModel):
     """Stack per-outcome rows across patterns: P(y | state) and the counts n_y."""
-    table = _pattern_tables(model)
-    q = np.vstack([table.q[table.rows(t)] for t in dataset.patterns])
+    q, _ = _pattern_tables(model).stacked(dataset.patterns)
     return q, np.concatenate(dataset.counts).astype(np.float64)
 
 
@@ -286,7 +281,7 @@ def simulate_estimates(
     """
     if replications < 1:
         raise ValueError(f"need at least 1 replication, got {replications}")
-    _, q, counts = _sample(design, p, model, seed, range(replications))
+    _, q, _, counts = _sample(design, p, model, seed, range(replications))
     return _fit(q, counts) @ model.u
 
 

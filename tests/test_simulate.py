@@ -130,7 +130,7 @@ class TestSampling:
                                 continue
                             key = _key(seed, replication, index)
                             rng = np.random.Generator(np.random.Philox(key=key))
-                            q = table.q[table.rows(t)]
+                            q, _ = table.stacked((t,))
                             counts = np.zeros(q.shape[0], dtype=np.int64)
                             for s, n_s in enumerate(rng.multinomial(int(n), state_probs)):
                                 if n_s > 0:
@@ -154,7 +154,7 @@ class TestSampling:
         designs.append(design_from_fractions([0.2, 0.5, 0.3], 1e5, subset))
         for design in designs:
             for seed in (0, 5, 123):
-                drawn, _, counts = _sample(design, P0, model_row1, seed, range(replications))
+                drawn, _, _, counts = _sample(design, P0, model_row1, seed, range(replications))
                 assert counts.dtype == np.int64 and counts.shape[0] == replications
                 for r, row in enumerate(counts):
                     dataset = sample_outcomes(design, P0, model_row1, seed, replication=r)
@@ -168,7 +168,7 @@ class TestSampling:
         design = design_from_fractions(np.full(len(patterns), 1.0 / len(patterns)), C, patterns)
         replications = range(5, 9)
         for seed in (0, 123):
-            drawn, _, counts = _sample(design, P0, model_row1, seed, replications)
+            drawn, _, _, counts = _sample(design, P0, model_row1, seed, replications)
             assert counts.shape[0] == len(replications)
             for r, row in zip(replications, counts):
                 dataset = sample_outcomes(design, P0, model_row1, seed, replication=r)
