@@ -6,10 +6,14 @@ likelihood estimate of the state probabilities, and compares the sample
 variance of the estimated target against the variance the design solver
 predicted.  All replications are drawn in one pass, each (replication,
 pattern) cell on its own named counter-based random stream, so runs are
-reproducible and order-independent.  The fits of all replications run as
-one batch: Newton's method on the active face of the simplex, each row
-leaving the batch once its projected gradient is certified, so a
-replication's estimate does not depend on the others.
+reproducible and order-independent: a Philox generator keyed by
+``SeedSequence(entropy=seed, spawn_key=(replication, pattern index))
+.generate_state(2, np.uint64)``.  One vectorized pass derives the keys of
+all cells; numpy's stream-compatibility policy fixes SeedSequence, and a
+property test holds the pass to it bit for bit.  The fits of all
+replications run as one batch: Newton's method on the active face of the
+simplex, each row leaving the batch once its projected gradient is
+certified, so a replication's estimate does not depend on the others.
 """
 
 from __future__ import annotations
@@ -67,11 +71,105 @@ class SurveyDataset:
         object.__setattr__(self, "counts", counts)
 
 
-def _key(seed: int, replication: int, pattern_index: int) -> np.ndarray:
-    # The Philox key of a (replication, pattern) cell: Philox is counter-based,
-    # and the spawn key names the stream so parallel replications stay reproducible.
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication, pattern_index))
-    return ss.generate_state(2, np.uint64)
+# numpy.random.SeedSequence's hash constants (O'Neill's seed_seq_fe, PCG report 2014)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the entropy pool's hashes
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state's hashes
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL = 4  # SeedSequence's default pool size, in 32-bit words
+
+
+def _powers(init: int, mult: int, start: int, count: int) -> list[int]:
+    # init * mult**n modulo 2**32 for n = start, ..., start + count - 1: the
+    # constants of SeedSequence's hashes in the order it makes them
+    return [init * pow(mult, n, 1 << 32) & _MASK32 for n in range(start, start + count)]
+
+
+def _hash(value, const, mult: int = _MULT_A):
+    # SeedSequence's hash of a 32-bit word with the constant of its turn;
+    # Python ints or uint64 arrays of 32-bit words, whose products stay
+    # below 2**64
+    value = (value ^ const) * (const * mult & _MASK32) & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    # SeedSequence's mix of two 32-bit words; a uint64 array wraps modulo
+    # 2**64 on the subtraction, which the mask reduces modulo 2**32
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _absorb(pool: np.ndarray, words, n: int) -> tuple[np.ndarray, int]:
+    # mix each word into every pool word, as SeedSequence mixes the entropy
+    # past its pool: pool word d meets the word in hash n + d, so the pool's
+    # leading axis takes all four at once.  n counts the hashes so far.
+    for word in words:
+        consts = np.array(_powers(_INIT_A, _MULT_A, n, _POOL), dtype=np.uint64)
+        pool = _mix(pool, _hash(word, consts[:, None, None]))
+        n += _POOL
+    return pool, n
+
+
+def _n_words(value: int) -> int:
+    return max(1, -(-value.bit_length() // 32))
+
+
+def _words(value: int, count: int) -> list[int]:
+    # the first count little-endian 32-bit words of value
+    return [value >> 32 * j & _MASK32 for j in range(count)]
+
+
+def _keys(seed: int, replications: range, indices) -> np.ndarray:
+    """The ``(len(replications), len(indices), 2)`` uint64 Philox keys of
+    the cells (replication, pattern index), bit for bit
+    ``SeedSequence(entropy=seed, spawn_key=(r, i)).generate_state(2, np.uint64)``.
+
+    One pass for all cells: the seed's part of the entropy pool is hashed
+    once, in Python ints; the spawn-key words are then mixed into it as
+    uint64 arrays, over all replications and then over all pattern indices.
+    A hash constant depends only on how many hashes precede it, so cells are
+    grouped by the number of 32-bit words of their replication and index.
+    """
+    keys = np.empty((len(replications), len(indices), 2), dtype=np.uint64)
+    # a spawn key pads the seed's words with zeros up to the pool size
+    entropy = _words(seed, max(_n_words(seed), _POOL))
+    consts = _powers(_INIT_A, _MULT_A, 0, _POOL * _POOL)
+    pool = [_hash(word, const) for word, const in zip(entropy[:_POOL], consts)]
+    n = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], consts[n]))
+                n += 1
+    pool, n = _absorb(np.array(pool, dtype=np.uint64)[:, None, None], entropy[_POOL:], n)
+    state_consts = np.array(_powers(_INIT_B, _MULT_B, 0, _POOL), dtype=np.uint64)[:, None, None]
+
+    by_width: dict[int, list[int]] = {}
+    for position, index in enumerate(indices):
+        by_width.setdefault(_n_words(index), []).append(position)
+    start = replications.start
+    while start < replications.stop:
+        # a run of replications with as many words as start: the words of
+        # start plus an offset, carried from word to word
+        width = _n_words(start)
+        stop = min(replications.stop, 1 << 32 * width)
+        carry = np.arange(stop - start, dtype=np.uint64)[:, None]
+        words = []
+        for word in _words(start, width):
+            total = carry + word
+            words.append(total & _MASK32)
+            carry = total >> 32
+        run_pool, run_n = _absorb(pool, words, n)
+        rows = slice(start - replications.start, stop - replications.start)
+        for index_width, positions in by_width.items():
+            index_words = [_words(indices[i], index_width) for i in positions]
+            cell_pool, _ = _absorb(run_pool, np.array(index_words, dtype=np.uint64).T, run_n)
+            state = _hash(cell_pool, state_consts, _MULT_B)
+            keys[rows, positions, 0] = state[0] | state[1] << 32
+            keys[rows, positions, 1] = state[2] | state[3] << 32
+        start = stop
+    return keys
 
 
 def _sample(design: Design, p, model: DiseaseModel, seed: int, replications: range):
@@ -79,7 +177,11 @@ def _sample(design: Design, p, model: DiseaseModel, seed: int, replications: ran
     patterns with participants, their stacked ``(n, k+1)`` table ``P(y | state)``
     and row ends (_PatternTable.stacked), and the ``(len(replications), n)`` int64
     counts.  Each (replication, pattern) cell is drawn on its own named stream:
-    one Philox generator, re-keyed through its ``state`` to the cell's _key."""
+    one Philox generator, re-keyed through its ``state`` to the cell's key
+    ``SeedSequence(entropy=seed, spawn_key=(replication, pattern index))
+    .generate_state(2, np.uint64)``, which _keys derives for all cells in one
+    vectorized pass.  numpy's stream-compatibility policy fixes SeedSequence,
+    and a property test holds _keys to it bit for bit."""
     p = validate_parameter(p, model.k)
     state_probs = np.append(p, max(1.0 - p.sum(), 0.0))
     if p.sum() > 1.0:  # a sum up to 1 + 1e-9 is valid; numpy's multinomial rejects it
@@ -92,18 +194,27 @@ def _sample(design: Design, p, model: DiseaseModel, seed: int, replications: ran
         )
     patterns = tuple(design.patterns[i] for i, _ in drawn)
     q, ends = _pattern_tables(model).stacked(patterns)
+    keys = _keys(seed, replications, [i for i, _ in drawn])
+    outcome_probs = q.T.copy()  # row s: each pattern's P(y | s), contiguous
     counts = np.zeros((len(replications), ends[-1]), dtype=np.int64)
     bits = np.random.Philox(0)
     rng, fresh = np.random.Generator(bits), bits.state
-    for r, row in zip(replications, counts):
-        for (index, n), start, stop in zip(drawn, [0, *ends], ends):
-            fresh["state"]["key"] = _key(seed, r, index)
+    for row, row_keys in zip(counts, keys):
+        for (_, n), start, stop, key in zip(drawn, [0, *ends], ends, row_keys):
+            fresh["state"]["key"] = key
             bits.state = fresh
             cell = row[start:stop]
             for s, n_s in enumerate(rng.multinomial(n, state_probs).tolist()):
                 if n_s:  # a state with no participant would draw nothing
-                    cell += rng.multinomial(n_s, q[start:stop, s])
+                    cell += rng.multinomial(n_s, outcome_probs[s, start:stop])
     return patterns, q, ends, counts
+
+
+def _non_negative_int(name: str, value) -> int:
+    """value as a Python int, or a ValueError naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def sample_outcomes(
@@ -120,6 +231,8 @@ def sample_outcomes(
     only the per-pattern outcome counts are retained.  Deterministic given
     (seed, replication).
     """
+    seed = _non_negative_int("seed", seed)
+    replication = _non_negative_int("replication", replication)
     patterns, _, ends, counts = _sample(design, p, model, seed, range(replication, replication + 1))
     return SurveyDataset(patterns=patterns, counts=tuple(np.split(counts[0], ends[:-1])), seed=seed)
 
@@ -279,7 +392,8 @@ def simulate_estimates(
     All replications are sampled in one pass, each on its own streams, then
     fitted together in one batched Newton solve.
     """
-    if replications < 1:
+    seed = _non_negative_int("seed", seed)
+    if _non_negative_int("replications", replications) < 1:
         raise ValueError(f"need at least 1 replication, got {replications}")
     _, q, _, counts = _sample(design, p, model, seed, range(replications))
     return _fit(q, counts) @ model.u
@@ -308,7 +422,7 @@ def simulation_report(
     standardized estimates.  Needs at least ``MIN_REPLICATIONS``
     replications, which the normality test requires.
     """
-    if replications < MIN_REPLICATIONS:
+    if _non_negative_int("replications", replications) < MIN_REPLICATIONS:
         raise ValueError(f"need at least {MIN_REPLICATIONS} replications, got {replications}")
     p = validate_parameter(p, model.k)
     design = Design(patterns=all_patterns(model), fractions=np.asarray(v_star, float), budget=budget)

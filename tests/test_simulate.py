@@ -7,6 +7,8 @@ import re
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from serodesign import (
     ConvergenceError,
@@ -28,10 +30,19 @@ from serodesign import (
 )
 from serodesign.model import _pattern_tables
 from serodesign import simulate
-from serodesign.simulate import MLE_TOL, _key, _sample
+from serodesign.simulate import MLE_TOL, _keys, _sample
 
 P0 = np.array([0.10, 0.30, 0.01])
 C = 1e7
+
+# Derandomized, so every run draws the same cases.
+PROPERTY = settings(
+    derandomize=True,
+    database=None,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 def outcome_table(dataset, model):
@@ -128,7 +139,9 @@ class TestSampling:
                         for index, (t, n) in enumerate(zip(patterns, design.integer_counts)):
                             if n <= 0:
                                 continue
-                            key = _key(seed, replication, index)
+                            key = np.random.SeedSequence(
+                                entropy=seed, spawn_key=(replication, index)
+                            ).generate_state(2, np.uint64)
                             rng = np.random.Generator(np.random.Philox(key=key))
                             q, _ = table.stacked((t,))
                             counts = np.zeros(q.shape[0], dtype=np.int64)
@@ -174,6 +187,60 @@ class TestSampling:
                 dataset = sample_outcomes(design, P0, model_row1, seed, replication=r)
                 assert drawn == dataset.patterns
                 assert row.tobytes() == np.concatenate(dataset.counts).tobytes()
+
+    @PROPERTY
+    @given(
+        seed=st.one_of(
+            st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**128, 2**160]),
+            st.integers(0, 2**160),
+        ),
+        start=st.one_of(
+            st.integers(0, 2**40), st.sampled_from([2**32 - 2, 2**32, 2**33 - 2, 2**64 - 1])
+        ),
+        replications=st.integers(0, 4),
+        indices=st.lists(
+            st.one_of(st.integers(0, 62), st.sampled_from([2**32, 2**64])), max_size=5, unique=True
+        ),
+    )
+    @example(seed=2**32, start=2**33 - 2, replications=4, indices=[0, 62])
+    @example(seed=2**128, start=2**32 - 2, replications=4, indices=[1, 2**32])
+    def test_keys_match_seed_sequence_bitwise(self, seed, start, replications, indices):
+        # the keys of one pass against numpy's SeedSequence, cell by cell,
+        # across seeds of one to six 32-bit words and replications that
+        # gain a word or carry into their second word
+        replications = range(start, start + replications)
+        keys = _keys(seed, replications, indices)
+        assert keys.dtype == np.uint64 and keys.shape == (len(replications), len(indices), 2)
+        for r, row in zip(replications, keys):
+            for index, key in zip(indices, row):
+                want = np.random.SeedSequence(entropy=seed, spawn_key=(r, index))
+                assert key.tobytes() == want.generate_state(2, np.uint64).tobytes()
+
+    def test_keys_drawn_without_seed_sequence(self, monkeypatch, model_row1, row1_solution):
+        # one vectorized pass derives every key: no SeedSequence per cell
+        def refuse(*args, **kwargs):
+            raise AssertionError("SeedSequence constructed")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        _, _, _, counts = _sample(row1_solution.design, P0, model_row1, 7, range(30))
+        assert counts.shape[0] == 30
+
+    def test_late_replication_matches_seed_sequence_bitwise(self, model_row1, row1_solution):
+        # a replication past 2**32 has a two-word spawn key
+        design = row1_solution.design
+        replication = 2**33
+        dataset = sample_outcomes(design, P0, model_row1, seed=2**70, replication=replication)
+        drawn = [(i, int(n)) for i, n in enumerate(design.integer_counts) if n > 0]
+        q, ends = _pattern_tables(model_row1).stacked(dataset.patterns)
+        state_probs = np.append(P0, 1.0 - P0.sum())
+        for (index, n), start, stop, got in zip(drawn, [0, *ends], ends, dataset.counts):
+            key = np.random.SeedSequence(entropy=2**70, spawn_key=(replication, index))
+            rng = np.random.Generator(np.random.Philox(key=key.generate_state(2, np.uint64)))
+            want = np.zeros(stop - start, dtype=np.int64)
+            for s, n_s in enumerate(rng.multinomial(n, state_probs)):
+                if n_s > 0:
+                    want += rng.multinomial(int(n_s), q[start:stop, s])
+            assert got.tobytes() == want.tobytes()
 
     def test_budget_buying_no_participant_rejected(self, model_row1):
         full = make_pattern((1, 1, 1), model_row1)
@@ -419,6 +486,15 @@ BASE = default_model()
 PAIR = make_pattern((1, 0, 1), BASE)
 DESIGN = design_from_fractions(np.eye(7)[4], C, all_patterns(BASE))
 
+# The three sampling entry points, each at valid arguments unless overridden.
+SAMPLERS = {
+    "sample": lambda seed=0, replication=0: sample_outcomes(DESIGN, P0, BASE, seed, replication),
+    "estimates": lambda seed=0, replications=8: simulate_estimates(P0, BASE, DESIGN, replications, seed),
+    "report": lambda seed=0, replications=8: simulation_report(
+        P0, BASE, DESIGN.fractions, C, replications, seed
+    ),
+}
+
 # Each rule on a dataset or a replication count, with its message.
 INPUT_ERRORS = {
     "dataset-count-vectors": (
@@ -445,6 +521,20 @@ INPUT_ERRORS = {
         lambda: simulate_estimates(P0, BASE, DESIGN, replications=0, seed=0),
         "need at least 1 replication, got 0",
     ),
+    # a seed or replication number that is negative or not an integer, by name
+    **{
+        f"{call}-{name}-{value}": (
+            lambda call=call, name=name, value=value: SAMPLERS[call](**{name: value}),
+            f"{name} must be a non-negative integer, got {value!r}",
+        )
+        for call, names in [
+            ("sample", ("seed", "replication")),
+            ("estimates", ("seed", "replications")),
+            ("report", ("seed", "replications")),
+        ]
+        for name in names
+        for value in (-1, 1.5)
+    },
     "normality-too-few-values": (
         lambda: jarque_bera_pvalue(np.arange(7.0)),
         "need at least 8 values for a normality test, got 7",
