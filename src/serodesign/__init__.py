@@ -41,12 +41,9 @@ from .model import (
     all_patterns,
     check_a1,
     check_a2,
-    conditional_prob,
     default_model,
     fisher_info,
     make_pattern,
-    mixture_prob,
-    outcome_space,
     validate_parameter,
 )
 from .simulate import (
@@ -82,7 +79,6 @@ __all__ = [
     "budget_for_margin",
     "check_a1",
     "check_a2",
-    "conditional_prob",
     "default_model",
     "design_from_fractions",
     "fisher_info",
@@ -90,12 +86,10 @@ __all__ = [
     "kkt_check",
     "log_likelihood",
     "make_pattern",
-    "mixture_prob",
     "mle",
     "normal_quantile",
     "objective",
     "objective_gradient",
-    "outcome_space",
     "saddle_check",
     "sample_outcomes",
     "simulate_estimates",

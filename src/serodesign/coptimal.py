@@ -61,7 +61,7 @@ __all__ = [
     "normal_quantile",
 ]
 
-# Newton steps allowed per solve, the barrier's and the finish's together.
+# Barrier Newton steps allowed per solve; each finish has its own FINISH_STEPS.
 MAX_NEWTON_STEPS = 200
 # Growth of the barrier weight tau from one centred point to the next.
 TAU_GROWTH = 30.0
@@ -345,8 +345,8 @@ def _finish(infos: np.ndarray, u: np.ndarray, y: np.ndarray, lam: np.ndarray, ac
     solve truncated at rcond 1e-10, so a singular Jacobian cannot throw y
     along its null space.  The steps stop once one no longer cuts the
     residual tenfold: roundoff on the right active set, a stall on a wrong
-    one.  Returns (y, multipliers of every pattern, residual, steps), with
-    the first block of the residual relative to |u|.
+    one.  Returns (y, multipliers of every pattern, residual), with the
+    first block of the residual relative to |u|.
     """
     b = infos[active]
     k, m = u.size, b.shape[0]
@@ -360,8 +360,7 @@ def _finish(infos: np.ndarray, u: np.ndarray, y: np.ndarray, lam: np.ndarray, ac
 
     by, f = conditions(y, lam_s)
     res = np.abs(f).max()
-    steps = 0
-    for steps in range(1, FINISH_STEPS + 1):
+    for _ in range(FINISH_STEPS):
         jac[:k, :k] = (2.0 * scale) * np.einsum("t,t...->...", lam_s, b)
         jac[:k, k:] = (2.0 * scale) * by.T
         jac[k:, :k] = 2.0 * by
@@ -376,7 +375,7 @@ def _finish(infos: np.ndarray, u: np.ndarray, y: np.ndarray, lam: np.ndarray, ac
         res = res_new
     lam = np.zeros(infos.shape[0])
     lam[active] = lam_s
-    return y, lam, float(np.abs(f).max()), steps
+    return y, lam, float(np.abs(f).max())
 
 
 def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
@@ -402,17 +401,21 @@ def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
     gap a hundred times smaller.  Then v = lam / sum(lam), the objective is
     (u'y)^2 and, since A(v)^{-1} u = 2 sum(lam) y, every sensitivity is
     ``g_t = objective * y' B_t y``, with no inverse of A(v).  ``steps``
-    counts the barrier and finish Newton steps.
+    counts the barrier's Newton steps alone: where a finish stops depends
+    on roundoff, where the barrier path reaches its gap does not.
 
     Raises InfeasibleDesignError when no design identifies p, so sum_t B_t
-    is singular, and ConvergenceError when the certified optimum's support
-    does not (_PatternTable.identifies) or no certificate comes within
-    MAX_NEWTON_STEPS.
+    is singular, and ConvergenceError when that sum is singular in floating
+    point, the certified optimum's support does not identify p
+    (_PatternTable.identifies) or no certificate comes within MAX_NEWTON_STEPS.
     """
     n, u = infos.shape[0], model.u
     if not _pattern_tables(model).identified:
         raise InfeasibleDesignError("the summed pattern information matrix is singular")
-    y_hat = np.linalg.solve(infos.sum(axis=0), u)
+    try:
+        y_hat = np.linalg.solve(infos.sum(axis=0), u)
+    except np.linalg.LinAlgError:
+        raise ConvergenceError("singular summed pattern information at the barrier start") from None
     y = 0.5 * y_hat / math.sqrt((infos @ y_hat @ y_hat).max())
     by = infos @ y
     s = 1.0 - by @ y
@@ -435,8 +438,7 @@ def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
         if dec <= 0.25:
             if n / tau <= gap * (u @ y):
                 lam = 1.0 / (tau * s)
-                y_fin, lam, resid, finish_steps = _finish(infos, u, y, lam, lam / lam.sum() > s)
-                steps += finish_steps
+                y_fin, lam, resid = _finish(infos, u, y, lam, lam / lam.sum() > s)
                 q = infos @ y_fin @ y_fin
                 total = lam.sum()
                 if (

@@ -11,12 +11,12 @@ mixture over states, and whose Fisher information drives every design
 computation downstream.
 
 Every outcome of every pattern is one row of a stacked pattern table,
-built once per model and cached: the rows follow ``all_patterns`` order
-and, within a pattern, ``outcome_space`` order, a layout shared per test count.
-A row holds ``P(y | state)`` for every state, its deviation ``d`` from
-the reference state and the flattened outer product ``d d'``, so the Fisher
-information of a pattern, at one parameter point or on a whole grid, is a
-sum of its rows weighted by the reciprocal mixture probabilities.
+built once per model and cached, in the row order that ``_layout`` states
+and shares per test count.  A row holds ``P(y | state)`` for every state,
+its deviation ``d`` from the reference state and the flattened outer
+product ``d d'``, so the Fisher information of a pattern, at one parameter
+point or on a whole grid, is a sum of its rows weighted by the reciprocal
+mixture probabilities.
 
 A pattern's outcome is a marginal of the all-tests outcome, so by the
 data-processing inequality for Fisher information (Zamir 1998, IEEE Trans.
@@ -43,9 +43,6 @@ __all__ = [
     "default_model",
     "all_patterns",
     "make_pattern",
-    "outcome_space",
-    "conditional_prob",
-    "mixture_prob",
     "fisher_info",
     "check_a1",
     "check_a2",
@@ -57,9 +54,10 @@ __all__ = [
 PD_TOLERANCE = 1e-10
 # Lattice points a box grid may hold before its simplex cut.  It admits the
 # whole simplex box of a 3-parameter model at the default step 0.01
-# (1,030,301 points); a worst-case solve of the shipped model needs about
-# 1.2 kB per grid point, so this keeps one under about 2.5 GB, and a finer
-# step fails here instead of in np.arange or in the solve.
+# (1,030,301 points).  A worst-case solve of the shipped model peaks at about
+# 35 MB plus 0.69 kB per grid point (row4: 140 MB at 156,981 points, 832 MB at
+# 1,187,361), so this keeps one under about 1.4 GB, and a finer step fails
+# here instead of in np.arange or in the solve.
 MAX_GRID_POINTS = 2_000_000
 
 
@@ -193,10 +191,6 @@ class TestPattern:
     @property
     def label(self) -> str:
         return "".join(str(m) for m in self.mask)
-
-    @property
-    def included(self) -> tuple[int, ...]:
-        return tuple(j for j, m in enumerate(self.mask) if m)
 
 
 def make_pattern(mask: Sequence[int], model: DiseaseModel) -> TestPattern:
@@ -336,69 +330,6 @@ class ParameterBox:
         return pts
 
 
-# ---------------------------------------------------------------------------
-# Outcome distributions
-# ---------------------------------------------------------------------------
-
-Outcome = tuple  # entries 0/1 for conducted tests, None for the rest
-
-
-def outcome_space(t: TestPattern) -> list[Outcome]:
-    """All possible outcome vectors of pattern t.
-
-    Conducted tests take values 0/1, the rest are None; ordering is
-    lexicographic over the conducted tests so that serialized
-    distributions are reproducible byte-for-byte.
-    """
-    included = t.included
-    outcomes = []
-    for bits in itertools.product((0, 1), repeat=len(included)):
-        y = [None] * len(t.mask)
-        for j, b in zip(included, bits):
-            y[j] = b
-        outcomes.append(tuple(y))
-    return outcomes
-
-
-def _check_outcome_shape(y: Outcome, t: TestPattern) -> None:
-    if len(y) != len(t.mask):
-        raise ValueError(f"outcome length {len(y)} != pattern length {len(t.mask)}")
-    for j, (yj, mj) in enumerate(zip(y, t.mask)):
-        if mj and yj not in (0, 1):
-            raise ValueError(f"outcome has no value at conducted test index {j}: {y}")
-        if not mj and yj is not None:
-            raise ValueError(f"outcome has a value at a test not conducted (index {j}): {y}")
-
-
-def conditional_prob(y: Outcome, state: int, t: TestPattern, model: DiseaseModel) -> float:
-    """P(outcome y | state, pattern t): product of per-test channel terms.
-
-    ``state`` is a 0-based index in 0..k; index k is the reference state.
-    For each conducted test the factor is the test's sensitivity or
-    specificity when the outcome matches the state's nominal response, and
-    one minus it otherwise.
-    """
-    if not 0 <= state <= model.k:
-        raise ValueError(f"state must be in 0..{model.k}, got {state}")
-    _check_outcome_shape(y, t)
-    prob = 1.0
-    for j in t.included:
-        nominal = model.nominal[state, j]
-        test = model.tests[j]
-        correct = test.sensitivity if nominal == 1 else test.specificity
-        prob *= correct if y[j] == nominal else 1.0 - correct
-    return prob
-
-
-def mixture_prob(y: Outcome, t: TestPattern, p, model: DiseaseModel) -> float:
-    """P(outcome y | pattern t) under state probabilities (p, 1 - sum(p))."""
-    p = validate_parameter(p, model.k)
-    total = (1.0 - p.sum()) * conditional_prob(y, model.k, t, model)
-    for s in range(model.k):
-        total += p[s] * conditional_prob(y, s, t, model)
-    return float(total)
-
-
 # Models whose pattern tables, and test counts whose layouts, the caches keep.
 # The table cache is keyed by model identity, so a bound keeps models parsed
 # and dropped by a long-running caller from staying alive; a request uses few.
@@ -407,10 +338,13 @@ PATTERN_TABLE_CACHE_SIZE = 16
 
 @lru_cache(maxsize=PATTERN_TABLE_CACHE_SIZE)
 def _layout(n: int):
-    """(codes, masks, index, spans, starts) of every pattern table of n tests:
-    ``codes[j, r]`` marks test j in row r as not conducted (0), outcome 0 (1)
-    or outcome 1 (2), and sorting the 3^n - 1 rows by (mask, outcome bits), first
-    test most significant, puts them in all_patterns, then outcome_space order."""
+    """(codes, masks, index, spans, starts) of every pattern table of n tests.
+
+    The row order of every table: the patterns in all_patterns order and,
+    per pattern, the outcomes of its conducted tests in lexicographic
+    order, first test most significant.  ``codes[j, r]`` marks test j in
+    row r as not conducted (0), outcome 0 (1) or outcome 1 (2), and sorting
+    the 3^n - 1 rows by (mask, outcome bits) puts them in that order."""
     weights = 1 << np.arange(n - 1, -1, -1)  # first test most significant
     codes = (np.arange(3**n)[:, None] // 3 ** np.arange(n - 1, -1, -1)) % 3
     codes = codes[np.lexsort(((codes == 2) @ weights, (codes > 0) @ weights))[1:]]  # drop "no test"
@@ -429,7 +363,7 @@ class _PatternTable:
 
     ``patterns`` (which carry their costs, also in ``costs``) follow
     all_patterns order, and ``index`` maps a mask to its position there.
-    The rows of pattern ``i`` are ``spans[i]``, in outcome_space order;
+    The rows of pattern ``i`` are ``spans[i]``, in _layout's outcome order;
     ``starts`` holds the first row of every pattern (all three _layout's).
     ``q[r, s] = P(y_r | state s)``, ``d = q[:, :k]`` minus the
     reference column ``q[:, k]``, and row r of ``outer`` is ``d_r d_r'``
@@ -479,9 +413,10 @@ class _PatternTable:
 def _pattern_tables(model: DiseaseModel) -> _PatternTable:
     """The stacked pattern table of a model, on the layout of its test count.
 
-    Q gathers test j's factor ``channel[code, state, j]``, exactly 1.0 for
-    a test not conducted, and multiplies them in test order, so every
-    entry is the product conditional_prob forms."""
+    ``q[r, s]`` is P(y_r | state s): the product, in test order, of test
+    j's factor ``channel[code, state, j]``, its sensitivity or specificity
+    where the outcome matches the state's nominal response and one minus it
+    where not, and exactly 1.0 for a test not conducted."""
     k = model.k
     codes, masks, index, spans, starts = _layout(model.n_tests)
     sens = np.array([t.sensitivity for t in model.tests])
@@ -530,7 +465,11 @@ def _fisher_info_grid(p, model: DiseaseModel):
     giving (T, m, k, k).  Entry (i, j) of pattern t sums ``d_i d_j / P(y)``
     over its outcomes.  At a point every pattern's rows are summed at once;
     on a grid each pattern is one _rows_info product, so no (m, rows, k^2)
-    array is formed.  Points are not validated here.
+    array is formed.  Points are not validated here.  The point branch stays
+    because each arithmetic is the faster on its own input (timeit, 2 CPUs):
+    at a point one reduceat takes 6-28 us at 3-6 tests against 33-357 us for
+    a product per pattern; on row4's 156,981-point grid the products take
+    41-63 ms against 291 ms for a blocked reduceat.  Both agree to a few ulps.
     """
     table = _pattern_tables(model)
     p = np.asarray(p, dtype=np.float64)

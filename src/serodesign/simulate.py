@@ -46,7 +46,7 @@ class SurveyDataset:
     """Sufficient statistics of one simulated survey.
 
     For every administered pattern, ``counts`` holds the number of
-    participants per outcome, in outcome_space order.
+    participants per outcome, in the row order model._layout states.
     """
 
     patterns: tuple[TestPattern, ...]
@@ -58,9 +58,9 @@ class SurveyDataset:
         if len(counts) != len(self.patterns):
             raise ValueError("need one count vector per pattern")
         for t, c in zip(self.patterns, counts):
-            if c.ndim != 1 or c.shape[0] != 2 ** len(t.included):
+            if c.ndim != 1 or c.shape[0] != 2 ** sum(t.mask):
                 raise ValueError(
-                    f"pattern {t.label}: expected {2 ** len(t.included)} outcome counts, "
+                    f"pattern {t.label}: expected {2 ** sum(t.mask)} outcome counts, "
                     f"got shape {c.shape}"
                 )
             if (c < 0).any():

@@ -8,7 +8,9 @@ convex-combination evaluations for the curvature properties.
 
 import numpy as np
 
-from serodesign import all_patterns, mixture_prob, objective, outcome_space
+from serodesign import all_patterns, objective
+
+from _outcomes import mixture_prob, outcome_space
 
 
 def random_interior_points(rng, n, k=3, low=0.02, high=0.35, total=0.9):

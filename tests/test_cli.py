@@ -691,6 +691,28 @@ class TestMain:
             "solver error: singular barrier Hessian at Newton step "
         )
 
+    @pytest.mark.parametrize("cost", [1e-18, 1e-30])
+    @pytest.mark.parametrize(
+        "argv, fixture",
+        [
+            (["c-optimal"], "table1_row1"),
+            (["budget", "--moe", "0.01"], "table1_row1"),
+            (["simulate"], "table1_row1"),
+            (["groups"], "table1_row5"),
+            (["worst-case"], "table1_row4"),
+        ],
+    )
+    def test_singular_start_solve_exit_two(self, capsys, tmp_path, argv, fixture, cost):
+        # a tiny but valid test cost makes the summed cost-scaled information
+        # singular in floating point: a solver error, not a configuration error
+        path = tmp_path / "tiny_cost.json"
+        path.write_text(json.dumps(edited(fixture_doc(fixture), cost, "model", "tests", 0, "cost")))
+        assert main([*argv, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        where = "inner solve at grid point p = [" if argv == ["worst-case"] else ""
+        assert err.startswith(f"solver error: {where}")
+        assert err.endswith("singular summed pattern information at the barrier start\n")
+
     def test_singular_end_point_exit_two(self, capsys, tmp_path):
         doc = {
             "model": {

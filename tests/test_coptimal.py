@@ -21,7 +21,6 @@ from serodesign import (
     all_patterns,
     budget_for_margin,
     check_a1,
-    conditional_prob,
     default_model,
     design_from_fractions,
     fisher_info,
@@ -30,11 +29,12 @@ from serodesign import (
     normal_quantile,
     objective,
     objective_gradient,
-    outcome_space,
     solve_c_optimal,
 )
 from serodesign import coptimal
+from serodesign.cli import fixture_path, load_config
 from serodesign.coptimal import KKT_TOL, SUPPORT_EPS, _criterion, _pattern_infos, _solve_simplex
+from _outcomes import outcome_rows as oracle_rows
 from _suites import (
     golden_section_two_pattern,
     random_pd_fractions,
@@ -137,11 +137,8 @@ def supported_designs(draw):
 
 def outcome_rows(model, pattern):
     """(d, q): the pattern's rows of P(y | state), one per outcome, from
-    conditional_prob, and their deviations from the reference state."""
-    q = np.array([
-        [conditional_prob(y, s, pattern, model) for s in range(model.k + 1)]
-        for y in outcome_space(pattern)
-    ])
+    the scalar oracle, and their deviations from the reference state."""
+    q = oracle_rows(pattern, model)
     return q[:, :-1] - q[:, -1:], q
 
 
@@ -384,6 +381,18 @@ class TestTypedErrors:
                 outcomes["certified"] += 1
         assert outcomes["certified"] >= 1 and outcomes["typed"] >= 1
 
+    @pytest.mark.parametrize("cost", [1e-18, 1e-30])
+    def test_singular_start_solve_raises_convergence_error(self, cost):
+        # A1 holds, yet one tiny cost makes the summed cost-scaled information
+        # singular in floating point at the barrier path's first solve
+        model = default_model(rat_cost=cost)
+        assert check_a1(P0, model).ok
+        message = r"^singular summed pattern information at the barrier start$"
+        with pytest.raises(ConvergenceError, match=message):
+            solve_c_optimal(P0, model)
+        with pytest.raises(ConvergenceError, match=message):
+            _solve_simplex(_pattern_infos(P0, model), model)
+
     def test_singular_barrier_hessian_raises_convergence_error(self, singular_hessian_model):
         point = SINGULAR_HESSIAN_CONFIG["scenario"]["point"]
         assert check_a1(point, singular_hessian_model).ok
@@ -444,6 +453,42 @@ class TestSolverWork:
         assert np.count_nonzero(report.design.fractions) == 3
         assert kkt_check(report.design.fractions, case["point"], model) <= KKT_TOL * report.objective
         assert report.iterations <= 40
+
+
+def nudged(infos, rng):
+    """``infos`` with every entry moved one ulp up or down at random, then
+    symmetrized by mirroring the upper triangle."""
+    bumped = np.nextafter(infos, np.where(rng.random(infos.shape) < 0.5, -np.inf, np.inf))
+    return np.triu(bumped) + np.swapaxes(np.triu(bumped, 1), -1, -2)
+
+
+class TestIterations:
+    """``iterations`` counts the barrier's Newton steps, which one ulp of the
+    cost-scaled informations does not move; where a finish stops, it does."""
+
+    @pytest.mark.parametrize("fixture", ["table1_row1", "table1_row2", "table1_row3"])
+    def test_point_fixture_counts_survive_one_ulp(self, fixture):
+        config = load_config(fixture_path(fixture))
+        infos = _pattern_infos(config.scenario, config.model)
+        steps = _solve_simplex(infos, config.model)[3]
+        rng = np.random.default_rng(2026)
+        counts = [_solve_simplex(nudged(infos, rng), config.model)[3] for _ in range(50)]
+        assert counts == [steps] * 50
+
+    def test_random_model_counts_survive_one_ulp(self):
+        rng = np.random.default_rng(2026)
+        certified = 0
+        for seed in range(150):
+            model, p = random_model(np.random.default_rng(seed))
+            infos = _pattern_infos(p, model)
+            try:
+                steps = _solve_simplex(infos, model)[3]
+            except ConvergenceError:  # a singular optimum, refused
+                continue
+            for _ in range(3):
+                assert _solve_simplex(nudged(infos, rng), model)[3] == steps, seed
+            certified += 1
+        assert certified >= 40
 
 
 class TestDesignFromFractions:

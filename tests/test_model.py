@@ -16,14 +16,11 @@ from serodesign import (
     all_patterns,
     check_a1,
     check_a2,
-    conditional_prob,
     default_model,
     fisher_info,
     kkt_check,
     make_pattern,
-    mixture_prob,
     objective,
-    outcome_space,
     saddle_check,
     solve_c_optimal,
     validate_parameter,
@@ -33,11 +30,11 @@ from serodesign.model import (
     MAX_GRID_POINTS,
     PATTERN_TABLE_CACHE_SIZE,
     _fisher_info_grid,
+    _layout,
     _pattern_tables,
 )
 from _suites import finite_difference_fisher, random_interior_points
 
-NA = None
 P0 = np.array([0.10, 0.30, 0.01])
 SMALL_BOX = ParameterBox(lower=[0.08, 0.28, 0.0], upper=[0.12, 0.32, 0.02])
 
@@ -139,7 +136,6 @@ class TestTypes:
 
 
 BASE = default_model()
-FULL = make_pattern((1, 0, 1), BASE)
 
 # Each rule a model type or helper enforces on its inputs, with its message.
 VALIDATION_ERRORS = {
@@ -198,14 +194,6 @@ VALIDATION_ERRORS = {
     "box-lower-above-upper": (
         lambda: ParameterBox(lower=[0.2, 0.0, 0.0], upper=[0.1, 0.1, 0.1]),
         "box needs lower <= upper in every coordinate",
-    ),
-    "outcome-length": (
-        lambda: conditional_prob((1, NA), 0, FULL, BASE),
-        "outcome length 2 != pattern length 3",
-    ),
-    "state-range": (
-        lambda: conditional_prob((1, NA, 0), 4, FULL, BASE),
-        "state must be in 0..3, got 4",
     ),
     "box-dimension": (
         lambda: check_a2(ParameterBox(lower=[0.1, 0.1], upper=[0.2, 0.2]), BASE),
@@ -275,63 +263,62 @@ class TestNonFiniteInputs:
             DiseaseModel(tests=base.tests, nominal=base.nominal, u=[bad, 1.0, 1.0])
 
 
+def outcomes(mask, m):
+    """The outcomes of pattern ``mask``'s table rows, in row order: 0 or 1
+    at a conducted test, -1 at one not conducted."""
+    codes, _, index, spans, _ = _layout(m.n_tests)
+    return (codes[:, spans[index[mask]]].T - 1).tolist()
+
+
+def table_rows(mask, m):
+    """P(y | state) of pattern ``mask``, one table row per outcome, (outcomes, k + 1)."""
+    table = _pattern_tables(m)
+    return table.q[table.spans[table.index[mask]]]
+
+
+def mixture(mask, p, m):
+    """The mixture probability ``q[:, k] + d @ p`` of pattern ``mask``'s outcomes at p."""
+    table = _pattern_tables(m)
+    rows = table.spans[table.index[mask]]
+    return table.q[rows, m.k] + table.d[rows] @ p
+
+
 class TestOutcomeSpace:
     def test_single_test(self):
-        m = default_model()
-        t = make_pattern((0, 0, 1), m)
-        assert outcome_space(t) == [(NA, NA, 0), (NA, NA, 1)]
+        assert outcomes((0, 0, 1), default_model()) == [[-1, -1, 0], [-1, -1, 1]]
 
     def test_full_pattern_has_eight(self):
         m = default_model()
-        assert len(outcome_space(make_pattern((1, 1, 1), m))) == 8
+        assert len(outcomes((1, 1, 1), m)) == table_rows((1, 1, 1), m).shape[0] == 8
 
     def test_two_test_pattern(self):
-        m = default_model()
-        ys = outcome_space(make_pattern((1, 0, 1), m))
-        assert len(ys) == 4
-        assert all(y[1] is NA for y in ys)
-        assert ys == [(0, NA, 0), (0, NA, 1), (1, NA, 0), (1, NA, 1)]
+        ys = outcomes((1, 0, 1), default_model())
+        assert ys == [[0, -1, 0], [0, -1, 1], [1, -1, 0], [1, -1, 1]]
 
 
 class TestConditionalProb:
     def test_antibody_sensitivity(self):
-        # state index 1 has a nominal positive antibody response
-        m = default_model()
-        t = make_pattern((0, 0, 1), m)
-        assert conditional_prob((NA, NA, 1), 1, t, m) == pytest.approx(0.921, abs=1e-15)
+        # state index 1 has a nominal positive antibody response; row 1 is a positive result
+        assert table_rows((0, 0, 1), default_model())[1, 1] == pytest.approx(0.921, abs=1e-15)
 
     def test_antibody_specificity_reference_state(self):
-        m = default_model()
-        t = make_pattern((0, 0, 1), m)
-        assert conditional_prob((NA, NA, 0), 3, t, m) == pytest.approx(0.977, abs=1e-15)
+        assert table_rows((0, 0, 1), default_model())[0, 3] == pytest.approx(0.977, abs=1e-15)
 
     def test_two_test_product(self):
-        # state 0 is nominally RAT-positive, antibody-negative
-        m = default_model()
-        t = make_pattern((1, 0, 1), m)
-        assert conditional_prob((1, NA, 0), 0, t, m) == pytest.approx(0.5 * 0.977, abs=1e-15)
-
-    def test_structural_errors(self):
-        m = default_model()
-        t = make_pattern((1, 0, 1), m)
-        with pytest.raises(ValueError, match="not conducted"):
-            conditional_prob((1, 0, 1), 0, t, m)
-        with pytest.raises(ValueError, match="no value"):
-            conditional_prob((NA, NA, 1), 0, t, m)
+        # state 0 is nominally RAT-positive, antibody-negative; row 2 is that outcome
+        q = table_rows((1, 0, 1), default_model())
+        assert q[2, 0] == pytest.approx(0.5 * 0.977, abs=1e-15)
 
     def test_rows_sum_to_one(self):
         m = default_model()
         for t in all_patterns(m):
-            for s in range(m.k + 1):
-                total = sum(conditional_prob(y, s, t, m) for y in outcome_space(t))
-                assert total == pytest.approx(1.0, abs=1e-12)
+            totals = table_rows(t.mask, m).sum(axis=0)
+            np.testing.assert_allclose(totals, 1.0, rtol=0, atol=1e-12)
 
 
 class TestMixtureProb:
     def test_reference_state_only(self):
-        m = default_model()
-        t = make_pattern((0, 0, 1), m)
-        value = mixture_prob((NA, NA, 1), t, np.zeros(3), m)
+        value = mixture((0, 0, 1), np.zeros(3), default_model())[1]
         assert value == pytest.approx(1.0 - 0.977, abs=1e-15)
 
     def test_normalization(self):
@@ -339,13 +326,11 @@ class TestMixtureProb:
         rng = np.random.default_rng(7)
         for t in all_patterns(m):
             p = random_interior_points(rng, 1)[0]
-            total = sum(mixture_prob(y, t, p, m) for y in outcome_space(t))
-            assert total == pytest.approx(1.0, abs=1e-12)
+            assert mixture(t.mask, p, m).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_full_pattern_against_enumeration_oracle(self):
         # independent re-derivation: per-state product over channels, then mix
         m = default_model()
-        t = make_pattern((1, 1, 1), m)
         sens = [tt.sensitivity for tt in m.tests]
         spec = [tt.specificity for tt in m.tests]
         state_probs = [0.10, 0.30, 0.01, 1.0 - 0.41]
@@ -361,19 +346,18 @@ class TestMixtureProb:
                 total += ps * prod
             return total
 
-        for y in outcome_space(t):
-            assert mixture_prob(y, t, P0, m) == pytest.approx(oracle(y), rel=1e-13)
+        values = mixture((1, 1, 1), P0, m)
+        for y, value in zip(outcomes((1, 1, 1), m), values, strict=True):
+            assert value == pytest.approx(oracle(y), rel=1e-13)
 
     def test_affine_in_p(self):
         m = default_model()
-        t = make_pattern((1, 0, 1), m)
         rng = np.random.default_rng(11)
         p1, p2 = random_interior_points(rng, 2)
         lam = 0.37
-        for y in outcome_space(t):
-            left = mixture_prob(y, t, lam * p1 + (1 - lam) * p2, m)
-            right = lam * mixture_prob(y, t, p1, m) + (1 - lam) * mixture_prob(y, t, p2, m)
-            assert left == pytest.approx(right, abs=1e-15)
+        left = mixture((1, 0, 1), lam * p1 + (1 - lam) * p2, m)
+        right = lam * mixture((1, 0, 1), p1, m) + (1 - lam) * mixture((1, 0, 1), p2, m)
+        np.testing.assert_allclose(left, right, rtol=0, atol=1e-15)
 
 
 class TestFisherInfo:

@@ -58,7 +58,6 @@ PUBLIC_NAMES = [
     "budget_for_margin",
     "check_a1",
     "check_a2",
-    "conditional_prob",
     "default_model",
     "design_from_fractions",
     "fisher_info",
@@ -66,12 +65,10 @@ PUBLIC_NAMES = [
     "kkt_check",
     "log_likelihood",
     "make_pattern",
-    "mixture_prob",
     "mle",
     "normal_quantile",
     "objective",
     "objective_gradient",
-    "outcome_space",
     "saddle_check",
     "sample_outcomes",
     "simulate_estimates",

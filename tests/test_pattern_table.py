@@ -1,7 +1,7 @@
 """The stacked pattern table against the model's definitions.
 
 Random models with one to seven tests are drawn with hypothesis.  Every
-table row is checked against outcome_space and conditional_prob, the
+table row is checked against the scalar oracle in tests/_outcomes.py, the
 Fisher information against a direct sum over outcomes, grid informations
 against point informations, and the batched assumption checks against a
 loop of per-pattern eigenvalue solves on independently built matrices.
@@ -22,12 +22,9 @@ from serodesign import (
     all_patterns,
     check_a1,
     check_a2,
-    conditional_prob,
     default_model,
     fisher_info,
     make_pattern,
-    mixture_prob,
-    outcome_space,
     solve_c_optimal,
     worst_case_design,
 )
@@ -41,6 +38,7 @@ from serodesign.model import (
     _pattern_tables,
 )
 
+from _outcomes import mixture_prob, outcome_rows, outcome_space
 from conftest import ROW1_POINT, ROW4_BOX
 
 # Derandomized, so every run draws the same models; the bounds keep the
@@ -86,20 +84,14 @@ def interior_points(k, size):
 
 def deviations(t, model):
     """(outcomes, k) deviations P(y | s) - P(y | reference), by definition."""
-    ref = model.k
-    return np.array(
-        [
-            [conditional_prob(y, s, t, model) - conditional_prob(y, ref, t, model) for s in range(ref)]
-            for y in outcome_space(t)
-        ]
-    )
+    q = outcome_rows(t, model)
+    return q[:, :-1] - q[:, -1:]
 
 
 def reference_infos(t, pts, model):
     """Information of pattern t at each row of pts, from per-outcome terms."""
     d = deviations(t, model)
-    q_ref = np.array([conditional_prob(y, model.k, t, model) for y in outcome_space(t)])
-    mix = q_ref + pts @ d.T
+    mix = outcome_rows(t, model)[:, -1] + pts @ d.T
     return np.einsum("my,yi,yj->mij", 1.0 / mix, d, d)
 
 
@@ -116,11 +108,8 @@ def test_rows_follow_outcome_space_and_conditional_prob(model):
     assert [t.cost for t in table.patterns] == [make_pattern(m, model).cost for m in masks]
     assert table.spans[-1].stop == table.q.shape[0] == 3**model.n_tests - 1
     for t, rows in zip(table.patterns, table.spans):
-        expected = [
-            [conditional_prob(y, s, t, model) for s in range(model.k + 1)]
-            for y in outcome_space(t)
-        ]
-        assert np.array_equal(table.q[rows], expected)  # the same products, bit for bit
+        # the same products, bit for bit
+        assert np.array_equal(table.q[rows], outcome_rows(t, model))
     q, ends = table.stacked(table.patterns)
     assert np.array_equal(q, table.q) and ends == [rows.stop for rows in table.spans]
     last_first = (table.patterns[-1], table.patterns[0])
@@ -262,11 +251,7 @@ def test_models_sharing_a_layout_keep_their_own_rows_costs_and_rank():
         table = tables[name]
         assert shares_layout(table, 3), name
         for t, rows in zip(table.patterns, table.spans):
-            expected = [
-                [conditional_prob(y, s, t, model) for s in range(model.k + 1)]
-                for y in outcome_space(t)
-            ]
-            assert np.array_equal(table.q[rows], expected), name
+            assert np.array_equal(table.q[rows], outcome_rows(t, model)), name
         costs = [make_pattern(t.mask, model).cost for t in table.patterns]
         assert table.costs.tolist() == costs == [t.cost for t in table.patterns], name
         rank = np.linalg.matrix_rank(table.d)

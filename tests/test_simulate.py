@@ -14,15 +14,12 @@ from serodesign import (
     ConvergenceError,
     SurveyDataset,
     all_patterns,
-    conditional_prob,
     default_model,
     design_from_fractions,
     jarque_bera_pvalue,
     log_likelihood,
     make_pattern,
-    mixture_prob,
     mle,
-    outcome_space,
     sample_outcomes,
     simulate_estimates,
     simulation_report,
@@ -31,6 +28,8 @@ from serodesign import (
 from serodesign.model import _pattern_tables
 from serodesign import simulate
 from serodesign.simulate import MLE_TOL, _keys, _sample
+
+from _outcomes import mixture_prob, outcome_rows, outcome_space
 
 P0 = np.array([0.10, 0.30, 0.01])
 C = 1e7
@@ -47,14 +46,8 @@ PROPERTY = settings(
 
 def outcome_table(dataset, model):
     """P(y | state) for every outcome row of the dataset, from the scalar
-    model, with the counts of those rows."""
-    q = np.array(
-        [
-            [conditional_prob(y, s, t, model) for s in range(model.k + 1)]
-            for t in dataset.patterns
-            for y in outcome_space(t)
-        ]
-    )
+    oracle, with the counts of those rows."""
+    q = np.vstack([outcome_rows(t, model) for t in dataset.patterns])
     return q, np.concatenate(dataset.counts).astype(np.float64)
 
 
