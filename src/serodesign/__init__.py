@@ -10,92 +10,16 @@ a Monte-Carlo harness that verifies the predicted variance against the
 maximum-likelihood pipeline.
 """
 
-from .allocation import (
-    AllocationReport,
-    GroupSpec,
-    StratumAllocation,
-    StratumSpec,
-    allocate_districts,
-    allocate_groups,
-    validate_entries,
-)
-from .coptimal import (
-    ConvergenceError,
-    Design,
-    InfeasibleDesignError,
-    SolveReport,
-    budget_for_margin,
-    design_from_fractions,
-    kkt_check,
-    normal_quantile,
-    objective,
-    objective_gradient,
-    solve_c_optimal,
-)
-from .minimax import SaddleReport, saddle_check, worst_case_design
-from .model import (
-    DiseaseModel,
-    ParameterBox,
-    TestPattern,
-    TestSpec,
-    all_patterns,
-    check_a1,
-    check_a2,
-    default_model,
-    fisher_info,
-    make_pattern,
-    validate_parameter,
-)
-from .simulate import (
-    SurveyDataset,
-    jarque_bera_pvalue,
-    log_likelihood,
-    mle,
-    sample_outcomes,
-    simulate_estimates,
-    simulation_report,
-)
+from . import allocation, coptimal, minimax, model, simulate
+from .allocation import *  # noqa: F403
+from .coptimal import *  # noqa: F403
+from .minimax import *  # noqa: F403
+from .model import *  # noqa: F403
+from .simulate import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllocationReport",
-    "ConvergenceError",
-    "Design",
-    "DiseaseModel",
-    "GroupSpec",
-    "InfeasibleDesignError",
-    "ParameterBox",
-    "SaddleReport",
-    "SolveReport",
-    "StratumAllocation",
-    "StratumSpec",
-    "SurveyDataset",
-    "TestPattern",
-    "TestSpec",
-    "all_patterns",
-    "allocate_districts",
-    "allocate_groups",
-    "budget_for_margin",
-    "check_a1",
-    "check_a2",
-    "default_model",
-    "design_from_fractions",
-    "fisher_info",
-    "jarque_bera_pvalue",
-    "kkt_check",
-    "log_likelihood",
-    "make_pattern",
-    "mle",
-    "normal_quantile",
-    "objective",
-    "objective_gradient",
-    "saddle_check",
-    "sample_outcomes",
-    "simulate_estimates",
-    "simulation_report",
-    "solve_c_optimal",
-    "validate_entries",
-    "validate_parameter",
-    "worst_case_design",
-]
+# Each public name is declared once, in its module's __all__.
+__all__ = sorted(
+    name for module in (allocation, coptimal, minimax, model, simulate) for name in module.__all__
+)

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .coptimal import (
+    ConvergenceError,
     Design,
     InfeasibleDesignError,
     SolveReport,
@@ -183,8 +184,9 @@ def _allocate(specs, kind: str, budget: float, solve) -> AllocationReport:
     for s in specs:
         try:
             reports.append(solve(s, budget))
-        except InfeasibleDesignError as err:
-            raise InfeasibleDesignError(f"{kind} {s.name!r}: {err}") from err
+        except (ConvergenceError, InfeasibleDesignError) as err:
+            err.args = (f"{kind} {s.name!r}: {err}",)
+            raise
     weights = fractions * np.sqrt([r.objective for r in reports])
     budgets = budget * weights / weights.sum()
     entries = tuple(

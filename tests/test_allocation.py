@@ -10,6 +10,7 @@ import pytest
 
 from serodesign import (
     AllocationReport,
+    ConvergenceError,
     GroupSpec,
     InfeasibleDesignError,
     ParameterBox,
@@ -165,6 +166,42 @@ class TestDistrictAllocation:
         assert sum(e.budget for e in report.entries) == pytest.approx(1e-12, rel=1e-12)
         groups = allocate_groups([GroupSpec(name="all", fraction=1.0, point=P0)], tiny, 1e-12)
         assert groups.entries[0].budget == 1e-12
+
+    def test_convergence_error_names_its_entry(self):
+        # a rat test at cost 1e-18 leaves the summed information singular in
+        # floating point, at the point and at grid points of the box
+        tiny = default_model(rat_cost=1e-18)
+        singular = "singular summed pattern information at the barrier start"
+        with pytest.raises(ConvergenceError) as err:
+            allocate_groups([GroupSpec(name="all", fraction=1.0, point=P0)], tiny, C)
+        assert str(err.value) == f"group 'all': {singular}"
+        strata = [
+            StratumSpec(name="point", fraction=0.5, point=P0),
+            StratumSpec(name="box", fraction=0.5, box=ROW4_BOX),
+        ]
+        with pytest.raises(ConvergenceError) as err:
+            allocate_districts(strata, tiny, C, grid_step=0.05)
+        assert str(err.value) == f"stratum 'point': {singular}"
+        box = [StratumSpec(name="box", fraction=1.0, box=ROW4_BOX)]
+        with pytest.raises(ConvergenceError) as err:
+            allocate_districts(box, tiny, C, grid_step=0.05)
+        assert str(err.value).startswith("stratum 'box': inner solve at grid point p = [")
+        assert str(err.value).endswith(singular)
+
+    @pytest.mark.parametrize("error", [ConvergenceError, InfeasibleDesignError])
+    def test_entry_error_is_reraised_with_its_name(self, model_row1, monkeypatch, error):
+        # the solver's own error object is re-raised, so its type and a
+        # ConvergenceError's best iterate survive
+        raised = error("no certified optimum")
+
+        def failing(*args):
+            raise raised
+
+        monkeypatch.setattr(allocation, "solve_c_optimal", failing)
+        with pytest.raises(error) as err:
+            allocate_groups([GroupSpec(name="all", fraction=1.0, point=P0)], model_row1, C)
+        assert err.value is raised
+        assert str(err.value) == "group 'all': no certified optimum"
 
 
 # Each rule on a stratum, a group or a list of them, with its message.

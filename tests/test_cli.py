@@ -25,7 +25,11 @@ from serodesign.cli import (
     run,
 )
 
-from conftest import SINGULAR_HESSIAN_CONFIG
+from conftest import (
+    INDEFINITE_HESSIAN_CONFIG,
+    INDEFINITE_HESSIAN_MESSAGE,
+    SINGULAR_HESSIAN_CONFIG,
+)
 
 ROW1 = {
     "model": {
@@ -691,6 +695,19 @@ class TestMain:
             "solver error: singular barrier Hessian at Newton step "
         )
 
+    @pytest.mark.parametrize("argv", [["c-optimal"], ["budget", "--moe", "0.01"], ["simulate"]])
+    def test_indefinite_barrier_hessian_exit_two(self, tmp_path, argv):
+        # in a process of its own, where a numpy warning would print to stderr
+        path = tmp_path / "indefinite.json"
+        path.write_text(json.dumps(INDEFINITE_HESSIAN_CONFIG))
+        src = os.path.dirname(os.path.dirname(serodesign.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "serodesign", *argv, "--config", str(path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr == f"solver error: {INDEFINITE_HESSIAN_MESSAGE}\n"
+
     @pytest.mark.parametrize("cost", [1e-18, 1e-30])
     @pytest.mark.parametrize(
         "argv, fixture",
@@ -700,16 +717,22 @@ class TestMain:
             (["simulate"], "table1_row1"),
             (["groups"], "table1_row5"),
             (["worst-case"], "table1_row4"),
+            (["strata"], "strata_three_districts"),
         ],
     )
     def test_singular_start_solve_exit_two(self, capsys, tmp_path, argv, fixture, cost):
         # a tiny but valid test cost makes the summed cost-scaled information
-        # singular in floating point: a solver error, not a configuration error
+        # singular in floating point: a solver error, not a configuration
+        # error, that names the grid point and the allocation entry it hit
         path = tmp_path / "tiny_cost.json"
         path.write_text(json.dumps(edited(fixture_doc(fixture), cost, "model", "tests", 0, "cost")))
         assert main([*argv, "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        where = "inner solve at grid point p = [" if argv == ["worst-case"] else ""
+        where = {
+            "groups": "group 'symptomatic': ",
+            "worst-case": "inner solve at grid point p = [",
+            "strata": "stratum 'north': inner solve at grid point p = [",
+        }.get(argv[0], "")
         assert err.startswith(f"solver error: {where}")
         assert err.endswith("singular summed pattern information at the barrier start\n")
 

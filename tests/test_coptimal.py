@@ -32,8 +32,15 @@ from serodesign import (
     solve_c_optimal,
 )
 from serodesign import coptimal
-from serodesign.cli import fixture_path, load_config
-from serodesign.coptimal import KKT_TOL, SUPPORT_EPS, _criterion, _pattern_infos, _solve_simplex
+from serodesign.cli import fixture_path, load_config, parse_config, run
+from serodesign.coptimal import (
+    CERTIFICATE_TOL,
+    KKT_TOL,
+    SUPPORT_EPS,
+    _criterion,
+    _pattern_infos,
+    _solve_simplex,
+)
 from _outcomes import outcome_rows as oracle_rows
 from _suites import (
     golden_section_two_pattern,
@@ -41,7 +48,11 @@ from _suites import (
     worst_convexity_slack,
 )
 
-from conftest import SINGULAR_HESSIAN_CONFIG
+from conftest import (
+    INDEFINITE_HESSIAN_CONFIG,
+    INDEFINITE_HESSIAN_MESSAGE,
+    SINGULAR_HESSIAN_CONFIG,
+)
 
 P0 = np.array([0.10, 0.30, 0.01])
 
@@ -399,6 +410,16 @@ class TestTypedErrors:
         with pytest.raises(ConvergenceError, match=r"^singular barrier Hessian at Newton step \d+$"):
             solve_c_optimal(point, singular_hessian_model)
 
+    def test_indefinite_barrier_hessian_raises_convergence_error(self):
+        # with RuntimeWarnings as errors, a division by u'H^-1 u = 0 would
+        # fail this before the solver's own check
+        config = parse_config(INDEFINITE_HESSIAN_CONFIG)
+        assert check_a1(config.scenario, config.model).ok
+        with pytest.raises(ConvergenceError) as err:
+            solve_c_optimal(config.scenario, config.model)
+        assert str(err.value) == INDEFINITE_HESSIAN_MESSAGE
+        assert err.value.best is None
+
     def test_newton_step_cap_raises(self, monkeypatch, model_row1):
         monkeypatch.setattr(coptimal, "MAX_NEWTON_STEPS", 3)
         with pytest.raises(
@@ -410,6 +431,54 @@ class TestTypedErrors:
         monkeypatch.setattr(coptimal, "MAX_BACKTRACKS", 0)
         with pytest.raises(ConvergenceError, match="no strictly feasible barrier step"):
             solve_c_optimal(P0, model_row1)
+
+
+def solve_reports(doc):
+    """Every solve report nested in a CLI report: each dict with a kkt_residual."""
+    if isinstance(doc, list):
+        for item in doc:
+            yield from solve_reports(item)
+    elif isinstance(doc, dict):
+        if "kkt_residual" in doc:
+            yield doc
+        for value in doc.values():
+            yield from solve_reports(value)
+
+
+class TestCertificate:
+    """A returned design's first-order residual is within CERTIFICATE_TOL of
+    its criterion value, the finish residual _solve_simplex certifies; so
+    no returned design comes near KKT_TOL, which kkt_check documents."""
+
+    def test_random_model_reports(self):
+        certified = 0
+        for seed in range(300):
+            model, p = random_model(np.random.default_rng(seed))
+            try:
+                report = solve_c_optimal(p, model)
+            except (ConvergenceError, InfeasibleDesignError):
+                continue
+            assert report.kkt_residual <= CERTIFICATE_TOL * report.objective, seed
+            certified += 1
+        assert certified >= 80
+
+    @pytest.mark.parametrize(
+        "subcommand, fixture",
+        [
+            ("c-optimal", "table1_row1"),
+            ("c-optimal", "table1_row2"),
+            ("c-optimal", "table1_row3"),
+            ("worst-case", "table1_row4"),
+            ("groups", "table1_row5"),
+            ("strata", "strata_three_districts"),
+        ],
+    )
+    def test_fixture_reports(self, subcommand, fixture):
+        reports = list(solve_reports(run(load_config(fixture_path(fixture)), subcommand)))
+        assert reports
+        for doc in reports:
+            value = doc.get("objective", doc.get("game_value"))
+            assert doc["kkt_residual"] <= CERTIFICATE_TOL * value
 
 
 # A three-point design of the benchmark's fixed requests.

@@ -90,6 +90,27 @@ def test_public_names_are_pinned():
         assert getattr(serodesign, name) is not None
 
 
+LIBRARY_MODULES = (
+    serodesign.allocation,
+    serodesign.coptimal,
+    serodesign.minimax,
+    serodesign.model,
+    serodesign.simulate,
+)
+
+
+def test_each_public_name_is_declared_once_in_its_own_module():
+    # the package's __all__ is the union of its modules' lists, so a name
+    # must be defined where it is listed and listed nowhere else
+    owners = {}
+    for module in LIBRARY_MODULES:
+        for name in module.__all__:
+            assert name not in owners, f"{name} listed by {owners.get(name)} and {module.__name__}"
+            owners[name] = module.__name__
+            assert getattr(module, name).__module__ == module.__name__, name
+    assert sorted(owners) == PUBLIC_NAMES
+
+
 def public_signatures():
     """(name, parameter names) of every public function, and of the
     constructor and public methods of every public class but the error
