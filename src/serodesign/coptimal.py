@@ -436,14 +436,16 @@ def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
         except np.linalg.LinAlgError:
             raise ConvergenceError(f"singular barrier Hessian at Newton step {steps}") from None
         # a positive definite Hessian makes u'H^-1 u (read for the first tau)
-        # positive and the decrement nonnegative; roundoff can leave it indefinite
+        # positive; roundoff can leave it indefinite.  The first decrement is
+        # 0 where grad is parallel to u, as in every k = 1 model, and so comes
+        # out as roundoff of either sign: only a non-finite one is refused.
         if tau is None:
             u_h_u = h_u @ u
             if not 0.0 < u_h_u < math.inf:
                 raise ConvergenceError(f"{indefinite} {steps}")
             tau = (h_u @ grad) / u_h_u
         dec = (grad - tau * u) @ (h_grad - tau * h_u)
-        if not 0.0 <= dec < math.inf:
+        if not math.isfinite(dec):
             raise ConvergenceError(f"{indefinite} {steps}")
         if dec <= 0.25:
             if n / tau <= gap * (u @ y):

@@ -26,34 +26,6 @@ SINGULAR_HESSIAN_CONFIG = {
     "budget": 1e6,
 }
 
-# A test 0.002 from a coin flip beside one at 1e-12 of its cost.  The
-# cost-scaled summed information has eigenvalues of about -1.6e-6, 1.3e-6
-# and 3.3e10, so the first barrier Hessian is indefinite in floating point
-# and u'H^-1 u is exactly 0.  Rounding these digits does not reproduce it.
-INDEFINITE_HESSIAN_CONFIG = {
-    "model": {
-        "tests": [
-            {
-                "id": "t0",
-                "cost": 233.64582838091658,
-                "sensitivity": 0.5019633132590332,
-                "specificity": 0.5019633132590332,
-            },
-            {
-                "id": "t1",
-                "cost": 2.2849493184401515e-10,
-                "sensitivity": 0.8849014688757553,
-                "specificity": 0.8958682943218597,
-            },
-        ],
-        "nominal": [[0, 0], [1, 0], [0, 1], [1, 1]],
-    },
-    "scenario": {"point": [0.2075804205596648, 0.6607818289673992, 0.08250386066525993]},
-    "budget": 1e6,
-}
-
-INDEFINITE_HESSIAN_MESSAGE = "barrier Hessian is not positive definite at Newton step 0"
-
 
 @pytest.fixture(scope="session")
 def singular_hessian_model():

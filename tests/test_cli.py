@@ -25,11 +25,7 @@ from serodesign.cli import (
     run,
 )
 
-from conftest import (
-    INDEFINITE_HESSIAN_CONFIG,
-    INDEFINITE_HESSIAN_MESSAGE,
-    SINGULAR_HESSIAN_CONFIG,
-)
+from conftest import SINGULAR_HESSIAN_CONFIG
 
 ROW1 = {
     "model": {
@@ -60,6 +56,32 @@ STRATA = {
         ]
     },
     "options": {"currency": "Rs", "grid_step": 0.02},
+}
+
+# A test 0.002 from a coin flip beside one at 1e-12 of its cost.  The
+# cost-scaled summed information has eigenvalues of about -1.6e-6, 1.3e-6
+# and 3.3e10: singular to roundoff, so the solve fails, but where depends
+# on the last bits of the information and so on the numpy and BLAS build.
+INDEFINITE_HESSIAN_CONFIG = {
+    "model": {
+        "tests": [
+            {
+                "id": "t0",
+                "cost": 233.64582838091658,
+                "sensitivity": 0.5019633132590332,
+                "specificity": 0.5019633132590332,
+            },
+            {
+                "id": "t1",
+                "cost": 2.2849493184401515e-10,
+                "sensitivity": 0.8849014688757553,
+                "specificity": 0.8958682943218597,
+            },
+        ],
+        "nominal": [[0, 0], [1, 0], [0, 1], [1, 1]],
+    },
+    "scenario": {"point": [0.2075804205596648, 0.6607818289673992, 0.08250386066525993]},
+    "budget": 1e6,
 }
 
 
@@ -697,7 +719,8 @@ class TestMain:
 
     @pytest.mark.parametrize("argv", [["c-optimal"], ["budget", "--moe", "0.01"], ["simulate"]])
     def test_indefinite_barrier_hessian_exit_two(self, tmp_path, argv):
-        # in a process of its own, where a numpy warning would print to stderr
+        # in a process of its own, where a numpy warning would print to
+        # stderr: the failure is one typed solver error and nothing else
         path = tmp_path / "indefinite.json"
         path.write_text(json.dumps(INDEFINITE_HESSIAN_CONFIG))
         src = os.path.dirname(os.path.dirname(serodesign.__file__))
@@ -706,7 +729,8 @@ class TestMain:
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 2
-        assert done.stderr == f"solver error: {INDEFINITE_HESSIAN_MESSAGE}\n"
+        assert done.stderr.startswith("solver error: ")
+        assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
 
     @pytest.mark.parametrize("cost", [1e-18, 1e-30])
     @pytest.mark.parametrize(
