@@ -13,8 +13,14 @@ import math
 
 import numpy as np
 
-from serodesign import ParameterBox, all_patterns, default_model, saddle_check, worst_case_design
-from serodesign.coptimal import _criterion, _pattern_infos
+from serodesign import (
+    ParameterBox,
+    all_patterns,
+    default_model,
+    objective,
+    saddle_check,
+    worst_case_design,
+)
 
 model = default_model(rtpcr_cost=100.0)
 box = ParameterBox(lower=[0.01, 0.10, 0.00], upper=[0.15, 0.50, 0.02])
@@ -44,10 +50,9 @@ print("the pair (v*, p*) is an approximate saddle point of the game.")
 # Restricting the whole budget to RT-PCR + antibody costs surprisingly little:
 pats = all_patterns(model)
 pts = box.grid(0.01)
-infos = _pattern_infos(pts, model)
 only_011 = np.array([1.0 if t.mask == (0, 1, 1) else 0.0 for t in pats])
-worst_constrained = _criterion(only_011, infos, model.u)[0].max()
-worst_optimal = _criterion(design.fractions, infos, model.u)[0].max()
+worst_constrained = max(objective(only_011, p, model) for p in pts)
+worst_optimal = max(objective(design.fractions, p, model) for p in pts)
 variance_factor = worst_constrained / worst_optimal
 accuracy_factor = math.sqrt(variance_factor)
 

@@ -35,11 +35,13 @@ an aligned text table; it is never a separate computation path.
 
 Flags (``--grid-step``, ``--moe``, ``--alpha``, ``--seed``,
 ``--replications``) are laid over the file's ``options`` before it is
-parsed, so a flag passes the same one check (``Options`` checks its own
-values) and keeps its ``options.<key>`` path.  ``run(config, subcommand)``
-reads every setting from the ``RunConfig`` (its ``scenario`` is the one
-parsed scenario), so a library caller sets options on the config with
-``dataclasses.replace``, which runs that check too.
+parsed, so a flag passes the same one check and keeps its
+``options.<key>`` path.  That check is ``RunConfig``'s own: the record of
+a run checks its options, and the lattice of every box of its scenario,
+when it is built.  ``run(config, subcommand)`` reads every setting from
+the ``RunConfig``, whose ``scenario_kind`` is read off its one parsed
+``scenario``.  A library caller changes a run with one
+``dataclasses.replace(config, moe=0.01)``, which runs that check too.
 
 The CLI checks only a document's shape: types, required keys and known
 fields.  Every rule on the values (reliabilities in (0, 1), points in the
@@ -53,8 +55,8 @@ JSON object at all has the path ``<config>``.  A budget too large for
 exact integer counts, or one that buys ``simulate`` no participant, has
 the path the budget came from: ``budget``, ``options.moe`` for
 ``budget``, or ``design.budget``.  A grid step that gives a box a lattice
-of more than ``MAX_GRID_POINTS`` points has the path ``options.grid_step``,
-from a flag or the file alike.  Exit status: 0 on
+of more than ``MAX_GRID_POINTS`` points, or an axis no point, has the path
+``options.grid_step``, from a flag or the file alike.  Exit status: 0 on
 success, 1 on configuration or validation errors, 2 on solver failures,
 including a run that runs out of memory (``solver error: out of memory: …``).
 """
@@ -65,7 +67,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache
 from importlib import resources
 
@@ -136,7 +138,13 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class Options:
+class RunConfig:
+    """A validated run: model, one scenario, budget and options, checked when built."""
+
+    model: DiseaseModel
+    # the parsed scenario: a point array, a box, or a spec tuple
+    scenario: np.ndarray | ParameterBox | tuple[StratumSpec, ...] | tuple[GroupSpec, ...]
+    budget: float
     grid_step: float = 0.01
     alpha: float = 0.05
     moe: float | None = None
@@ -161,18 +169,24 @@ class Options:
                 "options.replications",
                 f"need at least {MIN_REPLICATIONS} replications, got {self.replications}",
             )
+        # every box of the scenario is gridded; a lattice that cannot be
+        # built is an error of the step, whoever set it
+        strata = self.scenario if self.scenario_kind == "strata" else ()
+        with _at("options.grid_step"):
+            for box in [self.scenario, *(s.box for s in strata)]:
+                if isinstance(box, ParameterBox):
+                    box.lattice_size(self.grid_step)
 
-
-@dataclass(frozen=True, eq=False)
-class RunConfig:
-    """A validated run: model, one scenario, budget, options."""
-
-    model: DiseaseModel
-    scenario_kind: str  # point | box | strata | groups
-    # the parsed value of that kind: a point array, a box, or a spec tuple
-    scenario: np.ndarray | ParameterBox | tuple[StratumSpec, ...] | tuple[GroupSpec, ...]
-    budget: float
-    options: Options = field(default_factory=Options)
+    @property
+    def scenario_kind(self) -> str:
+        """point, box, strata or groups: read off ``scenario``."""
+        if isinstance(self.scenario, ParameterBox):
+            return "box"
+        if isinstance(self.scenario, tuple) and self.scenario:
+            for kind, (spec_type, _, _) in _ENTRIES.items():
+                if all(isinstance(e, spec_type) for e in self.scenario):
+                    return kind
+        return "point"  # any other value is validated where it is used
 
 
 def _floats(values) -> list[float]:
@@ -193,8 +207,6 @@ def _at(path: str):
     """Report a rule that a library type rejects while built here at ``path``."""
     try:
         yield
-    except ConfigError:
-        raise
     except KeyError as err:
         raise ConfigError(path, err.args[0]) from None
     except ValueError as err:
@@ -341,15 +353,15 @@ _OPTION_TYPES = {
 }
 
 
-def _parse_options(doc) -> Options:
-    """The options, from the file with any flags laid over it: types here, ranges in Options."""
+def _parse_options(doc) -> dict:
+    """The options, from the file with flags laid over it: types here, ranges in RunConfig."""
     values = {}
     for key, value in _object(doc, "options").items():
         if key not in _OPTION_TYPES:
             raise ConfigError(f"options.{key}", "unknown option")
         if not (key == "moe" and value is None):
             values[key] = _OPTION_TYPES[key](value, f"options.{key}")
-    return Options(**values)
+    return values
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -382,11 +394,7 @@ def parse_config(doc: dict) -> RunConfig:
         parsed = _PARSERS[kind](scenario[kind], model, f"scenario.{kind}")
 
     return RunConfig(
-        model=model,
-        scenario_kind=kind,
-        scenario=parsed,
-        budget=budget,
-        options=_parse_options(doc.get("options", {})),
+        model=model, scenario=parsed, budget=budget, **_parse_options(doc.get("options", {}))
     )
 
 
@@ -448,25 +456,15 @@ def run(config: RunConfig, subcommand: str, design_path: str | None = None) -> d
     """Dispatch one subcommand on ``config`` and return the machine report."""
     if subcommand not in SUBCOMMANDS:
         raise ConfigError("subcommand", f"unknown subcommand {subcommand!r}")
-    kind, scenario, model, opts = (
-        config.scenario_kind, config.scenario, config.model, config.options
-    )
+    kind, scenario, model = config.scenario_kind, config.scenario, config.model
     if kind not in _SCENARIO_FOR[subcommand]:
         raise ConfigError(
             "scenario",
             f"subcommand {subcommand!r} needs a "
             f"{' or '.join(_SCENARIO_FOR[subcommand])} scenario, got {kind!r}",
         )
-    grid_step, alpha, moe = opts.grid_step, opts.alpha, opts.moe
-    # every box of the scenario is gridded; a lattice too large to build is
-    # an error of the step, whether a flag or the file set it
-    boxes = [scenario] if kind == "box" else [s.box for s in scenario] if kind == "strata" else []
-    with _at("options.grid_step"):
-        for box in boxes:
-            if box is not None:
-                box.lattice_size(grid_step)
-
-    header = {"command": subcommand, "currency": opts.currency, "budget": config.budget}
+    grid_step, alpha, moe = config.grid_step, config.alpha, config.moe
+    header = {"command": subcommand, "currency": config.currency, "budget": config.budget}
 
     # A design rejects a budget whose counts cannot be rounded exactly; the
     # document path it reports is the one the budget came from.
@@ -521,8 +519,8 @@ def run(config: RunConfig, subcommand: str, design_path: str | None = None) -> d
                 model,
                 design.fractions,
                 design.budget,
-                replications=opts.replications,
-                seed=opts.seed,
+                replications=config.replications,
+                seed=config.seed,
             )
         return {**header, "parameter": _floats(scenario), **report}
 
@@ -636,7 +634,3 @@ def main(argv=None) -> int:
     else:
         print(render_table(report))
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

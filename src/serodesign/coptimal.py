@@ -346,24 +346,25 @@ def _finish(infos: np.ndarray, u: np.ndarray, y: np.ndarray, lam: np.ndarray, ac
     solve truncated at rcond 1e-10, so a singular Jacobian cannot throw y
     along its null space.  The steps stop once one no longer cuts the
     residual tenfold: roundoff on the right active set, a stall on a wrong
-    one.  Returns (y, multipliers of every pattern, residual), with the
-    first block of the residual relative to |u|.
+    one.  They solve for lam / |u| against u / |u|, so the Jacobian is the
+    same whatever the scale of u.  Returns (y, multipliers of every
+    pattern, residual), with the first block of the residual relative to |u|.
     """
     b = infos[active]
     k, m = u.size, b.shape[0]
-    scale = 1.0 / float(np.linalg.norm(u))
-    lam_s = lam[active]
+    norm = float(np.linalg.norm(u))
+    unit, lam_s = u / norm, lam[active] / norm
     jac = np.zeros((k + m, k + m))
 
     def conditions(y, lam_s):
         by = b @ y
-        return by, np.concatenate([(2.0 * lam_s @ by - u) * scale, by @ y - 1.0])
+        return by, np.concatenate([2.0 * lam_s @ by - unit, by @ y - 1.0])
 
     by, f = conditions(y, lam_s)
     res = np.abs(f).max()
     for _ in range(FINISH_STEPS):
-        jac[:k, :k] = (2.0 * scale) * np.einsum("t,t...->...", lam_s, b)
-        jac[:k, k:] = (2.0 * scale) * by.T
+        jac[:k, :k] = 2.0 * np.einsum("t,t...->...", lam_s, b)
+        jac[:k, k:] = 2.0 * by.T
         jac[k:, :k] = 2.0 * by
         dz = np.linalg.lstsq(jac, -f, rcond=1e-10)[0]
         y_new, lam_new = y + dz[:k], lam_s + dz[k:]
@@ -375,7 +376,7 @@ def _finish(infos: np.ndarray, u: np.ndarray, y: np.ndarray, lam: np.ndarray, ac
             break
         res = res_new
     lam = np.zeros(infos.shape[0])
-    lam[active] = lam_s
+    lam[active] = lam_s * norm
     return y, lam, float(np.abs(f).max())
 
 

@@ -288,16 +288,24 @@ class ParameterBox:
 
     def lattice_size(self, step: float) -> int:
         """Number of points of the box's lattice at ``step``, before the
-        simplex cut; raises when the step is not positive and finite, or
-        when the lattice holds more than MAX_GRID_POINTS points.
+        simplex cut; raises when the step is not positive and finite, when
+        an axis gets no point, or when it holds more than MAX_GRID_POINTS.
 
         Each axis holds the ``np.arange`` samples of ``grid``; the upper
-        face it may add is not counted.
+        face it may add is not counted, and an axis with ``lower == upper``
+        holds none if half the step is below that bound's resolution.
         """
         if not 0 < step < math.inf:
             raise ValueError(f"grid step must be positive and finite, got {step}")
         with np.errstate(over="ignore"):  # a tiny step counts to inf
-            size = float(np.prod(np.ceil((self.upper + 0.5 * step - self.lower) / step)))
+            counts = np.ceil((self.upper + 0.5 * step - self.lower) / step)
+            if not counts.all():
+                axis = int(np.argmin(counts))
+                raise ValueError(
+                    f"grid step {step:g} is below the resolution of the box's bound "
+                    f"{self.lower[axis]:g} on axis {axis}, which gets no grid point"
+                )
+            size = float(np.prod(counts))
         if size > MAX_GRID_POINTS:
             shown = f"{size:.4g}" if math.isfinite(size) else "more than 1e308"
             raise ValueError(
@@ -311,8 +319,8 @@ class ParameterBox:
 
         Each axis is sampled from lower to upper in increments of ``step``
         (the upper face is always included); points with ``sum(p) > 1`` are
-        skipped.  Raises if the lattice is too large (see lattice_size) or
-        if no feasible grid point remains.
+        skipped.  Raises if the lattice cannot be built (see lattice_size).
+        The lower corner is always a grid point.
         """
         self.lattice_size(step)
         axes = []
@@ -324,10 +332,7 @@ class ParameterBox:
             axes.append(vals)
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        pts = pts[pts.sum(axis=1) <= 1.0 + 1e-12]
-        if pts.shape[0] == 0:
-            raise ValueError("no feasible grid point: box grid lies entirely above the simplex")
-        return pts
+        return pts[pts.sum(axis=1) <= 1.0 + 1e-12]
 
 
 # Models whose pattern tables, and test counts whose layouts, the caches keep.

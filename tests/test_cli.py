@@ -6,7 +6,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from serodesign.coptimal import _solve_simplex
 from serodesign.cli import (
     _SCENARIO_FOR,
     ConfigError,
+    RunConfig,
     fixture_path,
     load_config,
     main,
@@ -116,7 +117,7 @@ def scaled(doc, scale):
 
 def with_options(config, **options):
     """``config`` with the given options set, as a library caller sets them."""
-    return replace(config, options=replace(config.options, **options))
+    return replace(config, **options)
 
 
 def tiny_box_config():
@@ -134,7 +135,7 @@ class TestParseConfig:
         assert config.scenario_kind == "point"
         assert np.allclose(config.scenario, [0.10, 0.30, 0.01])
         assert config.budget == 1e7
-        assert config.options.currency == "Rs"
+        assert config.currency == "Rs"
 
     def test_all_fixtures_parse(self):
         for name in (
@@ -391,6 +392,61 @@ class TestRun:
         assert a == b
 
 
+class TestRunConfig:
+    """A run is one record, checked when it is built, whose scenario kind is
+    read off its scenario."""
+
+    def test_one_record_of_nine_values(self):
+        assert [f.name for f in fields(RunConfig)] == [
+            "model", "scenario", "budget",
+            "grid_step", "alpha", "moe", "seed", "replications", "currency",
+        ]
+        assert isinstance(RunConfig.scenario_kind, property)
+
+    def test_scenario_kind_is_read_off_the_scenario(self):
+        kinds = {
+            "table1_row1": "point",
+            "table1_row4": "box",
+            "table1_row5": "groups",
+            "strata_three_districts": "strata",
+        }
+        for name, kind in kinds.items():
+            assert load_config(fixture_path(name)).scenario_kind == kind
+        strata = load_config(fixture_path("strata_three_districts"))
+        with pytest.raises(TypeError):
+            replace(strata, scenario_kind="groups")
+        with pytest.raises(AttributeError):
+            strata.scenario_kind = "groups"
+
+    def test_a_scenario_from_another_run_must_fit_the_subcommand(self):
+        row1, row4 = (load_config(fixture_path(f"table1_row{row}")) for row in (1, 4))
+        strata = load_config(fixture_path("strata_three_districts"))
+        with pytest.raises(ConfigError) as err:
+            run(replace(row1, scenario=row4.scenario), "c-optimal")
+        assert str(err.value) == "scenario: subcommand 'c-optimal' needs a point scenario, got 'box'"
+        with pytest.raises(ConfigError) as err:
+            run(replace(row4, scenario=strata.scenario), "worst-case")
+        assert str(err.value) == "scenario: subcommand 'worst-case' needs a box scenario, got 'strata'"
+
+    def test_a_point_given_as_a_list_runs(self):
+        config = load_config(fixture_path("table1_row1"))
+        listed = replace(config, scenario=[0.10, 0.30, 0.01])
+        assert listed.scenario_kind == "point"
+        assert json.dumps(run(listed, "c-optimal")) == json.dumps(run(config, "c-optimal"))
+
+    @pytest.mark.parametrize("fixture", ["table1_row4", "strata_three_districts"])
+    def test_a_lattice_too_large_is_refused_when_a_caller_builds_the_run(self, fixture):
+        config = load_config(fixture_path(fixture))
+        with pytest.raises(ConfigError, match=r"^options\.grid_step: grid step 1e-09 gives a lattice"):
+            replace(config, grid_step=1e-9)
+
+    def test_a_grid_step_is_checked_before_the_subcommand(self, capsys):
+        # the run is checked when it is built, before it meets a subcommand
+        argv = ["c-optimal", "--config", fixture_path("table1_row4"), "--grid-step", "1e-9"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: options.grid_step: ")
+
+
 ROW5 = fixture_doc("table1_row5")
 SAVED_DESIGN = {"design": {"fractions": {"001": 0.5, "101": 0.5}, "budget": 1e7}}
 
@@ -521,6 +577,25 @@ for _subcommand, _doc in (
         MALFORMED[f"{_subcommand}-grid-step-file-{_step:g}"] = (
             _subcommand, edited(_doc, _step, "options", "grid_step"), [], None, "options.grid_step",
         )
+
+# A box axis fixed at 0.5, where half of a 1e-17 step is below the bound's
+# resolution: that axis would get no grid point, and its count of 0 would
+# hide every other axis from the cap.
+ROW4 = fixture_doc("table1_row4")
+BELOW_RESOLUTION = {
+    f"{subcommand}-{name}": (subcommand, edited(ROW4, {"box": box}, "scenario"))
+    for name, box in (
+        ("first-axis", {"lower": [0.5, 0.1, 0.0], "upper": [0.5, 0.2, 0.0]}),
+        ("second-axis", {"lower": [0.1, 0.5, 0.0], "upper": [0.2, 0.5, 0.0]}),
+        ("point-box", {"lower": [0.5, 0.1, 0.0], "upper": [0.5, 0.1, 0.0]}),
+    )
+    for subcommand in ("worst-case", "check-assumptions")
+}
+BELOW_RESOLUTION["strata-south"] = (
+    "strata",
+    edited(STRATA, {"lower": [0.05, 0.5, 0.0], "upper": [0.09, 0.5, 0.01]},
+           "scenario", "strata", 1, "box"),
+)
 
 # Subcommand flags that make every fixture run: a margin for budget, and
 # the fewest replications simulate accepts.
@@ -663,6 +738,30 @@ class TestMain:
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("solver error: out of memory: ")
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("case", list(BELOW_RESOLUTION))
+    def test_grid_step_below_a_bound_resolution_exit_one(self, capsys, tmp_path, case):
+        subcommand, doc = BELOW_RESOLUTION[case]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert main([subcommand, "--config", str(config), "--grid-step", "1e-17"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: options.grid_step: grid step 1e-17 is below the resolution")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_two_word_seed_simulates_with_warnings_as_errors(self):
+        # A seed past 2**32 takes the multi-word stream-key path.  In a
+        # process of its own, every warning is an error, where pytest's
+        # filters do not reach.
+        src = os.path.dirname(os.path.dirname(serodesign.__file__))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "serodesign", "simulate",
+             "--config", fixture_path("table1_row1"), "--replications", "8",
+             "--seed", "4294967296"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
 
     def test_validation_error_exit_one(self, capsys, tmp_path):
         bad = copy.deepcopy(ROW1)
@@ -811,7 +910,7 @@ class TestMain:
         with pytest.raises(ConfigError, match="options.replications"):
             parse_config(doc)
         doc["options"]["replications"] = 8
-        assert parse_config(doc).options.replications == 8
+        assert parse_config(doc).replications == 8
 
     def test_simulate_with_design_file(self, capsys, tmp_path):
         config_path = tmp_path / "row1.json"

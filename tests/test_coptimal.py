@@ -436,6 +436,39 @@ class TestTypedErrors:
             solve_c_optimal(P0, model_row1)
 
 
+class TestScaleOfU:
+    """a(v; s u) = s^2 a(v; u): the solve takes the same steps to the same
+    fractions at every scale of u."""
+
+    @staticmethod
+    def assert_scale_free(p, model):
+        base = solve_c_optimal(p, model)
+        for exponent in range(-150, 151, 50):
+            s = 10.0**exponent
+            scaled = DiseaseModel(tests=model.tests, nominal=model.nominal, u=model.u * s)
+            report = solve_c_optimal(p, scaled)
+            assert report.iterations == base.iterations, s
+            assert np.abs(report.design.fractions - base.design.fractions).max() <= 1e-12, s
+            assert report.objective / s / s == pytest.approx(base.objective, rel=1e-12), s
+
+    @pytest.mark.parametrize("fixture", ["table1_row1", "table1_row2", "table1_row3"])
+    def test_point_fixtures(self, fixture):
+        config = load_config(fixture_path(fixture))
+        self.assert_scale_free(config.scenario, config.model)
+
+    def test_random_models(self):
+        certified = 0
+        for seed in range(60):
+            model, p = random_model(np.random.default_rng(seed))
+            try:
+                solve_c_optimal(p, model)
+            except ConvergenceError:  # a singular optimum, refused
+                continue
+            self.assert_scale_free(p, model)
+            certified += 1
+        assert certified >= 15
+
+
 class TestCertificate:
     """A returned design's first-order residual is within CERTIFICATE_TOL of
     its criterion value, the finish residual _solve_simplex certifies; so

@@ -134,6 +134,44 @@ class TestTypes:
         with pytest.raises(ValueError, match="lattice"):
             worst_case_design(box, m, grid_step=1e-300)
 
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [
+            ([0.5, 0.1, 0.0], [0.5, 0.2, 0.0]),
+            ([0.1, 0.5, 0.0], [0.2, 0.5, 0.0]),
+            ([0.5, 0.1, 0.0], [0.5, 0.1, 0.0]),
+        ],
+    )
+    def test_a_step_below_a_fixed_axis_resolution_is_refused(self, lower, upper):
+        # 0.5 + 5e-18 == 0.5: the axis fixed at 0.5 would get no sample, and
+        # its count of 0 would hide every other axis from the cap
+        m = default_model()
+        box = ParameterBox(lower=lower, upper=upper)
+        message = r"^grid step 1e-17 is below the resolution of the box's bound 0\.5 on axis "
+        for call in (
+            box.lattice_size,
+            box.grid,
+            lambda step: check_a2(box, m, grid_step=step),
+            lambda step: worst_case_design(box, m, grid_step=step),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call(1e-17)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_lower_corner_is_a_grid_point_at_the_simplex_cap(self, k):
+        # A box may have lower bounds summing to 1 + 1e-12, the cap of the
+        # grid's simplex cut, so the cut never leaves a grid empty.
+        rng = np.random.default_rng(k)
+        cap = 1.0 + 1e-12
+        for _ in range(50):
+            lower = rng.dirichlet(np.ones(k)) * (1.0 + 1e-12 * rng.uniform())
+            while lower.sum() > cap:
+                lower = np.nextafter(lower, 0.0)
+            assert cap - 1e-12 <= lower.sum() <= cap
+            upper = lower + rng.uniform(0.0, 0.15, k) * rng.integers(0, 2, k)
+            pts = ParameterBox(lower=lower, upper=upper).grid(0.1)
+            assert (pts[0] == lower).all()
+
 
 BASE = default_model()
 
