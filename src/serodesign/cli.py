@@ -37,10 +37,10 @@ Flags (``--grid-step``, ``--moe``, ``--alpha``, ``--seed``,
 ``--replications``) are laid over the file's ``options`` before it is
 parsed, so a flag passes the same one check and keeps its
 ``options.<key>`` path.  That check is ``RunConfig``'s own: the record of
-a run checks its options, and the lattice of every box of its scenario,
-when it is built.  ``run(config, subcommand)`` reads every setting from
-the ``RunConfig``, whose ``scenario_kind`` is read off its one parsed
-``scenario``.  A library caller changes a run with one
+a run checks its options, a point scenario against the model, and the
+lattice of every box of its scenario, when it is built.
+``run(config, subcommand)`` reads every setting from the ``RunConfig``,
+whose ``scenario_kind`` is read off its one parsed ``scenario``.  A library caller changes a run with one
 ``dataclasses.replace(config, moe=0.01)``, which runs that check too.
 
 The CLI checks only a document's shape: types, required keys and known
@@ -169,6 +169,10 @@ class RunConfig:
                 "options.replications",
                 f"need at least {MIN_REPLICATIONS} replications, got {self.replications}",
             )
+        if self.scenario_kind == "point":
+            with _at("scenario.point"):
+                point = validate_parameter(self.scenario, self.model.k)
+            object.__setattr__(self, "scenario", point)
         # every box of the scenario is gridded; a lattice that cannot be
         # built is an error of the step, whoever set it
         strata = self.scenario if self.scenario_kind == "strata" else ()
@@ -186,7 +190,7 @@ class RunConfig:
             for kind, (spec_type, _, _) in _ENTRIES.items():
                 if all(isinstance(e, spec_type) for e in self.scenario):
                     return kind
-        return "point"  # any other value is validated where it is used
+        return "point"  # any other value, which must then be a valid point
 
 
 def _floats(values) -> list[float]:
@@ -390,8 +394,10 @@ def parse_config(doc: dict) -> RunConfig:
     kind = kinds[0]
     if kind in _ENTRIES:
         parsed = _parse_entries(kind, scenario[kind], model)
+    elif kind == "point":  # checked against the model by RunConfig
+        parsed = _vector(scenario[kind], "scenario.point")
     else:
-        parsed = _PARSERS[kind](scenario[kind], model, f"scenario.{kind}")
+        parsed = _parse_box(scenario[kind], model, "scenario.box")
 
     return RunConfig(
         model=model, scenario=parsed, budget=budget, **_parse_options(doc.get("options", {}))

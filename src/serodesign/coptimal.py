@@ -63,10 +63,16 @@ __all__ = [
 
 # Barrier Newton steps allowed per solve; each finish has its own FINISH_STEPS.
 MAX_NEWTON_STEPS = 200
-# Growth of the barrier weight tau from one centred point to the next.
-TAU_GROWTH = 30.0
-# Duality gap, relative to u'y, at which the first active-set finish runs.
-FINISH_GAP = 1e-3
+# Growth of the barrier weight tau from one centred point to the next.  A
+# barrier's total Newton steps stay flat over a wide range of growth factors
+# (Boyd & Vandenberghe 2004, sec. 11.3.3); fewer, longer centrings reach the
+# finish sooner.
+TAU_GROWTH = 100.0
+# Duality gap, relative to u'y, at which the first active-set finish runs: the
+# first centred point whose gap n/tau is at most u'y.  A failed finish divides
+# it by a hundred, as TAU_GROWTH divides the gap, so a finish follows each
+# later centring.
+FINISH_GAP = 1.0
 # Least-squares Newton steps allowed per finish.
 FINISH_STEPS = 8
 # Certificate tolerance on dual infeasibility and on the finish residual.
@@ -338,7 +344,7 @@ def _kkt_residual_from(g: np.ndarray, mu: float, v: np.ndarray) -> float:
     return resid
 
 
-def _finish(infos: np.ndarray, u: np.ndarray, y: np.ndarray, lam: np.ndarray, active: np.ndarray):
+def _finish(flat: np.ndarray, u: np.ndarray, y: np.ndarray, lam: np.ndarray, active: np.ndarray):
     """Active-set Newton finish from a centred point of the barrier path.
 
     Solves ``2 sum_S lam_t B_t y = u`` and ``y' B_t y = 1`` for t in the
@@ -347,23 +353,28 @@ def _finish(infos: np.ndarray, u: np.ndarray, y: np.ndarray, lam: np.ndarray, ac
     along its null space.  The steps stop once one no longer cuts the
     residual tenfold: roundoff on the right active set, a stall on a wrong
     one.  They solve for lam / |u| against u / |u|, so the Jacobian is the
-    same whatever the scale of u.  Returns (y, multipliers of every
-    pattern, residual), with the first block of the residual relative to |u|.
+    same whatever the scale of u.  ``flat`` is the stack of B_t viewed as
+    (T, k*k).  Returns (y, multipliers of every pattern, residual), with
+    the first block of the residual relative to |u|.
     """
-    b = infos[active]
-    k, m = u.size, b.shape[0]
+    b_flat = flat[active]
+    k, m = u.size, b_flat.shape[0]
+    b_rows = b_flat.reshape(m * k, k)
     norm = float(np.linalg.norm(u))
     unit, lam_s = u / norm, lam[active] / norm
     jac = np.zeros((k + m, k + m))
 
     def conditions(y, lam_s):
-        by = b @ y
-        return by, np.concatenate([2.0 * lam_s @ by - unit, by @ y - 1.0])
+        by = (b_rows @ y).reshape(m, k)
+        f = np.empty(k + m)
+        f[:k] = 2.0 * lam_s @ by - unit
+        f[k:] = by @ y - 1.0
+        return by, f
 
     by, f = conditions(y, lam_s)
     res = np.abs(f).max()
     for _ in range(FINISH_STEPS):
-        jac[:k, :k] = 2.0 * np.einsum("t,t...->...", lam_s, b)
+        jac[:k, :k] = (2.0 * lam_s @ b_flat).reshape(k, k)
         jac[:k, k:] = 2.0 * by.T
         jac[k:, :k] = 2.0 * by
         dz = np.linalg.lstsq(jac, -f, rcond=1e-10)[0]
@@ -375,7 +386,7 @@ def _finish(infos: np.ndarray, u: np.ndarray, y: np.ndarray, lam: np.ndarray, ac
         if not res_new < 0.1 * res:
             break
         res = res_new
-    lam = np.zeros(infos.shape[0])
+    lam = np.zeros(flat.shape[0])
     lam[active] = lam_s * norm
     return y, lam, float(np.abs(f).max())
 
@@ -393,15 +404,20 @@ def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
     TAU_GROWTH at each centred point (squared Newton decrement at most
     1/4), steps are damped by 1/(1 + sqrt(decrement)) while the decrement
     exceeds 1, and halved until every slack stays positive; the accepted
-    step's products ``B_t y`` and slacks start the next step.
+    step's products ``B_t y`` and slacks start the next step.  The stack
+    is read through its (T, k*k) and (T*k, k) views, so the Hessian blend
+    ``(2/s) @ flat`` and all products ``B_t y`` are one matrix product
+    each, and one formula gives the step ``tau H^-1 u - H^-1 grad`` and
+    its decrement ``(tau u - grad) . step`` at every tau.
 
     Once the duality gap T/tau is at most FINISH_GAP * u'y, _finish solves
     the optimality conditions on the patterns whose share of the barrier
     multipliers 1/(tau s_t) exceeds their slack.  Its result is certified
     when its multipliers are nonnegative, y is dual feasible and the finish
     residual is within CERTIFICATE_TOL; otherwise the path continues to a
-    gap a hundred times smaller.  Then v = lam / sum(lam), the objective is
-    (u'y)^2 and, since A(v)^{-1} u = 2 sum(lam) y, every sensitivity is
+    gap a hundred times smaller, about that of the next centred point.
+    Then v = lam / sum(lam), the objective is (u'y)^2 and, since
+    A(v)^{-1} u = 2 sum(lam) y, every sensitivity is
     ``g_t = objective * y' B_t y``, with no inverse of A(v).  ``steps``
     counts the barrier's Newton steps alone: where a finish stops depends
     on roundoff, where the barrier path reaches its gap does not.
@@ -412,17 +428,18 @@ def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
     does not identify p (_PatternTable.identifies) or no certificate comes
     within MAX_NEWTON_STEPS.
     """
-    n, u = infos.shape[0], model.u
+    (n, k), u = infos.shape[:2], model.u
     if not _pattern_tables(model).identified:
         raise InfeasibleDesignError("the summed pattern information matrix is singular")
+    flat, rows = infos.reshape(n, k * k), infos.reshape(n * k, k)
     try:
         y_hat = np.linalg.solve(infos.sum(axis=0), u)
     except np.linalg.LinAlgError:
         raise ConvergenceError("singular summed pattern information at the barrier start") from None
-    y = 0.5 * y_hat / math.sqrt((infos @ y_hat @ y_hat).max())
-    by = infos @ y
+    y = 0.5 * y_hat / math.sqrt(((rows @ y_hat).reshape(n, k) @ y_hat).max())
+    by = (rows @ y).reshape(n, k)
     s = 1.0 - by @ y
-    rhs = np.empty((u.size, 2))  # columns: the barrier gradient, then u
+    rhs = np.empty((k, 2))  # columns: the barrier gradient, then u
     rhs[:, 1] = u
     tau = None
     gap = FINISH_GAP
@@ -431,7 +448,7 @@ def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
     while steps < MAX_NEWTON_STEPS:
         w = by / s[:, None]
         grad = rhs[:, 0] = 2.0 * w.sum(axis=0)  # of the barrier; the objective adds -tau u
-        hess = 2.0 * np.einsum("t,t...->...", 1.0 / s, infos) + 4.0 * w.T @ w
+        hess = ((2.0 / s) @ flat).reshape(k, k) + 4.0 * w.T @ w
         try:
             h_grad, h_u = np.linalg.solve(hess, rhs).T
         except np.linalg.LinAlgError:
@@ -445,14 +462,15 @@ def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
             if not 0.0 < u_h_u < math.inf:
                 raise ConvergenceError(f"{indefinite} {steps}")
             tau = (h_u @ grad) / u_h_u
-        dec = (grad - tau * u) @ (h_grad - tau * h_u)
+        step = tau * h_u - h_grad
+        dec = (tau * u - grad) @ step
         if not math.isfinite(dec):
             raise ConvergenceError(f"{indefinite} {steps}")
         if dec <= 0.25:
             if n / tau <= gap * (u @ y):
                 lam = 1.0 / (tau * s)
-                y_fin, lam, resid = _finish(infos, u, y, lam, lam / lam.sum() > s)
-                q = infos @ y_fin @ y_fin
+                y_fin, lam, resid = _finish(flat, u, y, lam, lam / lam.sum() > s)
+                q = (rows @ y_fin).reshape(n, k) @ y_fin
                 total = lam.sum()
                 if (
                     lam.min() >= -1e-12 * total
@@ -470,12 +488,12 @@ def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
                     return v, mu, _kkt_residual_from(mu * q, mu, v), steps
                 gap *= 1e-2
             tau *= TAU_GROWTH
-            dec = (grad - tau * u) @ (h_grad - tau * h_u)
-        step = tau * h_u - h_grad
+            step = tau * h_u - h_grad
+            dec = (tau * u - grad) @ step
         t = 1.0 / (1.0 + math.sqrt(dec)) if dec > 1.0 else 1.0
         for _ in range(MAX_BACKTRACKS):
             trial = y + t * step
-            b_trial = infos @ trial
+            b_trial = (rows @ trial).reshape(n, k)
             s_trial = 1.0 - b_trial @ trial
             if s_trial.min() > 0.0:  # exactly y' B_t y < 1 in IEEE arithmetic
                 break

@@ -434,6 +434,15 @@ class TestRunConfig:
         assert listed.scenario_kind == "point"
         assert json.dumps(run(listed, "c-optimal")) == json.dumps(run(config, "c-optimal"))
 
+    @pytest.mark.parametrize("subcommand", ["c-optimal", "budget", "simulate", "check-assumptions"])
+    def test_a_point_is_checked_when_a_caller_builds_the_run(self, subcommand):
+        row1 = load_config(fixture_path("table1_row1"))
+        with pytest.raises(ConfigError) as err:
+            run(replace(row1, scenario=[0.1, 0.3]), subcommand)
+        assert str(err.value) == "scenario.point: parameter must have length 3, got shape (2,)"
+        with pytest.raises(ConfigError, match=r"^scenario\.point: parameter entries must sum"):
+            run(replace(row1, scenario=[0.6, 0.3, 0.2]), subcommand)
+
     @pytest.mark.parametrize("fixture", ["table1_row4", "strata_three_districts"])
     def test_a_lattice_too_large_is_refused_when_a_caller_builds_the_run(self, fixture):
         config = load_config(fixture_path(fixture))

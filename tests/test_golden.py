@@ -11,7 +11,8 @@ Regenerate the files (only when a change of output is intended) with::
     PYTHONPATH=src python tests/test_golden.py
 
 Regeneration keeps every committed value that still matches by these
-rules, so it rewrites only values that changed beyond them.
+rules, so it rewrites only values that changed beyond them, and prints
+each one it rewrites as ``path: old -> new``.
 """
 
 import contextlib
@@ -114,6 +115,19 @@ def merged(actual, expected, scale=0.0):
     }
 
 
+def changes(actual, expected, path="report"):
+    """(path, old, new) for each value of ``expected`` that ``actual``
+    replaces; a value whose keys or length change is replaced whole."""
+    if isinstance(expected, dict) and isinstance(actual, dict) and list(actual) == list(expected):
+        for key, value in expected.items():
+            yield from changes(actual[key], value, f"{path}.{key}")
+    elif isinstance(expected, list) and isinstance(actual, list) and len(actual) == len(expected):
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            yield from changes(a, e, f"{path}[{i}]")
+    elif type(actual) is not type(expected) or actual != expected:
+        yield path, expected, actual
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -189,6 +203,18 @@ def test_regeneration_keeps_values_within_tolerance():
     assert merged({"a": [1.0, 2.0]}, {"a": [1.0]}) == {"a": [1.0, 2.0]}
 
 
+def test_changes_name_each_rewritten_value():
+    expected = {"iterations": 12, "x": [1.0, 2.0], "d": {"a": 1}, "n": 1}
+    actual = {"iterations": 11, "x": [1.0, 2.5], "d": {"b": 1}, "n": 1.0}
+    assert list(changes(actual, expected)) == [
+        ("report.iterations", 12, 11),
+        ("report.x[1]", 2.0, 2.5),
+        ("report.d", {"a": 1}, {"b": 1}),
+        ("report.n", 1, 1.0),
+    ]
+    assert list(changes(expected, expected)) == []
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name in RUNS:
@@ -198,9 +224,14 @@ if __name__ == "__main__":
         assert code == 0, name
         report = json.loads(out.getvalue(), parse_constant=_no_constant)
         path = _golden_path(name)
+        rewritten = [("report", None, "new file")]
         if os.path.exists(path):
             with open(path, encoding="utf-8") as handle:
-                report = merged(report, json.load(handle))
+                committed = json.load(handle)
+            report = merged(report, committed)
+            rewritten = list(changes(report, committed))
         with open(path, "w", encoding="utf-8") as handle:
             print(json.dumps(report, indent=2, allow_nan=False), file=handle)
         print(f"wrote {path}")
+        for where, old, new in rewritten:
+            print(f"  {where}: {old!r} -> {new!r}")
