@@ -36,17 +36,21 @@ an aligned text table; it is never a separate computation path.
 Flags (``--grid-step``, ``--moe``, ``--alpha``, ``--seed``,
 ``--replications``) are laid over the file's ``options`` before it is
 parsed, so a flag passes the same one check and keeps its
-``options.<key>`` path.  That check is ``RunConfig``'s own: the record of
-a run checks its options, a point scenario against the model, and the
-lattice of every box of its scenario, when it is built.
+``options.<key>`` path.  That check is ``RunConfig``'s own: when built,
+the record of a run checks its options and budget, every place its
+scenario names (its point or box, each stratum's point or box, each
+group's point under its overrides) against the model at that place's
+document path, and then the strata or groups list rule.
 ``run(config, subcommand)`` reads every setting from the ``RunConfig``,
-whose ``scenario_kind`` is read off its one parsed ``scenario``.  A library caller changes a run with one
-``dataclasses.replace(config, moe=0.01)``, which runs that check too.
+whose ``scenario_kind`` is read off its one parsed ``scenario``, and
+``check-assumptions`` reads the same places.  A library caller changes a
+run with one ``dataclasses.replace(config, moe=0.01)``, which runs that
+check too.
 
-The CLI checks only a document's shape: types, required keys and known
-fields.  Every rule on the values (reliabilities in (0, 1), points in the
-simplex, fractions summing to 1, distinct names, known override ids, ...)
-is checked by the library type that owns it, while the document is read.
+The parser checks only a document's shape (types, required keys, known
+fields) and never sees the model.  Every rule on the values (points in
+the simplex, fractions summing to 1, known override ids, ...) is checked
+by the library type that owns it, when it or the ``RunConfig`` is built.
 Numbers must be finite (``NaN`` and ``Infinity`` are rejected), ``seed``
 and ``replications`` must be integers and ``seed`` nonnegative.  Any
 malformed configuration or ``--design`` file exits 1 with
@@ -139,7 +143,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """A validated run: model, one scenario, budget and options, checked when built."""
+    """A validated run: model, one scenario, budget and options, checked when
+    built, against the model too, whether from a file or by ``replace``."""
 
     model: DiseaseModel
     # the parsed scenario: a point array, a box, or a spec tuple
@@ -169,17 +174,38 @@ class RunConfig:
                 "options.replications",
                 f"need at least {MIN_REPLICATIONS} replications, got {self.replications}",
             )
-        if self.scenario_kind == "point":
-            with _at("scenario.point"):
-                point = validate_parameter(self.scenario, self.model.k)
-            object.__setattr__(self, "scenario", point)
-        # every box of the scenario is gridded; a lattice that cannot be
-        # built is an error of the step, whoever set it
-        strata = self.scenario if self.scenario_kind == "strata" else ()
-        with _at("options.grid_step"):
-            for box in [self.scenario, *(s.box for s in strata)]:
-                if isinstance(box, ParameterBox):
-                    box.lattice_size(self.grid_step)
+        if not 0.0 < self.budget < np.inf:
+            rule = "positive" if self.budget <= 0 else "finite"
+            raise ConfigError("budget", f"must be {rule}, got {self.budget}")
+        for path, _, model, where in self._places():
+            if not isinstance(where, ParameterBox):
+                with _at(path):
+                    point = validate_parameter(where, model.k)
+                if path == "scenario.point":
+                    object.__setattr__(self, "scenario", point)
+            elif where.k != model.k:
+                raise ConfigError(path, f"lower and upper must each have {model.k} entries")
+            else:  # a lattice that cannot be built is an error of the step, whoever set it
+                with _at("options.grid_step"):
+                    where.lattice_size(self.grid_step)
+        if self.scenario_kind in _ENTRIES:
+            with _at(f"scenario.{self.scenario_kind}"):
+                validate_entries(self.scenario, _ENTRIES[self.scenario_kind][1])
+
+    def _places(self):
+        """Each place the scenario names: (path, entry name or None, the model
+        there, its point or box); each group override is checked at its path."""
+        kind = self.scenario_kind
+        if kind not in _ENTRIES:
+            yield f"scenario.{kind}", None, self.model, self.scenario
+            return
+        for i, e in enumerate(self.scenario):
+            here, model = f"scenario.{kind}[{i}]", self.model
+            for test_id, entry in (e.overrides if kind == "groups" else {}).items():
+                with _at(f"{here}.overrides.{test_id}"):
+                    model = model.with_test_overrides({test_id: entry})
+            field = "point" if e.point is not None else "box"
+            yield f"{here}.{field}", e.name, model, getattr(e, field)
 
     @property
     def scenario_kind(self) -> str:
@@ -202,7 +228,7 @@ def _box_dict(box: ParameterBox) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Parsing: the document's shape here, every rule in the library types
+# Parsing: the document's shape only; RunConfig and the library types own every rule
 # ---------------------------------------------------------------------------
 
 
@@ -290,31 +316,21 @@ def _parse_model(doc, path: str = "model") -> DiseaseModel:
         return DiseaseModel(tests=tests, nominal=np.array(nominal), u=np.array(u))
 
 
-def _parse_point(value, model: DiseaseModel, path: str) -> np.ndarray:
-    vec = _vector(value, path)
-    with _at(path):
-        return validate_parameter(vec, model.k)
-
-
-def _parse_box(doc, model: DiseaseModel, path: str) -> ParameterBox:
+def _parse_box(doc, path: str) -> ParameterBox:
     lower = _vector(_require(_object(doc, path), "lower", path), f"{path}.lower")
     upper = _vector(_require(doc, "upper", path), f"{path}.upper")
-    if len(lower) != model.k or len(upper) != model.k:
-        raise ConfigError(path, f"lower and upper must each have {model.k} entries")
     with _at(path):
         return ParameterBox(lower=np.array(lower), upper=np.array(upper))
 
 
-def _parse_overrides(doc, model: DiseaseModel, path: str) -> dict:
+def _parse_overrides(doc, path: str) -> dict:
     for test_id, entry in _object(doc, path).items():
         for key, value in _object(entry, f"{path}.{test_id}").items():
             _number(value, f"{path}.{test_id}.{key}")
-        with _at(f"{path}.{test_id}"):
-            model.with_test_overrides({test_id: entry})
     return doc
 
 
-_PARSERS = {"point": _parse_point, "box": _parse_box, "overrides": _parse_overrides}
+_PARSERS = {"point": _vector, "box": _parse_box, "overrides": _parse_overrides}
 
 # Per list kind: the spec it builds, the noun for one entry, and the fields
 # an entry may give beyond name and fraction (True where it must).
@@ -324,12 +340,14 @@ _ENTRIES = {
 }
 
 
-def _parse_entries(kind: str, entries, model: DiseaseModel) -> tuple:
-    """A strata or groups list: one spec per entry, then the rule on the list."""
+def _parse_entries(kind: str, entries) -> tuple:
+    """A strata or groups list: one spec per entry, its rules left to RunConfig."""
     path = f"scenario.{kind}"
     if not isinstance(entries, list):
         raise ConfigError(path, f"expected a list, got {entries!r}")
     spec_type, noun, extra = _ENTRIES[kind]
+    if not entries:  # an empty tuple would carry no scenario kind
+        raise ConfigError(path, f"need at least one {noun}")
     specs = []
     for i, item in enumerate(entries):
         here = f"{path}[{i}]"
@@ -339,11 +357,9 @@ def _parse_entries(kind: str, entries, model: DiseaseModel) -> tuple:
         }
         for key, required in extra.items():
             if required or key in item:
-                fields[key] = _PARSERS[key](_require(item, key, here), model, f"{here}.{key}")
+                fields[key] = _PARSERS[key](_require(item, key, here), f"{here}.{key}")
         with _at(here):
             specs.append(spec_type(**fields))
-    with _at(path):
-        validate_entries(specs, noun)
     return tuple(specs)
 
 
@@ -382,9 +398,6 @@ def parse_config(doc: dict) -> RunConfig:
     model = _parse_model(_require(doc, "model", ""))
 
     budget = _number(_require(doc, "budget", ""), "budget")
-    if budget <= 0:
-        raise ConfigError("budget", f"must be positive, got {budget}")
-
     scenario = _object(_require(doc, "scenario", ""), "scenario")
     kinds = [key for key in SCENARIO_KINDS if key in scenario]
     if len(kinds) != 1:
@@ -393,11 +406,9 @@ def parse_config(doc: dict) -> RunConfig:
         )
     kind = kinds[0]
     if kind in _ENTRIES:
-        parsed = _parse_entries(kind, scenario[kind], model)
-    elif kind == "point":  # checked against the model by RunConfig
-        parsed = _vector(scenario[kind], "scenario.point")
+        parsed = _parse_entries(kind, scenario[kind])
     else:
-        parsed = _parse_box(scenario[kind], model, "scenario.box")
+        parsed = _PARSERS[kind](scenario[kind], f"scenario.{kind}")
 
     return RunConfig(
         model=model, scenario=parsed, budget=budget, **_parse_options(doc.get("options", {}))
@@ -406,6 +417,18 @@ def parse_config(doc: dict) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     return parse_config(_read_json(path, ROOT_PATH))
+
+
+def fixture_path(name: str) -> str:
+    """Path of a packaged configuration fixture, e.g. ``table1_row1``."""
+    if not name.endswith(".json"):
+        name = f"{name}.json"
+    return str(resources.files("serodesign").joinpath("fixtures", name))
+
+
+# ---------------------------------------------------------------------------
+# Running subcommands
+# ---------------------------------------------------------------------------
 
 
 def _load_design(path: str, model: DiseaseModel, budget: float) -> Design:
@@ -428,18 +451,6 @@ def _load_design(path: str, model: DiseaseModel, budget: float) -> Design:
             raise ValueError("its patterns do not identify p, so its variance is unbounded")
     with _at("design.budget"):
         return replace(design, budget=budget)
-
-
-def fixture_path(name: str) -> str:
-    """Path of a packaged configuration fixture, e.g. ``table1_row1``."""
-    if not name.endswith(".json"):
-        name = f"{name}.json"
-    return str(resources.files("serodesign").joinpath("fixtures", name))
-
-
-# ---------------------------------------------------------------------------
-# Running subcommands
-# ---------------------------------------------------------------------------
 
 
 def _assumptions(model: DiseaseModel, where, grid_step: float) -> dict:
@@ -530,18 +541,12 @@ def run(config: RunConfig, subcommand: str, design_path: str | None = None) -> d
             )
         return {**header, "parameter": _floats(scenario), **report}
 
-    # check-assumptions
+    # check-assumptions: at every place RunConfig checked, under that place's model
     out = {**header, "scenario": kind}
-    if kind in ("point", "box"):
-        return {**out, **_assumptions(model, scenario, grid_step)}
-    checks = []
-    for e in scenario:
-        if kind == "groups":
-            fields = _assumptions(e.model(model), e.point, grid_step)
-        else:  # a stratum gives a point or a box
-            fields = _assumptions(model, e.point if e.box is None else e.box, grid_step)
-        checks.append({"name": e.name, **fields})
-    return {**out, "checks": checks}
+    places = [(name, _assumptions(at, where, grid_step)) for _, name, at, where in config._places()]
+    if kind not in _ENTRIES:
+        return {**out, **places[0][1]}
+    return {**out, "checks": [{"name": name, **fields} for name, fields in places]}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import serodesign
-from serodesign import budget_for_margin, coptimal, simulate, solve_c_optimal
+from serodesign import ParameterBox, budget_for_margin, coptimal, simulate, solve_c_optimal
 from serodesign.coptimal import _solve_simplex
 from serodesign.cli import (
     _SCENARIO_FOR,
@@ -392,6 +392,68 @@ class TestRun:
         assert a == b
 
 
+FIXTURES = (
+    "table1_row1", "table1_row2", "table1_row3", "table1_row4", "table1_row5",
+    "strata_three_districts",
+)
+
+BOX_2D = ParameterBox(lower=[0.0, 0.1], upper=[0.1, 0.2])
+
+
+def _first_entry(**changes):
+    """A change to a run: its scenario with the first entry replaced."""
+    return lambda config: {
+        "scenario": (replace(config.scenario[0], **changes), *config.scenario[1:])
+    }
+
+
+# A run a library caller builds with ``replace`` on a shipped fixture that
+# breaks one rule: (fixture, its changed fields, the error it must raise).
+LIBRARY_FAULTS = {
+    "stratum-point": (
+        "strata_three_districts", _first_entry(point=[0.1, 0.3], box=None),
+        "scenario.strata[0].point: parameter must have length 3, got shape (2,)",
+    ),
+    "group-point": (
+        "table1_row5", _first_entry(point=[0.1, 0.3]),
+        "scenario.groups[0].point: parameter must have length 3, got shape (2,)",
+    ),
+    "group-override-id": (
+        "table1_row5", _first_entry(overrides={"bogus": {"sensitivity": 0.5}}),
+        "scenario.groups[0].overrides.bogus: "
+        "unknown test id 'bogus'; have ['rat', 'rtpcr', 'antibody']",
+    ),
+    "box-2d": (
+        "table1_row4", lambda config: {"scenario": BOX_2D},
+        "scenario.box: lower and upper must each have 3 entries",
+    ),
+    "stratum-box-2d": (
+        "strata_three_districts", _first_entry(box=BOX_2D),
+        "scenario.strata[0].box: lower and upper must each have 3 entries",
+    ),
+    "strata-fractions": (
+        "strata_three_districts", lambda config: {"scenario": config.scenario[:1]},
+        "scenario.strata: population fractions must sum to 1, got 0.3",
+    ),
+    "group-names": (
+        "table1_row5", _first_entry(name="asymptomatic"),
+        "scenario.groups: duplicate group names: ['asymptomatic', 'asymptomatic']",
+    ),
+}
+for _budget, _rule in ((float("nan"), "finite"), (float("inf"), "finite"),
+                       (0.0, "positive"), (-5.0, "positive")):
+    LIBRARY_FAULTS[f"budget-{_budget}"] = (
+        "table1_row1", lambda config, b=_budget: {"budget": b},
+        f"budget: must be {_rule}, got {_budget}",
+    )
+
+
+def _subcommands(fixture):
+    """The subcommands that run on a fixture's scenario kind."""
+    kind = load_config(fixture_path(fixture)).scenario_kind
+    return [subcommand for subcommand, kinds in _SCENARIO_FOR.items() if kind in kinds]
+
+
 class TestRunConfig:
     """A run is one record, checked when it is built, whose scenario kind is
     read off its scenario."""
@@ -448,6 +510,25 @@ class TestRunConfig:
         config = load_config(fixture_path(fixture))
         with pytest.raises(ConfigError, match=r"^options\.grid_step: grid step 1e-09 gives a lattice"):
             replace(config, grid_step=1e-9)
+
+    @pytest.mark.parametrize(
+        "case, subcommand",
+        [(case, sub) for case, (fixture, _, _) in LIBRARY_FAULTS.items() for sub in _subcommands(fixture)],
+    )
+    def test_a_run_built_by_a_caller_names_the_path_of_its_fault(self, case, subcommand):
+        fixture, changes, message = LIBRARY_FAULTS[case]
+        config = load_config(fixture_path(fixture))
+        with pytest.raises(ConfigError) as err:
+            run(replace(config, **changes(config)), subcommand)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "fixture, subcommand", [(fixture, sub) for fixture in FIXTURES for sub in _subcommands(fixture)]
+    )
+    def test_a_replaced_run_reports_what_the_run_reports(self, fixture, subcommand):
+        config = replace(load_config(fixture_path(fixture)), moe=0.01, replications=20)
+        expected = json.dumps(run(config, subcommand))
+        assert json.dumps(run(replace(config), subcommand)) == expected
 
     def test_a_grid_step_is_checked_before_the_subcommand(self, capsys):
         # the run is checked when it is built, before it meets a subcommand
