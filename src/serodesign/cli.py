@@ -167,6 +167,11 @@ class RunConfig:
             )
         if self.moe is not None and not 0.0 < self.moe < np.inf:
             raise ConfigError("options.moe", f"must be positive and finite, got {self.moe}")
+        for name in ("seed", "replications"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"options.{name}", f"expected an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.seed < 0:
             raise ConfigError("options.seed", f"must be nonnegative, got {self.seed}")
         if self.replications < MIN_REPLICATIONS:
@@ -216,6 +221,11 @@ class RunConfig:
             for kind, (spec_type, _, _) in _ENTRIES.items():
                 if all(isinstance(e, spec_type) for e in self.scenario):
                     return kind
+            if any(isinstance(e, (StratumSpec, GroupSpec)) for e in self.scenario):
+                kinds = [type(e).__name__ for e in self.scenario]
+                raise ConfigError(
+                    "scenario", f"entries must be all StratumSpec or all GroupSpec, got {kinds}"
+                )
         return "point"  # any other value, which must then be a valid point
 
 

@@ -11,9 +11,11 @@ reproducible and order-independent: a Philox generator keyed by
 .generate_state(2, np.uint64)``.  One vectorized pass derives the keys of
 all cells; numpy's stream-compatibility policy fixes SeedSequence, and a
 property test holds the pass to it bit for bit.  The fits of all
-replications run as one batch: Newton's method on the active face of the
-simplex, each row leaving the batch once its projected gradient is
-certified, so a replication's estimate does not depend on the others.
+replications run as one batch: each starts at the weighted least-squares
+estimate from its own outcome frequencies, projected onto the simplex,
+then takes Newton steps on the active face of the simplex, leaving the
+batch once its projected gradient is certified, so a replication's
+estimate does not depend on the others.
 """
 
 from __future__ import annotations
@@ -238,15 +240,16 @@ def sample_outcomes(
 
 
 def _dataset_tables(dataset: SurveyDataset, model: DiseaseModel):
-    """Stack per-outcome rows across patterns: P(y | state) and the counts n_y."""
-    q, _ = _pattern_tables(model).stacked(dataset.patterns)
-    return q, np.concatenate(dataset.counts).astype(np.float64)
+    """Stack per-outcome rows across patterns: P(y | state), the row after
+    each pattern's last, and the counts n_y."""
+    q, ends = _pattern_tables(model).stacked(dataset.patterns)
+    return q, ends, np.concatenate(dataset.counts).astype(np.float64)
 
 
 def log_likelihood(dataset: SurveyDataset, p, model: DiseaseModel) -> float:
     """Observed-data log-likelihood of the state probabilities p."""
     p = validate_parameter(p, model.k)
-    q, weights = _dataset_tables(dataset, model)
+    q, _, weights = _dataset_tables(dataset, model)
     return float(weights @ np.log(q @ np.append(p, 1.0 - p.sum())))
 
 
@@ -284,14 +287,32 @@ def _face_newton(hess, g, free, ridge):
     return np.where(free, np.linalg.solve(kkt, rhs)[:, :k1, 0], 0.0)
 
 
-def _fit(q: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _start(q: np.ndarray, counts: np.ndarray, ends) -> np.ndarray:
+    """Feasible starting estimates: each row's weighted least-squares fit of
+    the mixture probabilities ``q[:, k] + d p`` to its outcome frequencies
+    ``n / N``, rows of pattern t weighted by ``sqrt(N_t)``, projected onto
+    ``{p >= 0, sum(p) <= 1}``.  ``N_t``, the participants of pattern t, are
+    read from the first row: the same in every row of one design, so one
+    lstsq takes every row as a right-hand side.  A pattern without
+    participants has weight 0."""
+    k = q.shape[1] - 1
+    participants = np.repeat(np.add.reduceat(counts[0], [0, *ends[:-1]]), np.diff([0, *ends]))
+    weight = np.sqrt(participants)
+    a = weight[:, None] * (q[:, :k] - q[:, k:])
+    b = weight * (counts / np.maximum(participants, 1) - q[:, k])
+    return _project_feasible(np.linalg.lstsq(a, b.T)[0].T)
+
+
+def _fit(q: np.ndarray, counts: np.ndarray, ends) -> np.ndarray:
     """Constrained MLEs of many datasets that share one outcome table.
 
-    ``q`` is the stacked ``(n, k+1)`` table ``P(y | state)`` and ``counts``
-    the ``(R, n)`` outcome counts; returns the ``(R, k)`` estimates.  Each
-    row is a Newton ascent of the mean log-likelihood on the free face of
-    the simplex ``pi = (p, 1 - sum(p))``, and leaves the batch once its
-    unit-step projected gradient in ``p`` is at most MLE_TOL.
+    ``q`` is the stacked ``(n, k+1)`` table ``P(y | state)``, ``ends`` the
+    row after each pattern's last and ``counts`` the ``(R, n)`` outcome
+    counts, whose per-pattern totals are the same in every row; returns the
+    ``(R, k)`` estimates.  Each row starts at _start's estimate, is a Newton
+    ascent of the mean log-likelihood on the free face of the simplex
+    ``pi = (p, 1 - sum(p))``, and leaves the batch once its unit-step
+    projected gradient in ``p`` is at most MLE_TOL.
     """
     n, k1 = q.shape
     k = k1 - 1
@@ -299,7 +320,9 @@ def _fit(q: np.ndarray, counts: np.ndarray) -> np.ndarray:
     out = np.empty((counts.shape[0], k))
     rows = np.arange(counts.shape[0])
     w = counts / counts.sum(axis=1, keepdims=True)
-    pi = np.full((rows.size, k1), 1.0 / k1)
+    p = _start(q, counts, ends)
+    # 1 - sum(p) rounds below 0 when the start lies on the face sum(p) = 1
+    pi = np.maximum(np.hstack([p, 1.0 - p.sum(axis=1, keepdims=True)]), 0.0)
     for step in range(MLE_MAX_STEPS + 1):
         m = pi @ q.T
         wm = w / m
@@ -365,7 +388,9 @@ def mle(dataset: SurveyDataset, model: DiseaseModel) -> np.ndarray:
 
     Newton's method on the active face of ``{p >= 0, sum(p) <= 1}``, with
     the exact Hessian of the mean log-likelihood, a ratio test to the
-    boundary and Armijo halving, started from the equal-probability point.
+    boundary and Armijo halving, started from the weighted least-squares
+    estimate of p from the outcome frequencies, projected onto the
+    feasible set.
     The log-likelihood is concave in p, so the first-order point found is
     the global maximum; it is returned once the unit-step projected
     gradient is at most MLE_TOL.  Otherwise ``ConvergenceError`` is raised
@@ -374,10 +399,10 @@ def mle(dataset: SurveyDataset, model: DiseaseModel) -> np.ndarray:
     """
     if not dataset.patterns:
         raise ValueError("dataset is empty")
-    q, weights = _dataset_tables(dataset, model)
+    q, ends, weights = _dataset_tables(dataset, model)
     if weights.sum() <= 0:
         raise ValueError("dataset has no observations")
-    return _fit(q, weights[None, :])[0]
+    return _fit(q, weights[None, :], ends)[0]
 
 
 def simulate_estimates(
@@ -395,8 +420,8 @@ def simulate_estimates(
     seed = _non_negative_int("seed", seed)
     if _non_negative_int("replications", replications) < 1:
         raise ValueError(f"need at least 1 replication, got {replications}")
-    _, q, _, counts = _sample(design, p, model, seed, range(replications))
-    return _fit(q, counts) @ model.u
+    _, q, ends, counts = _sample(design, p, model, seed, range(replications))
+    return _fit(q, counts, ends) @ model.u
 
 
 def _fsum_variance(values: np.ndarray) -> tuple[float, float]:

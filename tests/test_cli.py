@@ -439,6 +439,21 @@ LIBRARY_FAULTS = {
         "table1_row5", _first_entry(name="asymptomatic"),
         "scenario.groups: duplicate group names: ['asymptomatic', 'asymptomatic']",
     ),
+    "seed-fraction": (
+        "table1_row1", lambda config: {"seed": 1.5},
+        "options.seed: expected an integer, got 1.5",
+    ),
+    "replications-fraction": (
+        "table1_row1", lambda config: {"replications": 20.5},
+        "options.replications: expected an integer, got 20.5",
+    ),
+    "stratum-and-group": (
+        "table1_row5",
+        lambda config: {
+            "scenario": (load_config(fixture_path("strata_three_districts")).scenario[0], config.scenario[0])
+        },
+        "scenario: entries must be all StratumSpec or all GroupSpec, got ['StratumSpec', 'GroupSpec']",
+    ),
 }
 for _budget, _rule in ((float("nan"), "finite"), (float("inf"), "finite"),
                        (0.0, "positive"), (-5.0, "positive")):
@@ -529,6 +544,12 @@ class TestRunConfig:
         config = replace(load_config(fixture_path(fixture)), moe=0.01, replications=20)
         expected = json.dumps(run(config, subcommand))
         assert json.dumps(run(replace(config), subcommand)) == expected
+
+    def test_a_numpy_integer_seed_runs_as_its_int(self):
+        config = replace(load_config(fixture_path("table1_row1")), replications=20)
+        numpy_ints = replace(config, seed=np.int64(config.seed), replications=np.int32(20))
+        assert type(numpy_ints.seed) is int and type(numpy_ints.replications) is int
+        assert json.dumps(run(numpy_ints, "simulate")) == json.dumps(run(config, "simulate"))
 
     def test_a_grid_step_is_checked_before_the_subcommand(self, capsys):
         # the run is checked when it is built, before it meets a subcommand

@@ -321,34 +321,41 @@ class TestMLE:
             seed=0,
         )
         estimate = mle(dataset, model_row1)
+        q, counts = outcome_table(dataset, model_row1)
 
-        def loglik_grid(points):
-            best, arg = -np.inf, None
-            for p in points:
-                value = log_likelihood(dataset, p, model_row1)
-                if value > best:
-                    best, arg = value, p
-            return arg
+        def loglik_grid(centre, axis):
+            # the best of the feasible points centre + (a, b, c) over the axis cube
+            cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+            points = centre + cube
+            points = points[(points >= 0).all(axis=1) & (points.sum(axis=1) <= 1.0 + 1e-12)]
+            pi = np.hstack([points, 1.0 - points.sum(axis=1, keepdims=True)])
+            return points[np.argmax(np.log(pi @ q.T) @ counts)]
 
-        coarse_axis = np.arange(0.0, 1.0001, 0.01)
-        coarse = [
-            np.array([a, b, c])
-            for a in coarse_axis
-            for b in coarse_axis
-            for c in coarse_axis
-            if a + b + c <= 1.0 + 1e-12
-        ]
-        rough = loglik_grid(coarse)
-        fine = []
-        fine_axis = np.arange(-0.02, 0.0201, 0.001)
-        for da in fine_axis:
-            for db in fine_axis:
-                for dc in fine_axis:
-                    q = rough + np.array([da, db, dc])
-                    if (q >= 0).all() and q.sum() <= 1.0 + 1e-12:
-                        fine.append(q)
-        oracle = loglik_grid(fine)
+        rough = loglik_grid(np.zeros(3), np.arange(0.0, 1.0001, 0.01))
+        oracle = loglik_grid(rough, np.arange(-0.02, 0.0201, 0.001))
         assert np.abs(estimate - oracle).max() <= 0.002
+
+    def test_fit_starts_within_a_few_newton_steps(self, monkeypatch, model_row1, row1_solution):
+        # every Newton pass projects once, and so does the start; a start
+        # far from the estimate, such as the equal-probability point, takes 9
+        calls = []
+        project = simulate._project_feasible
+        monkeypatch.setattr(
+            simulate, "_project_feasible", lambda x: calls.append(len(x)) or project(x)
+        )
+        simulate_estimates(P0, model_row1, row1_solution.design, replications=50, seed=0)
+        assert len(calls) <= 6
+
+    def test_pattern_without_participants_is_fitted(self, model_row1):
+        # its least-squares weight is sqrt(0); its rows must not turn the start into 0/0
+        dataset = SurveyDataset(
+            patterns=(make_pattern((0, 0, 1), model_row1), make_pattern((1, 1, 1), model_row1)),
+            counts=(np.zeros(2, dtype=np.int64), np.array([30, 5, 2, 9, 4, 1, 3, 46])),
+            seed=0,
+        )
+        estimate = mle(dataset, model_row1)
+        assert np.isfinite(estimate).all()
+        assert projected_gradient(dataset, estimate, model_row1) <= MLE_TOL
 
     def test_estimate_dominates_truth(self, model_row1, row1_solution):
         design = row1_solution.design
