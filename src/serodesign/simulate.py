@@ -5,17 +5,15 @@ the administered tests given the state), fits the constrained maximum
 likelihood estimate of the state probabilities, and compares the sample
 variance of the estimated target against the variance the design solver
 predicted.  All replications are drawn in one pass, each (replication,
-pattern) cell on its own named counter-based random stream, so runs are
-reproducible and order-independent: a Philox generator keyed by
-``SeedSequence(entropy=seed, spawn_key=(replication, pattern index))
-.generate_state(2, np.uint64)``.  One vectorized pass derives the keys of
-all cells; numpy's stream-compatibility policy fixes SeedSequence, and a
-property test holds the pass to it bit for bit.  The fits of all
-replications run as one batch: each starts at the weighted least-squares
-estimate from its own outcome frequencies, projected onto the simplex,
-then takes Newton steps on the active face of the simplex, leaving the
-batch once its projected gradient is certified, so a replication's
-estimate does not depend on the others.
+pattern) cell on its own counter-based random stream, so runs are
+reproducible and order-independent: one Philox key per seed,
+``SeedSequence(seed).generate_state(2, np.uint64)``, and cell (r, i), for
+replication r and the pattern's index i in the design, at counter
+``(0, 0, r, i)``.  The fits of all replications run as one batch: each
+starts at the weighted least-squares estimate from its own outcome
+frequencies, projected onto the simplex, then takes Newton steps on the
+active face of the simplex, leaving the batch once its projected gradient
+is certified, so a replication's estimate does not depend on the others.
 """
 
 from __future__ import annotations
@@ -56,10 +54,17 @@ class SurveyDataset:
     seed: int
 
     def __post_init__(self):
-        counts = tuple(np.asarray(c, dtype=np.int64) for c in self.counts)
+        counts = tuple(np.asarray(c) for c in self.counts)
         if len(counts) != len(self.patterns):
             raise ValueError("need one count vector per pattern")
         for t, c in zip(self.patterns, counts):
+            # whole numbers within int64: a cast would truncate 1.5, parse "3" or overflow
+            whole = c.dtype.kind in "iu" or (c.dtype.kind == "f" and (np.floor(c) == c).all())
+            if not whole or not ((c >= -(2**63)) & (c < 2**63)).all():
+                raise ValueError(
+                    f"pattern {t.label}: outcome counts must be integers that fit in int64, "
+                    f"got {c.tolist()!r}"
+                )
             if c.ndim != 1 or c.shape[0] != 2 ** sum(t.mask):
                 raise ValueError(
                     f"pattern {t.label}: expected {2 ** sum(t.mask)} outcome counts, "
@@ -67,123 +72,27 @@ class SurveyDataset:
                 )
             if (c < 0).any():
                 raise ValueError(f"pattern {t.label}: negative outcome count")
+        counts = tuple(c.astype(np.int64, copy=False) for c in counts)
         for c in counts:
             c.setflags(write=False)
         object.__setattr__(self, "patterns", tuple(self.patterns))
         object.__setattr__(self, "counts", counts)
 
 
-# numpy.random.SeedSequence's hash constants (O'Neill's seed_seq_fe, PCG report 2014)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the entropy pool's hashes
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state's hashes
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_POOL = 4  # SeedSequence's default pool size, in 32-bit words
-
-
-def _powers(init: int, mult: int, start: int, count: int) -> list[int]:
-    # init * mult**n modulo 2**32 for n = start, ..., start + count - 1: the
-    # constants of SeedSequence's hashes in the order it makes them
-    return [init * pow(mult, n, 1 << 32) & _MASK32 for n in range(start, start + count)]
-
-
-def _hash(value, const, mult: int = _MULT_A):
-    # SeedSequence's hash of a 32-bit word with the constant of its turn;
-    # Python ints or uint64 arrays of 32-bit words, whose products stay
-    # below 2**64
-    value = (value ^ const) * (const * mult & _MASK32) & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    # SeedSequence's mix of two 32-bit words; a uint64 array wraps modulo
-    # 2**64 on the subtraction, which the mask reduces modulo 2**32
-    value = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return value ^ value >> 16
-
-
-def _absorb(pool: np.ndarray, words, n: int) -> tuple[np.ndarray, int]:
-    # mix each word into every pool word, as SeedSequence mixes the entropy
-    # past its pool: pool word d meets the word in hash n + d, so the pool's
-    # leading axis takes all four at once.  n counts the hashes so far.
-    for word in words:
-        consts = np.array(_powers(_INIT_A, _MULT_A, n, _POOL), dtype=np.uint64)
-        pool = _mix(pool, _hash(word, consts[:, None, None]))
-        n += _POOL
-    return pool, n
-
-
-def _n_words(value: int) -> int:
-    return max(1, -(-value.bit_length() // 32))
-
-
-def _words(value: int, count: int) -> list[int]:
-    # the first count little-endian 32-bit words of value
-    return [value >> 32 * j & _MASK32 for j in range(count)]
-
-
-def _keys(seed: int, replications: range, indices) -> np.ndarray:
-    """The ``(len(replications), len(indices), 2)`` uint64 Philox keys of
-    the cells (replication, pattern index), bit for bit
-    ``SeedSequence(entropy=seed, spawn_key=(r, i)).generate_state(2, np.uint64)``.
-
-    One pass for all cells: the seed's part of the entropy pool is hashed
-    once, in Python ints; the spawn-key words are then mixed into it as
-    uint64 arrays, over all replications and then over all pattern indices.
-    A hash constant depends only on how many hashes precede it, so cells are
-    grouped by the number of 32-bit words of their replication and index.
-    """
-    keys = np.empty((len(replications), len(indices), 2), dtype=np.uint64)
-    # a spawn key pads the seed's words with zeros up to the pool size
-    entropy = _words(seed, max(_n_words(seed), _POOL))
-    consts = _powers(_INIT_A, _MULT_A, 0, _POOL * _POOL)
-    pool = [_hash(word, const) for word, const in zip(entropy[:_POOL], consts)]
-    n = _POOL
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], consts[n]))
-                n += 1
-    pool, n = _absorb(np.array(pool, dtype=np.uint64)[:, None, None], entropy[_POOL:], n)
-    state_consts = np.array(_powers(_INIT_B, _MULT_B, 0, _POOL), dtype=np.uint64)[:, None, None]
-
-    by_width: dict[int, list[int]] = {}
-    for position, index in enumerate(indices):
-        by_width.setdefault(_n_words(index), []).append(position)
-    start = replications.start
-    while start < replications.stop:
-        # a run of replications with as many words as start: the words of
-        # start plus an offset, carried from word to word
-        width = _n_words(start)
-        stop = min(replications.stop, 1 << 32 * width)
-        carry = np.arange(stop - start, dtype=np.uint64)[:, None]
-        words = []
-        for word in _words(start, width):
-            total = carry + word
-            words.append(total & _MASK32)
-            carry = total >> 32
-        run_pool, run_n = _absorb(pool, words, n)
-        rows = slice(start - replications.start, stop - replications.start)
-        for index_width, positions in by_width.items():
-            index_words = [_words(indices[i], index_width) for i in positions]
-            cell_pool, _ = _absorb(run_pool, np.array(index_words, dtype=np.uint64).T, run_n)
-            state = _hash(cell_pool, state_consts, _MULT_B)
-            keys[rows, positions, 0] = state[0] | state[1] << 32
-            keys[rows, positions, 1] = state[2] | state[3] << 32
-        start = stop
-    return keys
-
-
 def _sample(design: Design, p, model: DiseaseModel, seed: int, replications: range):
     """Outcome counts of many replications of one survey, in one pass: the
     patterns with participants, their stacked ``(n, k+1)`` table ``P(y | state)``
     and row ends (_PatternTable.stacked), and the ``(len(replications), n)`` int64
-    counts.  Each (replication, pattern) cell is drawn on its own named stream:
-    one Philox generator, re-keyed through its ``state`` to the cell's key
-    ``SeedSequence(entropy=seed, spawn_key=(replication, pattern index))
-    .generate_state(2, np.uint64)``, which _keys derives for all cells in one
-    vectorized pass.  numpy's stream-compatibility policy fixes SeedSequence,
-    and a property test holds _keys to it bit for bit."""
+    counts.  Each (replication, pattern) cell is drawn on its own stream: one
+    Philox generator, keyed once by ``SeedSequence(seed).generate_state(2,
+    np.uint64)``, is reset through its ``state`` to the counter ``(0, 0, r, i)``
+    of replication r and the pattern's index i in the design.  Philox
+    increments counter word 0 and carries upward, so a cell draws 2**128
+    blocks before it could reach another cell's."""
+    if replications.stop > 2**64:  # counter word 2 holds the replication
+        raise ValueError(
+            f"replications must be numbered below 2**64, got replication {replications.stop - 1}"
+        )
     p = validate_parameter(p, model.k)
     state_probs = np.append(p, max(1.0 - p.sum(), 0.0))
     if p.sum() > 1.0:  # a sum up to 1 + 1e-9 is valid; numpy's multinomial rejects it
@@ -196,14 +105,15 @@ def _sample(design: Design, p, model: DiseaseModel, seed: int, replications: ran
         )
     patterns = tuple(design.patterns[i] for i, _ in drawn)
     q, ends = _pattern_tables(model).stacked(patterns)
-    keys = _keys(seed, replications, [i for i, _ in drawn])
     outcome_probs = q.T.copy()  # row s: each pattern's P(y | s), contiguous
     counts = np.zeros((len(replications), ends[-1]), dtype=np.int64)
-    bits = np.random.Philox(0)
+    bits = np.random.Philox(key=np.random.SeedSequence(seed).generate_state(2, np.uint64))
     rng, fresh = np.random.Generator(bits), bits.state
-    for row, row_keys in zip(counts, keys):
-        for (_, n), start, stop, key in zip(drawn, [0, *ends], ends, row_keys):
-            fresh["state"]["key"] = key
+    counter = fresh["state"]["counter"]  # uint64, so every r below 2**64 is exact
+    for r, row in zip(replications, counts):
+        counter[2] = r
+        for (i, n), start, stop in zip(drawn, [0, *ends], ends):
+            counter[3] = i
             bits.state = fresh
             cell = row[start:stop]
             for s, n_s in enumerate(rng.multinomial(n, state_probs).tolist()):
@@ -231,7 +141,8 @@ def sample_outcomes(
     Each participant's state is drawn from (p, 1 - sum(p)), then the
     outcome of the administered tests is drawn conditionally on the state;
     only the per-pattern outcome counts are retained.  Deterministic given
-    (seed, replication).
+    (seed, replication); replication is one 64-bit word of the Philox
+    counter, so it must lie below 2**64.
     """
     seed = _non_negative_int("seed", seed)
     replication = _non_negative_int("replication", replication)

@@ -7,8 +7,6 @@ import re
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import HealthCheck, example, given, settings
-from hypothesis import strategies as st
 
 from serodesign import (
     ConvergenceError,
@@ -27,21 +25,20 @@ from serodesign import (
 )
 from serodesign.model import _pattern_tables
 from serodesign import simulate
-from serodesign.simulate import MLE_TOL, _keys, _sample
+from serodesign.simulate import MLE_TOL, _sample
 
 from _outcomes import mixture_prob, outcome_rows, outcome_space
 
 P0 = np.array([0.10, 0.30, 0.01])
 C = 1e7
 
-# Derandomized, so every run draws the same cases.
-PROPERTY = settings(
-    derandomize=True,
-    database=None,
-    max_examples=60,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+
+def philox_cell(seed, replication, index):
+    """numpy's own generator for one (replication, pattern index) cell: the
+    seed's Philox key at counter (0, 0, replication, index)."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    counter = np.array([0, 0, replication, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def outcome_table(dataset, model):
@@ -116,8 +113,10 @@ class TestSampling:
         )
 
     def test_matches_one_draw_per_state_bitwise(self, model_row1):
-        # reference: on each pattern's stream, the states first, then one
-        # outcome draw for each state that has participants, in state order
+        # reference: on each cell's stream, numpy's Philox at the seed's key
+        # and counter (0, 0, replication, pattern index), the states first,
+        # then one outcome draw for each state that has participants, in
+        # state order
         table = _pattern_tables(model_row1)
         patterns = all_patterns(model_row1)
         uniform = np.full(len(patterns), 1.0 / len(patterns))
@@ -132,10 +131,7 @@ class TestSampling:
                         for index, (t, n) in enumerate(zip(patterns, design.integer_counts)):
                             if n <= 0:
                                 continue
-                            key = np.random.SeedSequence(
-                                entropy=seed, spawn_key=(replication, index)
-                            ).generate_state(2, np.uint64)
-                            rng = np.random.Generator(np.random.Philox(key=key))
+                            rng = philox_cell(seed, replication, index)
                             q, _ = table.stacked((t,))
                             counts = np.zeros(q.shape[0], dtype=np.int64)
                             for s, n_s in enumerate(rng.multinomial(int(n), state_probs)):
@@ -181,56 +177,37 @@ class TestSampling:
                 assert drawn == dataset.patterns
                 assert row.tobytes() == np.concatenate(dataset.counts).tobytes()
 
-    @PROPERTY
-    @given(
-        seed=st.one_of(
-            st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**128, 2**160]),
-            st.integers(0, 2**160),
-        ),
-        start=st.one_of(
-            st.integers(0, 2**40), st.sampled_from([2**32 - 2, 2**32, 2**33 - 2, 2**64 - 1])
-        ),
-        replications=st.integers(0, 4),
-        indices=st.lists(
-            st.one_of(st.integers(0, 62), st.sampled_from([2**32, 2**64])), max_size=5, unique=True
-        ),
-    )
-    @example(seed=2**32, start=2**33 - 2, replications=4, indices=[0, 62])
-    @example(seed=2**128, start=2**32 - 2, replications=4, indices=[1, 2**32])
-    def test_keys_match_seed_sequence_bitwise(self, seed, start, replications, indices):
-        # the keys of one pass against numpy's SeedSequence, cell by cell,
-        # across seeds of one to six 32-bit words and replications that
-        # gain a word or carry into their second word
-        replications = range(start, start + replications)
-        keys = _keys(seed, replications, indices)
-        assert keys.dtype == np.uint64 and keys.shape == (len(replications), len(indices), 2)
-        for r, row in zip(replications, keys):
-            for index, key in zip(indices, row):
-                want = np.random.SeedSequence(entropy=seed, spawn_key=(r, index))
-                assert key.tobytes() == want.generate_state(2, np.uint64).tobytes()
+    def test_one_seed_sequence_per_pass(self, monkeypatch, model_row1, row1_solution):
+        # the seed's one key serves every cell: no SeedSequence per cell
+        made = []
 
-    def test_keys_drawn_without_seed_sequence(self, monkeypatch, model_row1, row1_solution):
-        # one vectorized pass derives every key: no SeedSequence per cell
-        def refuse(*args, **kwargs):
-            raise AssertionError("SeedSequence constructed")
+        def counting(*args, **kwargs):
+            made.append(args)
+            return seed_sequence(*args, **kwargs)
 
-        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        seed_sequence = np.random.SeedSequence
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
         _, _, _, counts = _sample(row1_solution.design, P0, model_row1, 7, range(30))
         assert counts.shape[0] == 30
+        assert made == [(7,)]
 
-    def test_late_replication_matches_seed_sequence_bitwise(self, model_row1, row1_solution):
-        # a replication past 2**32 has a two-word spawn key
-        design = row1_solution.design
-        replication = 2**33
+    def test_late_replication_matches_seed_sequence_bitwise(self, model_row1):
+        # the last replication a 64-bit counter word holds, at the last
+        # pattern index, on a seed of three 32-bit words
+        patterns = all_patterns(model_row1)
+        design = design_from_fractions(np.full(len(patterns), 1.0 / len(patterns)), C, patterns)
+        assert design.integer_counts[-1] > 0
+        replication = 2**64 - 1
         dataset = sample_outcomes(design, P0, model_row1, seed=2**70, replication=replication)
-        drawn = [(i, int(n)) for i, n in enumerate(design.integer_counts) if n > 0]
         q, ends = _pattern_tables(model_row1).stacked(dataset.patterns)
         state_probs = np.append(P0, 1.0 - P0.sum())
-        for (index, n), start, stop, got in zip(drawn, [0, *ends], ends, dataset.counts):
-            key = np.random.SeedSequence(entropy=2**70, spawn_key=(replication, index))
-            rng = np.random.Generator(np.random.Philox(key=key.generate_state(2, np.uint64)))
+        assert len(dataset.counts) == len(patterns)
+        for index, (n, start, stop, got) in enumerate(
+            zip(design.integer_counts, [0, *ends], ends, dataset.counts)
+        ):
+            rng = philox_cell(2**70, replication, index)
             want = np.zeros(stop - start, dtype=np.int64)
-            for s, n_s in enumerate(rng.multinomial(n, state_probs)):
+            for s, n_s in enumerate(rng.multinomial(int(n), state_probs)):
                 if n_s > 0:
                     want += rng.multinomial(int(n_s), q[start:stop, s])
             assert got.tobytes() == want.tobytes()
@@ -484,6 +461,7 @@ class TestVarianceCheck:
 
 BASE = default_model()
 PAIR = make_pattern((1, 0, 1), BASE)
+ONE = make_pattern((0, 0, 1), BASE)
 DESIGN = design_from_fractions(np.eye(7)[4], C, all_patterns(BASE))
 
 # The three sampling entry points, each at valid arguments unless overridden.
@@ -509,6 +487,19 @@ INPUT_ERRORS = {
         lambda: SurveyDataset(patterns=(PAIR,), counts=([1, -1, 0, 0],), seed=0),
         "pattern 101: negative outcome count",
     ),
+    # counts that an int64 cast would truncate, parse or overflow
+    **{
+        f"dataset-count-{case}": (
+            lambda counts=counts: SurveyDataset(patterns=(ONE,), counts=(counts,), seed=0),
+            f"pattern 001: outcome counts must be integers that fit in int64, got {counts!r}",
+        )
+        for case, counts in [
+            ("fraction", [1.5, 0.5]),
+            ("text", ["3", "1"]),
+            ("past-int64", [2**70, 1]),
+            ("nan", [float("nan"), 1.0]),
+        ]
+    },
     "mle-empty": (
         lambda: mle(SurveyDataset(patterns=(), counts=(), seed=0), BASE),
         "dataset is empty",
@@ -535,6 +526,23 @@ INPUT_ERRORS = {
         for name in names
         for value in (-1, 1.5)
     },
+    # a replication past the last that counter word 2 of a cell's Philox
+    # stream holds, 2**64 - 1, refused before any draw
+    **{
+        f"{call}-{name}-2**64": (
+            lambda call=call, name=name, value=value: SAMPLERS[call](**{name: value}),
+            "replications must be numbered below 2**64, got replication 18446744073709551616",
+        )
+        for call, name, value in [
+            ("sample", "replication", 2**64),
+            ("estimates", "replications", 2**64 + 1),
+            ("report", "replications", 2**64 + 1),
+        ]
+    },
+    "window-2**64": (
+        lambda: _sample(DESIGN, P0, BASE, 0, range(2**64 - 1, 2**64 + 1)),
+        "replications must be numbered below 2**64, got replication 18446744073709551616",
+    ),
     "normality-too-few-values": (
         lambda: jarque_bera_pvalue(np.arange(7.0)),
         "need at least 8 values for a normality test, got 7",
