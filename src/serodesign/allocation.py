@@ -28,7 +28,7 @@ from .coptimal import (
     solve_c_optimal,
 )
 from .minimax import worst_case_design
-from .model import DiseaseModel, ParameterBox
+from .model import DiseaseModel, ParameterBox, _read_only
 
 __all__ = [
     "StratumSpec",
@@ -63,9 +63,7 @@ class StratumSpec:
         if (self.point is None) == (self.box is None):
             raise ValueError(f"stratum {self.name!r}: give exactly one of point or box")
         if self.point is not None:
-            point = np.asarray(self.point, dtype=np.float64)
-            point.setflags(write=False)
-            object.__setattr__(self, "point", point)
+            object.__setattr__(self, "point", _read_only(self.point))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +77,7 @@ class GroupSpec:
 
     def __post_init__(self):
         _check_entry("group", self.name, self.fraction, "fraction")
-        point = np.asarray(self.point, dtype=np.float64)
-        point.setflags(write=False)
-        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "point", _read_only(self.point))
         object.__setattr__(self, "overrides", dict(self.overrides or {}))
 
     def model(self, base: DiseaseModel) -> DiseaseModel:

@@ -52,7 +52,9 @@ fields) and never sees the model.  Every rule on the values (points in
 the simplex, fractions summing to 1, known override ids, ...) is checked
 by the library type that owns it, when it or the ``RunConfig`` is built.
 Numbers must be finite (``NaN`` and ``Infinity`` are rejected), ``seed``
-and ``replications`` must be integers and ``seed`` nonnegative.  Any
+and ``replications`` must be integers and ``seed`` nonnegative, and
+``replications`` few enough that the counts of one simulate pass, at
+most one column per row of the model's pattern table, fit one array.  Any
 malformed configuration or ``--design`` file exits 1 with
 ``error: <document path>: <reason>``; a configuration that is not a
 JSON object at all has the path ``<config>``.  A budget too large for
@@ -105,7 +107,7 @@ from .model import (
     check_a2,
     validate_parameter,
 )
-from .simulate import MIN_REPLICATIONS, simulation_report
+from .simulate import MIN_REPLICATIONS, _require_count_matrix, simulation_report
 
 # ``budget_for_margin`` is not called here: a budget request solves once and
 # prices that report at the required budget.  It stays a name of this module
@@ -179,6 +181,8 @@ class RunConfig:
                 "options.replications",
                 f"need at least {MIN_REPLICATIONS} replications, got {self.replications}",
             )
+        with _at("options.replications"):  # a pass has at most one column per table row
+            _require_count_matrix(self.replications, 3**self.model.n_tests - 1)
         if not 0.0 < self.budget < np.inf:
             rule = "positive" if self.budget <= 0 else "finite"
             raise ConfigError("budget", f"must be {rule}, got {self.budget}")

@@ -56,6 +56,7 @@ from .model import (
     _all_tests_pd,
     _box_grid,
     _fisher_info_grid,
+    _read_only,
     all_patterns,
     check_a2,
 )
@@ -186,7 +187,7 @@ def worst_case_design(
 
     best_index = _envelope_argmax(grid_infos, u, solve_at)
     v_star, game_value, residual, iterations = solve_at(best_index)
-    p_star = pts[best_index]
+    p_star = _read_only(pts[best_index])
 
     values = _criterion(v_star, grid_infos, u)[0]
     gap = float(values.max() - values[best_index])

@@ -110,14 +110,14 @@ class DiseaseModel:
         nominal = np.asarray(self.nominal)
         if not ((nominal == 0) | (nominal == 1)).all():
             raise ValueError("nominal matrix entries must be 0 or 1")
-        nominal = nominal.astype(np.int64, copy=False)
+        nominal = _read_only(nominal, np.int64)
         if nominal.ndim != 2 or nominal.shape[1] != len(tests):
             raise ValueError(
                 f"nominal matrix must have one column per test, got shape {nominal.shape}"
             )
         if nominal.shape[0] < 2:
             raise ValueError("nominal matrix needs at least one non-reference state")
-        u = np.asarray(self.u, dtype=np.float64)
+        u = _read_only(self.u)
         if u.shape != (nominal.shape[0] - 1,):
             raise ValueError(
                 f"u must have length k={nominal.shape[0] - 1}, got shape {u.shape}"
@@ -125,8 +125,6 @@ class DiseaseModel:
         _require_finite(u, "u entry")
         if not np.any(u):
             raise ValueError("u must be nonzero")
-        nominal.setflags(write=False)
-        u.setflags(write=False)
         object.__setattr__(self, "tests", tests)
         object.__setattr__(self, "nominal", nominal)
         object.__setattr__(self, "u", u)
@@ -231,6 +229,14 @@ def default_model(
     return DiseaseModel(tests=tests, nominal=nominal, u=np.ones(3))
 
 
+def _read_only(values, dtype=np.float64) -> np.ndarray:
+    """A read-only copy of values: what a value type holds is its own, so
+    neither it nor its caller's array can change the other."""
+    array = np.array(values, dtype=dtype)
+    array.setflags(write=False)
+    return array
+
+
 def _require_finite(values: np.ndarray, name: str) -> None:
     if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
@@ -240,7 +246,8 @@ def _require_finite(values: np.ndarray, name: str) -> None:
 def validate_parameter(p, k: int) -> np.ndarray:
     """Check that p is a length-k vector with p >= 0 and sum(p) <= 1.
 
-    Tiny negative entries from floating-point arithmetic are clipped to 0.
+    Tiny negative entries from floating-point arithmetic are clipped to 0;
+    the result is a read-only copy.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (k,):
@@ -250,7 +257,7 @@ def validate_parameter(p, k: int) -> np.ndarray:
         raise ValueError(f"parameter entries must be nonnegative, got {p}")
     if p.sum() > 1.0 + 1e-9:
         raise ValueError(f"parameter entries must sum to at most 1, got sum {p.sum()}")
-    return np.maximum(p, 0.0)
+    return _read_only(np.maximum(p, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,8 +272,8 @@ class ParameterBox:
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=np.float64)
-        upper = np.asarray(self.upper, dtype=np.float64)
+        lower = _read_only(self.lower)
+        upper = _read_only(self.upper)
         if lower.ndim != 1 or lower.shape != upper.shape:
             raise ValueError("lower and upper must be vectors of the same length")
         _require_finite(lower, "box lower bound")
@@ -277,8 +284,6 @@ class ParameterBox:
             raise ValueError("box needs lower <= upper in every coordinate")
         if lower.sum() > 1.0 + 1e-12:
             raise ValueError("box does not intersect the simplex: sum of lower bounds > 1")
-        lower.setflags(write=False)
-        upper.setflags(write=False)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -550,4 +555,6 @@ def check_a2(box: ParameterBox, model: DiseaseModel, grid_step: float = 0.01) ->
     table = _pattern_tables(model)
     lam = np.linalg.eigvalsh(_rows_info(table, table.spans[-1], pts))[:, 0]
     at = int(lam.argmin())
-    return A2Result(bool(lam[at] > PD_TOLERANCE), float(lam[at]), pts[at], table.patterns[-1])
+    return A2Result(
+        bool(lam[at] > PD_TOLERANCE), float(lam[at]), _read_only(pts[at]), table.patterns[-1]
+    )

@@ -1,30 +1,47 @@
 """Monte-Carlo verification of the predicted design variance.
 
-Draws survey outcomes under a design (state first, then the outcome of
-the administered tests given the state), fits the constrained maximum
-likelihood estimate of the state probabilities, and compares the sample
-variance of the estimated target against the variance the design solver
-predicted.  All replications are drawn in one pass, each (replication,
-pattern) cell on its own counter-based random stream, so runs are
-reproducible and order-independent: one Philox key per seed,
-``SeedSequence(seed).generate_state(2, np.uint64)``, and cell (r, i), for
-replication r and the pattern's index i in the design, at counter
-``(0, 0, r, i)``.  The fits of all replications run as one batch: each
-starts at the weighted least-squares estimate from its own outcome
-frequencies, projected onto the simplex, then takes Newton steps on the
-active face of the simplex, leaving the batch once its projected gradient
-is certified, so a replication's estimate does not depend on the others.
+Draws the outcome counts of surveys under a design, fits the constrained
+maximum likelihood estimate of the state probabilities, and compares the
+sample variance of the estimated target against the variance the design
+solver predicted.
+
+Sampling rule.  A pattern's n participants are independent, each in state
+s with probability ``pi_s`` of ``pi = (p, 1 - sum(p))``, so the counts of
+its outcomes are one ``Multinomial(n, P)`` draw over the mixture
+probabilities ``P(y) = sum_s pi_s P(y | s)``, summed in state order with
+elementwise numpy so that no draw depends on the BLAS.  Each (replication,
+pattern) cell is drawn on its own counter-based stream: one Philox key per
+seed, ``SeedSequence(seed).generate_state(2, np.uint64)``, and cell (r, i),
+for replication r and the pattern's index i in the design, at counter
+``(0, 0, r, i)``.  Philox increments counter word 0 and carries upward, so
+a cell owns 2**128 blocks, and a replication must be numbered below 2**64.
+A replication therefore draws the same counts alone or in a pass of many,
+and runs are reproducible and order-independent.
+
+The fits of all replications run as one batch: each starts at the
+weighted least-squares estimate from its own outcome frequencies,
+projected onto the simplex, then takes Newton steps on the active face of
+the simplex, leaving the batch once its projected gradient is certified,
+so a replication's estimate does not depend on the others.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coptimal import ConvergenceError, Design, objective
-from .model import DiseaseModel, TestPattern, _pattern_tables, all_patterns, validate_parameter
+from .model import (
+    DiseaseModel,
+    TestPattern,
+    _pattern_tables,
+    _read_only,
+    all_patterns,
+    validate_parameter,
+)
 
 __all__ = [
     "SurveyDataset",
@@ -72,23 +89,15 @@ class SurveyDataset:
                 )
             if (c < 0).any():
                 raise ValueError(f"pattern {t.label}: negative outcome count")
-        counts = tuple(c.astype(np.int64, copy=False) for c in counts)
-        for c in counts:
-            c.setflags(write=False)
         object.__setattr__(self, "patterns", tuple(self.patterns))
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", tuple(_read_only(c, np.int64) for c in counts))
 
 
 def _sample(design: Design, p, model: DiseaseModel, seed: int, replications: range):
     """Outcome counts of many replications of one survey, in one pass: the
     patterns with participants, their stacked ``(n, k+1)`` table ``P(y | state)``
     and row ends (_PatternTable.stacked), and the ``(len(replications), n)`` int64
-    counts.  Each (replication, pattern) cell is drawn on its own stream: one
-    Philox generator, keyed once by ``SeedSequence(seed).generate_state(2,
-    np.uint64)``, is reset through its ``state`` to the counter ``(0, 0, r, i)``
-    of replication r and the pattern's index i in the design.  Philox
-    increments counter word 0 and carries upward, so a cell draws 2**128
-    blocks before it could reach another cell's."""
+    counts, each cell drawn by the sampling rule of the module docstring."""
     if replications.stop > 2**64:  # counter word 2 holds the replication
         raise ValueError(
             f"replications must be numbered below 2**64, got replication {replications.stop - 1}"
@@ -105,8 +114,9 @@ def _sample(design: Design, p, model: DiseaseModel, seed: int, replications: ran
         )
     patterns = tuple(design.patterns[i] for i, _ in drawn)
     q, ends = _pattern_tables(model).stacked(patterns)
-    outcome_probs = q.T.copy()  # row s: each pattern's P(y | s), contiguous
-    counts = np.zeros((len(replications), ends[-1]), dtype=np.int64)
+    outcome_probs = sum(pi * column for pi, column in zip(state_probs, q.T))  # in state order
+    _require_count_matrix(replications.stop - replications.start, ends[-1])
+    counts = np.empty((len(replications), ends[-1]), dtype=np.int64)
     bits = np.random.Philox(key=np.random.SeedSequence(seed).generate_state(2, np.uint64))
     rng, fresh = np.random.Generator(bits), bits.state
     counter = fresh["state"]["counter"]  # uint64, so every r below 2**64 is exact
@@ -115,11 +125,19 @@ def _sample(design: Design, p, model: DiseaseModel, seed: int, replications: ran
         for (i, n), start, stop in zip(drawn, [0, *ends], ends):
             counter[3] = i
             bits.state = fresh
-            cell = row[start:stop]
-            for s, n_s in enumerate(rng.multinomial(n, state_probs).tolist()):
-                if n_s:  # a state with no participant would draw nothing
-                    cell += rng.multinomial(n_s, outcome_probs[s, start:stop])
+            row[start:stop] = rng.multinomial(n, outcome_probs[start:stop])
     return patterns, q, ends, counts
+
+
+def _require_count_matrix(replications: int, columns: int) -> None:
+    """Refuse a pass whose ``(replications, columns)`` int64 count matrix is
+    beyond the largest array numpy can allocate, before it is allocated."""
+    most = sys.maxsize // (8 * columns)
+    if replications > most:
+        raise ValueError(
+            f"replications must be at most {most} to hold {columns} outcome counts each "
+            f"in one array, got {replications}"
+        )
 
 
 def _non_negative_int(name: str, value) -> int:
@@ -136,13 +154,10 @@ def sample_outcomes(
     seed: int,
     replication: int = 0,
 ) -> SurveyDataset:
-    """Simulate one survey under the design's integer counts.
-
-    Each participant's state is drawn from (p, 1 - sum(p)), then the
-    outcome of the administered tests is drawn conditionally on the state;
-    only the per-pattern outcome counts are retained.  Deterministic given
-    (seed, replication); replication is one 64-bit word of the Philox
-    counter, so it must lie below 2**64.
+    """Simulate one survey under the design's integer counts: the outcome
+    counts of each pattern with participants, drawn for replication
+    ``replication`` by the sampling rule of the module docstring, so
+    deterministic given (seed, replication).
     """
     seed = _non_negative_int("seed", seed)
     replication = _non_negative_int("replication", replication)
@@ -356,13 +371,17 @@ def simulation_report(
     Includes the empirical and predicted variance of u'p-hat, their ratio,
     the empirical bias, and a skewness/kurtosis normality p-value for the
     standardized estimates.  Needs at least ``MIN_REPLICATIONS``
-    replications, which the normality test requires.
+    replications, which the normality test requires, and a design that
+    identifies p, whose predicted variance is finite.
     """
     if _non_negative_int("replications", replications) < MIN_REPLICATIONS:
         raise ValueError(f"need at least {MIN_REPLICATIONS} replications, got {replications}")
     p = validate_parameter(p, model.k)
     design = Design(patterns=all_patterns(model), fractions=np.asarray(v_star, float), budget=budget)
-    predicted = objective(design.fractions, p, model) / budget
+    criterion = objective(design.fractions, p, model)
+    if criterion == math.inf:
+        raise ValueError("blended information matrix is singular; predicted variance undefined")
+    predicted = criterion / budget
     estimates = simulate_estimates(p, model, design, replications, seed)
     mean, empirical = _fsum_variance(estimates)
     truth = float(model.u @ p)

@@ -447,6 +447,12 @@ LIBRARY_FAULTS = {
         "table1_row1", lambda config: {"replications": 20.5},
         "options.replications: expected an integer, got 20.5",
     ),
+    # a pass's count matrix has at most one column per row of the model's table
+    "replications-beyond-one-array": (
+        "table1_row1", lambda config: {"replications": 2**63},
+        "options.replications: replications must be at most 44343134792571037 "
+        "to hold 26 outcome counts each in one array, got 9223372036854775808",
+    ),
     "stratum-and-group": (
         "table1_row5",
         lambda config: {
@@ -551,6 +557,14 @@ class TestRunConfig:
         assert type(numpy_ints.seed) is int and type(numpy_ints.replications) is int
         assert json.dumps(run(numpy_ints, "simulate")) == json.dumps(run(config, "simulate"))
 
+    def test_a_validated_point_is_a_read_only_copy(self):
+        # the run holds its own point, which a write cannot move off the simplex
+        point = np.array([0.10, 0.30, 0.01])
+        config = replace(load_config(fixture_path("table1_row1")), scenario=point)
+        assert point.flags.writeable and not np.shares_memory(point, config.scenario)
+        with pytest.raises(ValueError, match="read-only"):
+            config.scenario[0] = 5.0
+
     def test_a_grid_step_is_checked_before_the_subcommand(self, capsys):
         # the run is checked when it is built, before it meets a subcommand
         argv = ["c-optimal", "--config", fixture_path("table1_row4"), "--grid-step", "1e-9"]
@@ -597,6 +611,17 @@ MALFORMED = {
     "seed-fractional": ("simulate", edited(ROW1, 1.7, "options", "seed"), [], None, "options.seed"),
     "replications-fractional": (
         "simulate", edited(ROW1, 8.9, "options", "replications"), [], None, "options.replications",
+    ),
+    # more replications than one count matrix can hold, refused before any is allocated
+    **{
+        f"replications-flag-{count}": (
+            "simulate", ROW1, ["--replications", str(count)], None, "options.replications",
+        )
+        for count in (2**62, 2**63, 2**64 - 1)
+    },
+    "replications-beyond-one-array": (
+        "simulate", edited(ROW1, 2**63, "options", "replications"), [], None,
+        "options.replications",
     ),
     "budget-nan": ("c-optimal", edited(ROW1, float("nan"), "budget"), [], None, "budget"),
     "budget-infinity": ("c-optimal", edited(ROW1, float("inf"), "budget"), [], None, "budget"),

@@ -10,7 +10,10 @@ import pytest
 from serodesign import (
     Design,
     DiseaseModel,
+    GroupSpec,
     ParameterBox,
+    StratumSpec,
+    SurveyDataset,
     TestPattern,
     TestSpec,
     all_patterns,
@@ -45,6 +48,43 @@ def uninformative_model():
     return base.with_test_overrides(
         {t.id: {"sensitivity": 0.5, "specificity": 0.5} for t in base.tests}
     )
+
+
+MODEL = default_model()
+
+# Each value that keeps a caller's array: the array, and the value's array
+# built from it.
+HELD_ARRAYS = {
+    "model-u": (np.ones(3), lambda a: DiseaseModel(MODEL.tests, MODEL.nominal, a).u),
+    "model-nominal": (
+        np.array(MODEL.nominal), lambda a: DiseaseModel(MODEL.tests, a, MODEL.u).nominal
+    ),
+    "box-lower": (SMALL_BOX.lower, lambda a: ParameterBox(a, SMALL_BOX.upper).lower),
+    "box-upper": (SMALL_BOX.upper, lambda a: ParameterBox(SMALL_BOX.lower, a).upper),
+    "stratum-point": (P0, lambda a: StratumSpec("north", 1.0, point=a).point),
+    "group-point": (P0, lambda a: GroupSpec("all", 1.0, a).point),
+    "dataset-counts": (
+        np.array([3, 1]),
+        lambda a: SurveyDataset((make_pattern((0, 0, 1), MODEL),), (a,), seed=0).counts[0],
+    ),
+    "validated-parameter": (P0, lambda a: validate_parameter(a, 3)),
+}
+
+
+@pytest.mark.parametrize("case", list(HELD_ARRAYS))
+def test_a_value_holds_a_read_only_copy_of_its_array(case):
+    values, build = HELD_ARRAYS[case]
+    caller = np.array(values)  # writable, of the dtype the value keeps
+    held = build(caller)
+    assert caller.flags.writeable and not np.shares_memory(caller, held)
+    assert not held.flags.writeable and np.array_equal(held, caller)
+
+
+def test_a_grid_point_result_keeps_no_grid_alive():
+    # p* and A2's argmin are copies of one point, not views into the grid
+    points = [worst_case_design(SMALL_BOX, MODEL).p_star, check_a2(SMALL_BOX, MODEL).argmin]
+    for point in points:
+        assert point.base is None and not point.flags.writeable
 
 
 class TestTypes:

@@ -41,6 +41,15 @@ def philox_cell(seed, replication, index):
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
+def state_order_mixture(q, p):
+    """P(y) = sum_s pi_s P(y | s) of every row of q at p, summed in state
+    order, one elementwise product per state."""
+    total = np.zeros(q.shape[0])
+    for s, pi in enumerate(np.append(p, 1.0 - p.sum())):
+        total = total + pi * q[:, s]
+    return total
+
+
 def outcome_table(dataset, model):
     """P(y | state) for every outcome row of the dataset, from the scalar
     oracle, with the counts of those rows."""
@@ -112,16 +121,14 @@ class TestSampling:
             not np.array_equal(a, b) for a, b in zip(d1.counts, d3.counts)
         )
 
-    def test_matches_one_draw_per_state_bitwise(self, model_row1):
+    def test_matches_one_multinomial_per_cell_bitwise(self, model_row1):
         # reference: on each cell's stream, numpy's Philox at the seed's key
-        # and counter (0, 0, replication, pattern index), the states first,
-        # then one outcome draw for each state that has participants, in
-        # state order
+        # and counter (0, 0, replication, pattern index), one multinomial
+        # over the pattern's mixture probabilities
         table = _pattern_tables(model_row1)
         patterns = all_patterns(model_row1)
         uniform = np.full(len(patterns), 1.0 / len(patterns))
         for p in (P0, np.array([0.2, 0.0, 0.3]), np.array([0.0, 0.0, 1.0])):
-            state_probs = np.append(p, max(1.0 - p.sum(), 0.0))
             for budget in (4e3, 1e5, C):
                 design = design_from_fractions(uniform, budget, patterns)
                 for seed in (0, 5, 123):
@@ -131,13 +138,9 @@ class TestSampling:
                         for index, (t, n) in enumerate(zip(patterns, design.integer_counts)):
                             if n <= 0:
                                 continue
-                            rng = philox_cell(seed, replication, index)
                             q, _ = table.stacked((t,))
-                            counts = np.zeros(q.shape[0], dtype=np.int64)
-                            for s, n_s in enumerate(rng.multinomial(int(n), state_probs)):
-                                if n_s > 0:
-                                    counts += rng.multinomial(int(n_s), q[:, s])
-                            expected.append(counts)
+                            rng = philox_cell(seed, replication, index)
+                            expected.append(rng.multinomial(int(n), state_order_mixture(q, p)))
                         assert len(dataset.counts) == len(expected)
                         for got, want in zip(dataset.counts, expected):
                             assert got.dtype == want.dtype
@@ -200,16 +203,12 @@ class TestSampling:
         replication = 2**64 - 1
         dataset = sample_outcomes(design, P0, model_row1, seed=2**70, replication=replication)
         q, ends = _pattern_tables(model_row1).stacked(dataset.patterns)
-        state_probs = np.append(P0, 1.0 - P0.sum())
+        mixture = state_order_mixture(q, P0)
         assert len(dataset.counts) == len(patterns)
         for index, (n, start, stop, got) in enumerate(
             zip(design.integer_counts, [0, *ends], ends, dataset.counts)
         ):
-            rng = philox_cell(2**70, replication, index)
-            want = np.zeros(stop - start, dtype=np.int64)
-            for s, n_s in enumerate(rng.multinomial(int(n), state_probs)):
-                if n_s > 0:
-                    want += rng.multinomial(int(n_s), q[start:stop, s])
+            want = philox_cell(2**70, replication, index).multinomial(int(n), mixture[start:stop])
             assert got.tobytes() == want.tobytes()
 
     def test_budget_buying_no_participant_rejected(self, model_row1):
@@ -449,6 +448,19 @@ class TestVarianceCheck:
         with pytest.raises(ValueError, match="at least 8 replications"):
             simulation_report(P0, model_row1, v, C, replications=1, seed=0)
 
+    def test_design_not_identifying_p_rejected_before_any_draw(self, monkeypatch, model_row1):
+        # the antibody test alone does not identify p: its predicted
+        # variance is infinite, so there is no ratio to grade
+        def no_draw(*args):
+            raise AssertionError("sampled a design that cannot estimate u'p")
+
+        monkeypatch.setattr(simulate, "_sample", no_draw)
+        v = np.eye(len(all_patterns(model_row1)))[0]
+        assert all_patterns(model_row1)[0].label == "001"
+        message = "blended information matrix is singular; predicted variance undefined"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulation_report(P0, model_row1, v, C, replications=20, seed=0)
+
     def test_normality_of_estimates(self, model_row1, row1_solution):
         estimates = simulate_estimates(
             P0, model_row1, row1_solution.design, replications=500, seed=7
@@ -538,6 +550,17 @@ INPUT_ERRORS = {
             ("estimates", "replications", 2**64 + 1),
             ("report", "replications", 2**64 + 1),
         ]
+    },
+    # more replications than one count matrix of the design's 4 outcome
+    # columns can hold, refused before it is allocated
+    **{
+        f"{call}-replications-{value}": (
+            lambda call=call, value=value: SAMPLERS[call](replications=value),
+            "replications must be at most 288230376151711743 to hold 4 outcome counts "
+            f"each in one array, got {value}",
+        )
+        for call in ("estimates", "report")
+        for value in (2**62, 2**63, 2**64 - 1)
     },
     "window-2**64": (
         lambda: _sample(DESIGN, P0, BASE, 0, range(2**64 - 1, 2**64 + 1)),
