@@ -45,12 +45,12 @@ for rtpcr_cost in (1600.0, 1000.0, 100.0):
 print("\nBudget required for a target margin of error")
 print("=" * 72)
 model = default_model()
+z = abs(normal_quantile(0.025))
 for moe in (0.02, 0.01, 0.005):
-    budget = budget_for_margin(P, model, moe=moe, alpha=0.05)
-    z = abs(normal_quantile(0.025))
-    achieved = z * np.sqrt(solve_c_optimal(P, model, budget=budget).min_variance)
+    report = budget_for_margin(P, model, moe=moe, alpha=0.05)
+    achieved = z * np.sqrt(report.min_variance)
     print(
-        f"  margin {moe:.3f} at 95% confidence: budget {budget:,.0f}"
+        f"  margin {moe:.3f} at 95% confidence: budget {report.design.budget:,.0f}"
         f"  (check: z*sqrt(a/C) = {achieved:.4f})"
     )
 print("\nHalving the margin quadruples the budget: accuracy is bought at a")

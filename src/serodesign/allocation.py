@@ -14,7 +14,9 @@ solved.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -73,12 +75,24 @@ class GroupSpec:
     name: str
     fraction: float
     point: np.ndarray
-    overrides: dict | None = None
+    overrides: Mapping[str, Mapping[str, float]] | None = None
 
     def __post_init__(self):
         _check_entry("group", self.name, self.fraction, "fraction")
         object.__setattr__(self, "point", _read_only(self.point))
-        object.__setattr__(self, "overrides", dict(self.overrides or {}))
+        # a read-only copy at both levels, as for the point
+        overrides = self.overrides or {}
+        if not isinstance(overrides, Mapping):
+            raise ValueError(f"group {self.name!r}: overrides must be a mapping, got {overrides!r}")
+        copied = {}
+        for test_id, entry in overrides.items():
+            if not isinstance(entry, Mapping):
+                raise ValueError(
+                    f"group {self.name!r}: override for test {test_id!r} must be a mapping, "
+                    f"got {entry!r}"
+                )
+            copied[test_id] = MappingProxyType(dict(entry))
+        object.__setattr__(self, "overrides", MappingProxyType(copied))
 
     def model(self, base: DiseaseModel) -> DiseaseModel:
         """``base`` with this group's test-reliability overrides applied."""
@@ -180,8 +194,8 @@ def _allocate(specs, kind: str, budget: float, solve) -> AllocationReport:
     for s in specs:
         try:
             reports.append(solve(s, budget))
-        except (ConvergenceError, InfeasibleDesignError) as err:
-            err.args = (f"{kind} {s.name!r}: {err}",)
+        except (ConvergenceError, InfeasibleDesignError, ValueError, KeyError) as err:
+            err.args = (f"{kind} {s.name!r}: {err.args[0]}",)
             raise
     weights = fractions * np.sqrt([r.objective for r in reports])
     budgets = budget * weights / weights.sum()

@@ -91,7 +91,6 @@ from .coptimal import (
     ConvergenceError,
     Design,
     InfeasibleDesignError,
-    _margin_budget,
     budget_for_margin,
     normal_quantile,
     solve_c_optimal,
@@ -108,11 +107,6 @@ from .model import (
     validate_parameter,
 )
 from .simulate import MIN_REPLICATIONS, _require_count_matrix, simulation_report
-
-# ``budget_for_margin`` is not called here: a budget request solves once and
-# prices that report at the required budget.  It stays a name of this module
-# because perfbench's tracer wraps it here, and tests/test_package.py checks
-# that every wrapped name resolves.
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "run", "main", "fixture_path"]
 
@@ -522,19 +516,16 @@ def run(config: RunConfig, subcommand: str, design_path: str | None = None) -> d
     if subcommand == "budget":
         if moe is None:
             raise ConfigError("options.moe", "budget subcommand needs a margin of error")
-        with _at("budget"):
-            solve = solve_c_optimal(scenario, model, budget=config.budget)
         with _at("options.moe"):
-            required = _margin_budget(solve, moe, alpha)
-            solve = solve.priced(required)
+            report = budget_for_margin(scenario, model, moe, alpha)
         return {
             **header,
             "parameter": _floats(scenario),
             "moe": moe,
             "alpha": alpha,
             "z": abs(normal_quantile(alpha / 2.0)),
-            "required_budget": required,
-            **solve.to_dict(),
+            "required_budget": report.design.budget,
+            **report.to_dict(),
         }
 
     if subcommand == "simulate":

@@ -570,29 +570,23 @@ def normal_quantile(q: float) -> float:
     return statistics.NormalDist().inv_cdf(q)
 
 
-def budget_for_margin(p, model: DiseaseModel, moe: float, alpha: float = 0.05) -> float:
-    """Smallest budget whose optimal design meets a margin-of-error target.
+def budget_for_margin(p, model: DiseaseModel, moe: float, alpha: float = 0.05) -> SolveReport:
+    """The optimal design priced at the smallest budget that meets margin ``moe``.
 
-    Inverts ``z * sqrt(a(v*; p) / C) = moe`` with z the two-sided normal
-    critical value at level alpha, so the returned budget satisfies the
-    margin with equality.
+    Solves once, at the cheapest test's price (it buys at most one of any
+    pattern), and prices the report at ``design.budget = z^2 a(v*) / moe^2``,
+    z the two-sided normal critical value at level alpha; the fractions do
+    not depend on the budget, so ``z * sqrt(min_variance) == moe``.
     """
-    cheapest = min(t.cost for t in model.tests)  # buys at most one of any pattern
-    return _margin_budget(solve_c_optimal(p, model, budget=cheapest), moe, alpha)
-
-
-def _margin_budget(report: SolveReport, moe: float, alpha: float) -> float:
-    """The budget at which ``report``'s design meets margin ``moe`` at level
-    alpha, ``z^2 a(v*) / moe^2``; the fractions do not depend on the budget,
-    so the report priced there is the optimal design at that budget."""
     if not 0 < moe < math.inf:
         raise ValueError(f"margin of error must be positive and finite, got {moe}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    report = solve_c_optimal(p, model, budget=min(t.cost for t in model.tests))
     z = abs(normal_quantile(alpha / 2.0))
     budget = z * z * report.objective / (moe * moe) if moe * moe else math.inf  # underflow to 0
     if not 0 < budget < math.inf:
         raise ValueError(
             f"margin of error {moe:g} gives a budget of {budget:g}, not positive and finite"
         )
-    return budget
+    return report.priced(budget)

@@ -204,6 +204,46 @@ class TestDistrictAllocation:
         assert str(err.value) == "group 'all': no certified optimum"
 
 
+    @pytest.mark.parametrize(
+        "override, error, message",
+        [
+            (
+                {"zzz": {"sensitivity": 0.5}},
+                KeyError,
+                "group 'b': unknown test id 'zzz'; have ['rat', 'rtpcr', 'antibody']",
+            ),
+            (
+                {"rat": {"sensitivity": 1.5}},
+                ValueError,
+                "group 'b': test 'rat': sensitivity must be strictly between 0 and 1, got 1.5",
+            ),
+            (
+                {"rat": {"cost": 10}},
+                ValueError,
+                "group 'b': override for test 'rat' has unknown keys ['cost']",
+            ),
+        ],
+    )
+    def test_override_error_names_its_group(self, model_row1, override, error, message):
+        groups = [
+            GroupSpec(name="a", fraction=0.5, point=P0),
+            GroupSpec(name="b", fraction=0.5, point=P0, overrides=override),
+        ]
+        with pytest.raises(error) as err:
+            allocate_groups(groups, model_row1, C)
+        assert err.value.args == (message,)
+
+    def test_budget_error_names_its_stratum(self, model_row1):
+        # from 2**53 relaxed participants on, integer counts are not exact
+        strata = [
+            StratumSpec(name="north", fraction=0.5, point=P0),
+            StratumSpec(name="south", fraction=0.5, point=P0),
+        ]
+        with pytest.raises(ValueError) as err:
+            allocate_districts(strata, model_row1, 1e22)
+        assert err.value.args[0].startswith("stratum 'north': budget 1e+22 buys ")
+
+
 # Each rule on a stratum, a group or a list of them, with its message.
 ENTRY_ERRORS = {
     "stratum-name-empty": (
@@ -230,6 +270,14 @@ ENTRY_ERRORS = {
         lambda: StratumSpec(name="a", fraction=0.5, point=P0, box=ROW4_BOX),
         "stratum 'a': give exactly one of point or box",
     ),
+    "group-override-not-a-mapping": (
+        lambda: GroupSpec(name="a", fraction=0.5, point=P0, overrides={"rat": 0.5}),
+        "group 'a': override for test 'rat' must be a mapping, got 0.5",
+    ),
+    "group-overrides-not-a-mapping": (
+        lambda: GroupSpec(name="a", fraction=0.5, point=P0, overrides=[("rat", {})]),
+        "group 'a': overrides must be a mapping, got [('rat', {})]",
+    ),
     "no-entries": (lambda: validate_entries([], "stratum"), "need at least one stratum"),
 }
 
@@ -240,6 +288,18 @@ def test_entry_error_message(case):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+def test_group_holds_a_read_only_copy_of_its_overrides():
+    overrides = {"rat": {"sensitivity": 0.68}}
+    group = GroupSpec(name="a", fraction=1.0, point=P0, overrides=overrides)
+    overrides["rat"]["sensitivity"] = 1.5
+    overrides["antibody"] = {"sensitivity": 0.5}
+    assert {k: dict(v) for k, v in group.overrides.items()} == {"rat": {"sensitivity": 0.68}}
+    with pytest.raises(TypeError):
+        group.overrides["rat"]["sensitivity"] = 0.5
+    with pytest.raises(TypeError):
+        group.overrides["antibody"] = {}
 
 
 def test_unknown_entry_name():

@@ -3,6 +3,7 @@ errors, subcommand dispatch, report stability, and exit codes."""
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import serodesign
-from serodesign import ParameterBox, budget_for_margin, coptimal, simulate, solve_c_optimal
+from serodesign import ParameterBox, budget_for_margin, coptimal, simulate
 from serodesign.coptimal import _solve_simplex
 from serodesign.cli import (
     _SCENARIO_FOR,
@@ -27,6 +28,7 @@ from serodesign.cli import (
 )
 
 from conftest import SINGULAR_HESSIAN_CONFIG
+from test_coptimal import random_model
 
 ROW1 = {
     "model": {
@@ -306,11 +308,9 @@ class TestRun:
         "row, moe, alpha", [(1, 0.01, 0.05), (2, 0.004, 0.1), (3, 0.02, 0.01)]
     )
     def test_budget_solves_once(self, monkeypatch, row, moe, alpha):
-        # the report of the two-solve path: a solve inside budget_for_margin,
-        # then a solve at the required budget
+        # the request's report is budget_for_margin's, from one solve
         config = load_config(fixture_path(f"table1_row{row}"))
-        required = budget_for_margin(config.scenario, config.model, moe, alpha)
-        two_solves = solve_c_optimal(config.scenario, config.model, budget=required)
+        expected = budget_for_margin(config.scenario, config.model, moe, alpha)
         calls = []
 
         def counted(*args, **kwargs):
@@ -320,15 +320,42 @@ class TestRun:
         monkeypatch.setattr(coptimal, "_solve_simplex", counted)
         report = run(with_options(config, moe=moe, alpha=alpha), "budget")
         assert len(calls) == 1
-        assert report["required_budget"] == required
-        body = {key: report[key] for key in two_solves.to_dict()}
-        assert json.dumps(body) == json.dumps(two_solves.to_dict())
+        assert report["required_budget"] == expected.design.budget
+        body = {key: report[key] for key in expected.to_dict()}
+        assert json.dumps(body) == json.dumps(expected.to_dict())
 
     @pytest.mark.parametrize("scale", [1.0, 1e-19])
     def test_budget_for_margin_is_the_required_budget(self, scale):
         config = with_options(parse_config(scaled(ROW1, scale)), moe=0.01)
         required = run(config, "budget")["required_budget"]
-        assert budget_for_margin(config.scenario, config.model, 0.01) == required
+        assert budget_for_margin(config.scenario, config.model, 0.01).design.budget == required
+
+    def test_budget_request_echoes_the_file_budget_without_using_it(self):
+        # at 1e20 a c-optimal design would buy more than 2**53 participants
+        config = with_options(load_config(fixture_path("table1_row1")), moe=0.01)
+        report = run(config, "budget")
+        other = run(replace(config, budget=1e20), "budget")
+        assert other["budget"] == 1e20
+        assert json.dumps({**other, "budget": config.budget}) == json.dumps(report)
+
+    def test_random_model_budget_is_budget_for_margin(self):
+        # seeds 0-39, each model at its own point; a model whose optimum is
+        # singular or infeasible has no design to compare and is skipped
+        moe, alpha, certified = 0.01, 0.1, 0
+        for seed in range(40):
+            model, p = random_model(np.random.default_rng(seed))
+            try:
+                expected = budget_for_margin(p, model, moe, alpha)
+            except (coptimal.ConvergenceError, coptimal.InfeasibleDesignError):
+                continue
+            config = RunConfig(model=model, scenario=p, budget=1e7, moe=moe, alpha=alpha)
+            report = run(config, "budget")
+            body = {key: report[key] for key in expected.to_dict()}
+            assert json.dumps(body) == json.dumps(expected.to_dict()), seed
+            z = report["z"]
+            assert z * math.sqrt(expected.min_variance) == pytest.approx(moe, rel=1e-12), seed
+            certified += 1
+        assert certified >= 10
 
     @pytest.mark.parametrize(
         "key, value",
@@ -564,6 +591,19 @@ class TestRunConfig:
         assert point.flags.writeable and not np.shares_memory(point, config.scenario)
         with pytest.raises(ValueError, match="read-only"):
             config.scenario[0] = 5.0
+
+    def test_validated_group_overrides_are_a_read_only_copy(self):
+        # the run holds its own overrides at both levels: a later edit of the
+        # document changes neither the run nor its report
+        doc = copy.deepcopy(ROW5)
+        config = parse_config(doc)
+        expected = json.dumps(run(config, "groups"))
+        doc["scenario"]["groups"][0]["overrides"]["rat"]["sensitivity"] = 1.5
+        assert json.dumps(run(config, "groups")) == expected
+        with pytest.raises(TypeError):
+            config.scenario[1].overrides["rat"] = {"sensitivity": 0.5}
+        with pytest.raises(TypeError):
+            config.scenario[0].overrides["rat"]["sensitivity"] = 0.5
 
     def test_a_grid_step_is_checked_before_the_subcommand(self, capsys):
         # the run is checked when it is built, before it meets a subcommand

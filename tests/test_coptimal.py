@@ -744,8 +744,8 @@ class TestKKTCheck:
 
 class TestBudgetForMargin:
     def test_halving_margin_quadruples_budget(self, model_row1):
-        c1 = budget_for_margin(P0, model_row1, moe=0.02)
-        c2 = budget_for_margin(P0, model_row1, moe=0.01)
+        c1 = budget_for_margin(P0, model_row1, moe=0.02).design.budget
+        c2 = budget_for_margin(P0, model_row1, moe=0.01).design.budget
         assert c2 == pytest.approx(4.0 * c1, rel=1e-12)
 
     def test_normal_quantile_value(self):
@@ -758,11 +758,23 @@ class TestBudgetForMargin:
 
     def test_round_trip_margin(self, model_row1):
         moe, alpha = 0.015, 0.05
-        budget = budget_for_margin(P0, model_row1, moe=moe, alpha=alpha)
-        report = solve_c_optimal(P0, model_row1, budget=budget)
+        report = budget_for_margin(P0, model_row1, moe=moe, alpha=alpha)
         z = abs(normal_quantile(alpha / 2.0))
         achieved = z * math.sqrt(report.min_variance)
         assert achieved == pytest.approx(moe, rel=1e-9)
+        assert report.design.budget == z * z * report.objective / (moe * moe)
+
+    def test_is_the_solve_at_its_budget(self, model_row1):
+        report = budget_for_margin(P0, model_row1, moe=0.01)
+        solved = solve_c_optimal(P0, model_row1, budget=report.design.budget)
+        assert json.dumps(report.to_dict()) == json.dumps(solved.to_dict())
+        # a solve at any other budget has the same fractions and certificate
+        for budget in (1e-3, 1e7):
+            other = solve_c_optimal(P0, model_row1, budget=budget)
+            np.testing.assert_array_equal(report.design.fractions, other.design.fractions)
+            assert (report.objective, report.kkt_residual, report.iterations) == (
+                other.objective, other.kkt_residual, other.iterations
+            )
 
     def test_rejects_bad_inputs(self, model_row1):
         with pytest.raises(ValueError, match="margin"):
