@@ -194,7 +194,7 @@ def _allocate(specs, kind: str, budget: float, solve) -> AllocationReport:
     for s in specs:
         try:
             reports.append(solve(s, budget))
-        except (ConvergenceError, InfeasibleDesignError, ValueError, KeyError) as err:
+        except (ConvergenceError, InfeasibleDesignError, ValueError, KeyError, TypeError) as err:
             err.args = (f"{kind} {s.name!r}: {err.args[0]}",)
             raise
     weights = fractions * np.sqrt([r.objective for r in reports])

@@ -268,19 +268,15 @@ def _pattern_infos(p, model: DiseaseModel) -> np.ndarray:
     return _per_cost(_fisher_info_grid(p, model), model)
 
 
-def _criterion(v: np.ndarray, infos: np.ndarray, u: np.ndarray, at=None):
+def _criterion(v: np.ndarray, infos: np.ndarray, u: np.ndarray):
     """(a, x): the criterion a = u' A^{-1} u and x = A^{-1} u of A = sum_t v_t infos[t].
 
     ``infos`` is (T, k, k), or (T, m, k, k) to evaluate m parameter points
-    at once, in which case a has shape (m,) and x shape (m, k); ``at``
-    (an index into the m points) keeps only those points, after the blend,
-    so no slice of ``infos`` is copied.  Every blend is solved for x in one
+    at once, giving a (m,) and x (m, k).  Every blend is solved for x in one
     batched ``np.linalg.solve``, so the support of v must identify p
     (_PatternTable.identifies); _evaluate checks that for a caller's fractions.
     """
     blended = np.einsum("t,t...->...", v, infos)
-    if at is not None:
-        blended = blended[at]
     x = np.linalg.solve(blended, u)
     return (x @ u)[()], x
 

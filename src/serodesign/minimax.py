@@ -6,18 +6,19 @@ game whose payoff is the variance criterion: the payoff is convex in the
 budget fractions and concave in the parameter, so a saddle point exists.
 The maximizer is the grid point of the feasible box (a small box
 intersected with the simplex) with the largest inner optimum
-``min_v a(v; p)``; the inner minimization reuses the c-optimal solver, and
-the returned pair is certified by re-evaluating the design across the
-whole grid.  A worst-case report is therefore a SolveReport at p*: its
-objective is the game value, and it adds p*, the saddle gap and the grid
-step.
+``min_v a(v; p)``; each inner minimization is solve_c_optimal's
+computation at its point, and the returned pair is certified by
+re-evaluating the design across the whole grid.  A worst-case report is
+therefore a SolveReport at p*: its objective is the game value, and it
+adds p*, the saddle gap and the grid step.
 
 The grid is scanned best-first instead of exhaustively.  Every design
 ``v`` bounds the inner optimum from above at every grid point,
 ``min_w a(w; p) <= a(v; p)``, with no appeal to concavity, and one batched
-evaluation gives that bound over the whole grid.  The bounds start at the
-all-tests design (every participant takes every test), whose worst point
-is a good guess of the worst case, so the scan solves that point first.
+evaluation over v's support gives that bound at the open points.  The
+bounds start at the all-tests design (every participant takes every test),
+whose worst point is a good guess of the worst case, so the scan solves
+that point first.
 It then solves the open point with the largest bound and closes every
 point whose bound falls below the best solved value by more than
 PRUNE_MARGIN relative.  Each solve is deterministic and carries Elfving's
@@ -44,11 +45,10 @@ from .coptimal import (
     SolveReport,
     _criterion,
     _evaluate,
-    _kkt_residual_from,
-    _pattern_infos,
     _per_cost,
-    _sensitivities,
     _solve_simplex,
+    kkt_check,
+    objective,
 )
 from .model import (
     DiseaseModel,
@@ -56,7 +56,9 @@ from .model import (
     _all_tests_pd,
     _box_grid,
     _fisher_info_grid,
+    _pattern_tables,
     _read_only,
+    _rows_info,
     all_patterns,
     check_a2,
 )
@@ -110,21 +112,40 @@ class SaddleReport(SolveReport):
         }
 
 
-def _envelope_argmax(grid_infos: np.ndarray, u: np.ndarray, solve_at) -> int:
+def _grid_payoff(v: np.ndarray, pts: np.ndarray, model: DiseaseModel) -> np.ndarray:
+    """a(v; p) at every point of an (m, k) grid: ``v_t / c_t`` times pattern t's
+    _rows_info, summed over the support of v alone, then _criterion."""
+    table, (m, k) = _pattern_tables(model), pts.shape
+    blended = np.zeros((m, k * k))
+    info = np.empty_like(blended)
+    for t in np.flatnonzero(v):
+        _rows_info(table, table.spans[t], pts, out=info)
+        info *= v[t] / table.costs[t]
+        blended += info
+    del info  # before the solve, which copies the blend
+    return _criterion(np.ones(1), blended.reshape(1, m, k, k), model.u)[0]
+
+
+def _envelope_argmax(pts: np.ndarray, model: DiseaseModel, solve_at) -> int:
     """Grid index with the largest inner optimum, ties to the smallest index.
 
-    Best-first scan: ``bound[i]`` is the least ``a(v; p_i)`` over the designs
-    seen so far, an upper bound on the inner optimum at ``p_i``.  The first
-    design seen is the all-tests pattern alone, the last in all_patterns
-    order, so the first point solved is where that design's variance is
-    largest.  The open point with the largest bound is solved next, and
-    points whose bound falls below the incumbent by more than PRUNE_MARGIN
-    are closed.  Each solved design is blended over the whole grid and
-    _criterion keeps the open points of the blend, so no slice of the
-    (T, m, k, k) stack is copied.
+    Best-first scan: ``bound[i]``, the least ``a(v; p_i)`` over the designs
+    seen so far, bounds the inner optimum at ``p_i`` from above.  The first
+    is the all-tests pattern alone, on check_a2's array, which gates A2; each
+    solved design's payoff then updates the open points alone.  The open
+    point with the largest bound is solved next, and points whose bound
+    falls below the incumbent by more than PRUNE_MARGIN are closed.
     """
-    bound = _criterion(np.ones(1), grid_infos[-1:], u)[0]
-    open_idx = np.arange(grid_infos.shape[1])
+    table = _pattern_tables(model)
+    bound = _rows_info(table, table.spans[-1], pts)
+    if not _all_tests_pd(bound):
+        raise InfeasibleDesignError(
+            "no pattern has uniformly positive-definite information over the box; "
+            "the worst-case variance is unbounded for every design"
+        )
+    bound /= table.costs[-1]
+    bound = _criterion(np.ones(1), bound[None], model.u)[0]
+    open_idx = np.arange(len(pts))
     best_index, best_value = -1, -math.inf
     while open_idx.size:
         pos = int(np.argmax(bound[open_idx]))
@@ -134,7 +155,7 @@ def _envelope_argmax(grid_infos: np.ndarray, u: np.ndarray, solve_at) -> int:
             best_index, best_value = i, mu
         open_idx = np.delete(open_idx, pos)
         if open_idx.size:
-            bound[open_idx] = np.minimum(bound[open_idx], _criterion(v, grid_infos, u, open_idx)[0])
+            bound[open_idx] = np.minimum(bound[open_idx], _grid_payoff(v, pts[open_idx], model))
             open_idx = open_idx[bound[open_idx] >= (1.0 - PRUNE_MARGIN) * best_value]
     return best_index
 
@@ -149,47 +170,33 @@ def worst_case_design(
 
     The worst case p* maximizes the lower envelope ``min_v a(v; p)`` over
     the feasible grid and the returned fractions are the inner minimizer
-    at p*.  A2 is checked on the all-tests pattern alone, which dominates
-    every other pattern's information (see serodesign.model).  p* is
-    found by a best-first scan that starts at the grid point where the
-    all-tests design's variance is largest and then solves only the grid
-    points whose envelope bound (the least payoff of the all-tests design
-    and of the designs solved so far) could still reach the best solved
-    value; the result is the one an exhaustive scan gives, including its
-    tie-break toward the lexicographically smallest point.  An inner
-    solve's error names its grid point.  The saddle gap
-    ``max_p a(v*; p) - a(v*; p*)`` is evaluated over the grid; if it
-    exceeds SADDLE_TOL relative, the fractions are refined by alternating
-    best responses with uniform averaging of the minimizing player's
-    iterates until the gap closes or the round cap is reached.  Inner
-    solves are memoized per grid point across the scan and the refinement.
+    at p*, exactly what solve_c_optimal returns there.  A2 is checked on
+    the all-tests pattern alone, which dominates every other pattern's
+    information (see serodesign.model).  p* comes from the best-first scan
+    of _envelope_argmax, which returns what an exhaustive scan gives; an
+    inner solve's error names its grid point.  If the grid's saddle gap
+    ``max_p a(v*; p) - a(v*; p*)`` exceeds SADDLE_TOL relative, the
+    fractions are refined by alternating best responses with uniform
+    averaging of the minimizing player's iterates until the gap closes or
+    the round cap is reached.  Inner solves are memoized per grid point.
     """
     pts = _box_grid(box, model, grid_step)
-    grid_infos = _fisher_info_grid(pts, model)
-    if not _all_tests_pd(grid_infos[-1]):
-        raise InfeasibleDesignError(
-            "no pattern has uniformly positive-definite information over the box; "
-            "the worst-case variance is unbounded for every design"
-        )
-    _per_cost(grid_infos, model)
-    u = model.u
-
     solves: dict[int, tuple] = {}
 
     def solve_at(i: int) -> tuple:
         if i not in solves:
             try:
-                solves[i] = _solve_simplex(grid_infos[:, i], model)
+                solves[i] = _solve_simplex(_per_cost(_fisher_info_grid(pts[i], model), model), model)
             except (ConvergenceError, InfeasibleDesignError) as err:
                 err.args = (f"inner solve at grid point p = {pts[i].tolist()}: {err}",)
                 raise
         return solves[i]
 
-    best_index = _envelope_argmax(grid_infos, u, solve_at)
+    best_index = _envelope_argmax(pts, model, solve_at)
     v_star, game_value, residual, iterations = solve_at(best_index)
     p_star = _read_only(pts[best_index])
 
-    values = _criterion(v_star, grid_infos, u)[0]
+    values = _grid_payoff(v_star, pts, model)
     gap = float(values.max() - values[best_index])
     if gap > SADDLE_TOL * game_value:
         # Fictitious-play fallback: the maximizer best-responds on the grid,
@@ -199,23 +206,18 @@ def worst_case_design(
         iterates = [v_star]
         v_best, gap_best = v_star, gap
         for _ in range(REFINE_MAX_ROUNDS):
-            reply_idx = int(np.argmax(values))
-            iterates.append(solve_at(reply_idx)[0])
+            iterates.append(solve_at(int(np.argmax(values)))[0])
             v_avg = np.mean(iterates, axis=0)
-            values = _criterion(v_avg, grid_infos, u)[0]
+            values = _grid_payoff(v_avg, pts, model)
             gap_avg = float(values.max() - values[best_index])
             if gap_avg < gap_best:
                 v_best, gap_best = v_avg, gap_avg
             if gap_best <= SADDLE_TOL * game_value:
                 break
+        # the averaged fractions are no longer the exact inner minimizer at p*
         v_star, gap = v_best, gap_best
-        # the averaged fractions are no longer the exact inner minimizer at
-        # p*, so re-certify their first-order residual there
-        infos_star = grid_infos[:, best_index]
-        game_value, x = _criterion(v_star, infos_star, u)
-        game_value = float(game_value)
-        g = _sensitivities(infos_star, x)
-        residual = _kkt_residual_from(g, game_value, v_star)
+        game_value = objective(v_star, p_star, model)
+        residual = kkt_check(v_star, p_star, model)
 
     return SaddleReport(
         design=Design(patterns=all_patterns(model), fractions=v_star, budget=budget),
@@ -224,7 +226,7 @@ def worst_case_design(
         iterations=iterations,
         p_star=p_star,
         saddle_gap=gap,
-        grid_step=grid_step,
+        grid_step=float(grid_step),
     )
 
 
@@ -238,9 +240,10 @@ def saddle_check(
     """Equilibrium gaps of a candidate pair (v, p*).
 
     Returns ``(max_p a(v; p) - a(v; p*), a(v; p*) - min_v a(v; p*))``, the
-    first maximized over the feasible grid and the second via one
-    c-optimal solve at p*.  The second is nonnegative up to roundoff, and
-    so is the first when p* is a grid point; both below the saddle
+    first maximized over the feasible grid, which gives ``a(v; p*)`` too
+    when p* is a grid point, as in a worst-case report's ``saddle_gap``,
+    and the second via one c-optimal solve at p*.  Both are nonnegative up
+    to roundoff when p* is a grid point, and both below the saddle
     tolerance certify an approximate equilibrium.  Raises when the support
     of v does not identify p, or when p* lies outside the box's bounds by
     more than the grid's 1e-12 slack.
@@ -252,6 +255,8 @@ def saddle_check(
     p_star = np.asarray(p_star, dtype=np.float64)
     if (p_star < box.lower - 1e-12).any() or (p_star > box.upper + 1e-12).any():
         raise ValueError(f"p* {p_star} lies outside the box from {box.lower} to {box.upper}")
-    values = _criterion(v, _pattern_infos(pts, model), model.u)[0]
+    values = _grid_payoff(v, pts, model)
+    on_grid = np.flatnonzero((pts == p_star).all(axis=1))
+    at_p_star = values[on_grid[0]] if on_grid.size else at_p_star
     inner_value = _solve_simplex(infos_star, model)[1]
     return float(values.max() - at_p_star), float(at_p_star - inner_value)

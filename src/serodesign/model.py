@@ -29,6 +29,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
@@ -55,8 +58,8 @@ PD_TOLERANCE = 1e-10
 # Lattice points a box grid may hold before its simplex cut.  It admits the
 # whole simplex box of a 3-parameter model at the default step 0.01
 # (1,030,301 points).  A worst-case solve of the shipped model peaks at about
-# 35 MB plus 0.69 kB per grid point (row4: 140 MB at 156,981 points, 832 MB at
-# 1,187,361), so this keeps one under about 1.4 GB, and a finer step fails
+# 33 MB plus 0.27 kB per grid point (row4: 76 MB at 156,981 points, 359 MB at
+# 1,187,361), so this keeps one under about 600 MB, and a finer step fails
 # here instead of in np.arange or in the solve.
 MAX_GRID_POINTS = 2_000_000
 
@@ -77,6 +80,10 @@ class TestSpec:
     def __post_init__(self):
         if not self.id:
             raise ValueError("test id must be a nonempty string")
+        for name in ("cost", "sensitivity", "specificity"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise TypeError(f"test {self.id!r}: {name} must be a real number, got {value!r}")
         if not 0 < self.cost < math.inf:
             raise ValueError(f"test {self.id!r}: cost must be positive and finite, got {self.cost}")
         for name in ("sensitivity", "specificity"):
@@ -160,6 +167,8 @@ class DiseaseModel:
         tests = []
         for t in self.tests:
             ov = overrides.get(t.id, {})
+            if not isinstance(ov, Mapping):
+                raise ValueError(f"override for test {t.id!r} must be a mapping, got {ov!r}")
             unknown = set(ov) - {"sensitivity", "specificity"}
             if unknown:
                 raise ValueError(f"override for test {t.id!r} has unknown keys {sorted(unknown)}")
@@ -260,6 +269,15 @@ def validate_parameter(p, k: int) -> np.ndarray:
     return _read_only(np.maximum(p, 0.0))
 
 
+def _grid_step(step) -> float:
+    """``step`` as a float, refused unless a positive real number at most the largest float."""
+    if not isinstance(step, numbers.Real) or isinstance(step, bool):
+        raise TypeError(f"grid step must be a real number, got {step!r}")
+    if not 0 < step <= sys.float_info.max:
+        raise ValueError(f"grid step must be positive and finite, got {step}")
+    return float(step)
+
+
 @dataclass(frozen=True, eq=False)
 class ParameterBox:
     """A coordinate box of parameters, intersected with the simplex.
@@ -298,10 +316,10 @@ class ParameterBox:
 
         Each axis holds the ``np.arange`` samples of ``grid``; the upper
         face it may add is not counted, and an axis with ``lower == upper``
-        holds none if half the step is below that bound's resolution.
+        holds none if half the step is below that bound's resolution.  The
+        step is read as a float, so a number too large for one is refused.
         """
-        if not 0 < step < math.inf:
-            raise ValueError(f"grid step must be positive and finite, got {step}")
+        step = _grid_step(step)
         with np.errstate(over="ignore"):  # a tiny step counts to inf
             counts = np.ceil((self.upper + 0.5 * step - self.lower) / step)
             if not counts.all():
@@ -327,6 +345,7 @@ class ParameterBox:
         skipped.  Raises if the lattice cannot be built (see lattice_size).
         The lower corner is always a grid point.
         """
+        step = _grid_step(step)
         self.lattice_size(step)
         axes = []
         for lo, hi in zip(self.lower, self.upper):
@@ -475,11 +494,9 @@ def _fisher_info_grid(p, model: DiseaseModel):
     giving (T, m, k, k).  Entry (i, j) of pattern t sums ``d_i d_j / P(y)``
     over its outcomes.  At a point every pattern's rows are summed at once;
     on a grid each pattern is one _rows_info product, so no (m, rows, k^2)
-    array is formed.  Points are not validated here.  The point branch stays
-    because each arithmetic is the faster on its own input (timeit, 2 CPUs):
-    at a point one reduceat takes 6-28 us at 3-6 tests against 33-357 us for
-    a product per pattern; on row4's 156,981-point grid the products take
-    41-63 ms against 291 ms for a blocked reduceat.  Both agree to a few ulps.
+    array is formed.  Points are not validated here.  Solves call the point
+    form; no package path calls the grid form, which the tests keep as their
+    reference on grids.  The two forms agree to a few ulps.
     """
     table = _pattern_tables(model)
     p = np.asarray(p, dtype=np.float64)

@@ -222,6 +222,11 @@ class TestDistrictAllocation:
                 ValueError,
                 "group 'b': override for test 'rat' has unknown keys ['cost']",
             ),
+            (
+                {"rat": {"specificity": "0.9"}},
+                TypeError,
+                "group 'b': test 'rat': specificity must be a real number, got '0.9'",
+            ),
         ],
     )
     def test_override_error_names_its_group(self, model_row1, override, error, message):

@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+import serodesign.coptimal as coptimal
 import serodesign.minimax as minimax
 import serodesign.model as model_module
 from serodesign import (
@@ -29,8 +30,9 @@ from serodesign.coptimal import (
     _pattern_infos,
     _solve_simplex,
 )
-from serodesign.minimax import REFINE_MAX_ROUNDS, SADDLE_TOL
+from serodesign.minimax import REFINE_MAX_ROUNDS, SADDLE_TOL, _grid_payoff
 from _suites import random_interior_points, random_pd_fractions, worst_concavity_slack
+from test_coptimal import random_model
 
 from conftest import ROW1_POINT, ROW4_BOX
 
@@ -200,22 +202,21 @@ class TestGridBehavior:
 
 
 def exhaustive_worst_case(box, model, grid_step, saddle_tol=SADDLE_TOL):
-    """Reference worst case: an inner solve at every grid point, strict
-    improvement so ties keep the smallest index, then the averaged
-    best-response fallback without memoized solves.  Returns
+    """Reference worst case: an inner solve at every grid point, each on
+    solve_c_optimal's arithmetic at its point, strict improvement so ties
+    keep the smallest index, then the averaged best-response fallback
+    without memoized solves.  Returns
     (p*, fractions, game value, saddle gap, iterations, fallback ran)."""
     pts = box.grid(grid_step)
-    infos = _pattern_infos(pts, model)
-    u = model.u
     best_index, best = -1, None
     for i in range(len(pts)):
-        solve = _solve_simplex(infos[:, i], model)
+        solve = _solve_simplex(_pattern_infos(pts[i], model), model)
         if best is None or solve[1] > best[1]:
             best_index, best = i, solve
     v_star, value, _, iterations = best
 
     def gap_of(v):
-        values = _criterion(v, infos, u)[0]
+        values = _grid_payoff(v, pts, model)
         return float(values.max() - values[best_index])
 
     gap = gap_of(v_star)
@@ -225,15 +226,15 @@ def exhaustive_worst_case(box, model, grid_step, saddle_tol=SADDLE_TOL):
         v_best, gap_best = v_star, gap
         for _ in range(REFINE_MAX_ROUNDS):
             v_avg = np.mean(iterates, axis=0)
-            reply = int(np.argmax(_criterion(v_avg, infos, u)[0]))
-            iterates.append(_solve_simplex(infos[:, reply], model)[0])
+            reply = int(np.argmax(_grid_payoff(v_avg, pts, model)))
+            iterates.append(_solve_simplex(_pattern_infos(pts[reply], model), model)[0])
             gap_avg = gap_of(np.mean(iterates, axis=0))
             if gap_avg < gap_best:
                 v_best, gap_best = np.mean(iterates, axis=0), gap_avg
             if gap_best <= saddle_tol * value:
                 break
         v_star, gap = v_best, gap_best
-        value = float(_criterion(v_star, infos, u)[0][best_index])
+        value = objective(v_star, pts[best_index], model)
     return pts[best_index], v_star, value, gap, iterations, refined
 
 
@@ -281,6 +282,18 @@ class TestBoundPrunedSearch:
         report = worst_case_design(box, model, grid_step=0.01)
         assert_matches_exhaustive(report, exhaustive_worst_case(box, model, 0.01))
 
+    # random_model seeds 0-29, each with the box of side 0.04 from
+    # max(p - 0.02, 0) at step 0.02; these are the seeds whose box passes A2
+    # and whose every inner solve certifies (the others have a grid point
+    # with a singular optimum).  Seed 26 runs the fallback.
+    @pytest.mark.parametrize("seed", [12, 18, 25, 26, 28, 29])
+    def test_random_models_match_exhaustive(self, seed):
+        model, p = random_model(np.random.default_rng(seed))
+        lower = np.maximum(p - 0.02, 0.0)
+        box = ParameterBox(lower=lower, upper=lower + 0.04)
+        report = worst_case_design(box, model, grid_step=0.02)
+        assert_matches_exhaustive(report, exhaustive_worst_case(box, model, 0.02))
+
     @pytest.mark.parametrize("grid_step", [0.01, 0.02])
     def test_row4_solves_a_handful_of_points(self, model_row4, monkeypatch, grid_step):
         solves = record_inner_solves(monkeypatch)
@@ -298,15 +311,65 @@ class TestBoundPrunedSearch:
             worst_case_design(random_box(rng), model, grid_step=0.01)
         assert len(solves) < 20
 
-    def test_open_point_bounds_equal_the_full_grid_evaluation(self, model_row4, row4_worst_case):
-        infos = _pattern_infos(ROW4_BOX.grid(0.01), model_row4)
-        u = model_row4.u
-        rng = np.random.default_rng(8)
-        open_idx = np.sort(rng.choice(infos.shape[1], 300, replace=False))
-        for v in (row4_worst_case[0].design.fractions, random_pd_fractions(rng, 7, 6)):
-            full = _criterion(v, infos, u)[0][open_idx]
-            bounds = _criterion(v, infos, u, open_idx)[0]
-            assert bounds.tobytes() == full.tobytes()
+    def test_grid_payoff_blends_the_support_alone(self, model_row4, row4_worst_case, monkeypatch):
+        # the payoff reads the grid rows of v's support patterns and nothing
+        # else, and agrees with the blend of every pattern's grid information
+        pts = ROW4_BOX.grid(0.01)
+        infos = _pattern_infos(pts, model_row4)
+        spans = model_module._pattern_tables(model_row4).spans
+        read, real = [], minimax._rows_info
+
+        def recorded(table, rows, *args, **kwargs):
+            read.append(rows)
+            return real(table, rows, *args, **kwargs)
+
+        monkeypatch.setattr(minimax, "_rows_info", recorded)
+        one_off = random_pd_fractions(np.random.default_rng(8), 7, 6)
+        one_off[3] = 0.0
+        for v in (row4_worst_case[0].design.fractions, one_off / one_off.sum()):
+            read.clear()
+            payoff = _grid_payoff(v, pts, model_row4)
+            assert read == [spans[t] for t in np.flatnonzero(v)]
+            assert np.allclose(payoff, _criterion(v, infos, model_row4.u)[0], rtol=1e-12, atol=0.0)
+
+
+def assert_is_the_local_design(report, box, model, grid_step):
+    """The report's design and value at p* are solve_c_optimal's there, and
+    its saddle gap is saddle_check's."""
+    local = solve_c_optimal(report.p_star, model, report.design.budget)
+    assert np.array_equal(report.design.fractions, local.design.fractions)
+    assert report.objective == local.objective
+    assert_gap_is_saddle_checks(report, box, model, grid_step)
+
+
+def assert_gap_is_saddle_checks(report, box, model, grid_step):
+    gap = saddle_check(report.design.fractions, report.p_star, box, model, grid_step)[0]
+    assert gap == report.saddle_gap
+
+
+class TestOneArithmeticPerPoint:
+    """Each inner solve is solve_c_optimal's computation at its grid point."""
+
+    def test_row4_step_001(self, model_row4, row4_worst_case):
+        assert_is_the_local_design(row4_worst_case[0], ROW4_BOX, model_row4, 0.01)
+
+    def test_row4_step_005(self, model_row4):
+        report = worst_case_design(ROW4_BOX, model_row4, grid_step=0.05)
+        assert_is_the_local_design(report, ROW4_BOX, model_row4, 0.05)
+
+    def test_row4_fallback_gap_is_saddle_checks(self, model_row4):
+        report = worst_case_design(ROW4_BOX, model_row4, grid_step=0.02)
+        assert report.saddle_gap > 0.0
+        assert_gap_is_saddle_checks(report, ROW4_BOX, model_row4, 0.02)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_boxes(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        model = default_model(rtpcr_cost=float(rng.choice([100.0, 1000.0, 1600.0])))
+        box = random_box(rng)
+        report = worst_case_design(box, model, grid_step=0.01, budget=1e6)
+        assert report.saddle_gap <= SADDLE_TOL * report.objective  # no fallback
+        assert_is_the_local_design(report, box, model, 0.01)
 
 
 def record_inner_solves(monkeypatch) -> list:
@@ -320,6 +383,20 @@ def record_inner_solves(monkeypatch) -> list:
 
     monkeypatch.setattr(minimax, "_solve_simplex", recorded)
     return calls
+
+
+def record_information_builds(monkeypatch) -> list:
+    """Shape of the parameter of every pattern-information build, wherever
+    the package calls _fisher_info_grid from."""
+    shapes = []
+    for module in (minimax, model_module, coptimal):
+        real = module._fisher_info_grid
+        monkeypatch.setattr(
+            module,
+            "_fisher_info_grid",
+            lambda p, *args, real=real: shapes.append(np.shape(p)) or real(p, *args),
+        )
+    return shapes
 
 
 def unidentified_model():
@@ -344,26 +421,28 @@ class TestAllTestsPattern:
         assert last.cost == sum(t.cost for t in tests)
 
     def test_a2_gated_on_the_all_tests_pattern_alone(self, model_row4, monkeypatch):
-        # check_a2 never runs, and a failing box builds its grid
-        # information once, in worst_case_design itself
+        # check_a2 never runs, and a failing box builds no pattern's
+        # information but the all-tests pattern's, in the scan itself
         def fail(*args):
             raise AssertionError("worst_case_design ran check_a2")
 
         monkeypatch.setattr(minimax, "check_a2", fail)
-        builds = []
-        for module in (minimax, model_module):
-            real = module._fisher_info_grid
-            monkeypatch.setattr(
-                module,
-                "_fisher_info_grid",
-                lambda *args, real=real: builds.append(1) or real(*args),
-            )
+        builds = record_information_builds(monkeypatch)
         report = worst_case_design(ROW4_BOX, model_row4, grid_step=0.05)
         assert report.objective > 0
         builds.clear()
         with pytest.raises(InfeasibleDesignError):
             worst_case_design(UNIDENTIFIED_BOX, unidentified_model(), grid_step=0.05)
-        assert builds == [1]
+        assert builds == []
+
+    @pytest.mark.parametrize("grid_step", [0.02, 0.05])
+    def test_worst_case_builds_informations_at_points_only(
+        self, model_row4, monkeypatch, grid_step
+    ):
+        builds = record_information_builds(monkeypatch)
+        report = worst_case_design(ROW4_BOX, model_row4, grid_step=grid_step)
+        saddle_check(report.design.fractions, report.p_star, ROW4_BOX, model_row4, grid_step)
+        assert builds and set(builds) == {(3,)}
 
     def test_a2_failure_message_unchanged(self):
         message = (
@@ -382,7 +461,7 @@ class TestAllTestsPattern:
         assert first != 0
         solves = record_inner_solves(monkeypatch)
         worst_case_design(ROW4_BOX, model_row4, grid_step=0.02)
-        assert np.array_equal(solves[0][0], infos[:, first])
+        assert np.array_equal(solves[0][0], _pattern_infos(pts[first], model_row4))
 
     def test_inner_solve_error_names_the_grid_point(self, model_row4, monkeypatch):
         pts = ROW4_BOX.grid(0.02)

@@ -97,6 +97,27 @@ class TestTypes:
             with pytest.raises(ValueError, match="cost"):
                 TestSpec(id="x", cost=cost, sensitivity=0.9, specificity=0.9)
 
+    @pytest.mark.parametrize("field", ["cost", "sensitivity", "specificity"])
+    @pytest.mark.parametrize("bad", ["0.5", True, None, 1j])
+    def test_testspec_refuses_a_field_that_is_not_a_real_number(self, field, bad):
+        values = {"cost": 100.0, "sensitivity": 0.9, "specificity": 0.9, field: bad}
+        with pytest.raises(TypeError) as err:
+            TestSpec(id="x", **values)
+        assert str(err.value) == f"test 'x': {field} must be a real number, got {bad!r}"
+
+    def test_testspec_takes_numpy_and_integer_numbers(self):
+        spec = TestSpec(id="x", cost=np.int64(100), sensitivity=np.float32(0.5), specificity=0.9)
+        assert spec.cost == 100 and spec.sensitivity == 0.5
+
+    def test_override_entry_must_be_a_mapping(self):
+        base = default_model()
+        with pytest.raises(ValueError) as err:
+            base.with_test_overrides({"rat": 0.5})
+        assert str(err.value) == "override for test 'rat' must be a mapping, got 0.5"
+        with pytest.raises(TypeError) as err:
+            base.with_test_overrides({"rat": {"sensitivity": "x"}})
+        assert str(err.value) == "test 'rat': sensitivity must be a real number, got 'x'"
+
     def test_overrides_take_only_reliabilities(self):
         base = default_model()
         with pytest.raises(ValueError, match=r"unknown keys \['cost'\]"):
@@ -334,6 +355,26 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match=r"grid step must be positive and finite, got inf"):
             SMALL_BOX.lattice_size(np.inf)
 
+    def test_a_grid_step_beyond_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match=r"^grid step must be positive and finite, got 1000"):
+            SMALL_BOX.grid(10**400)
+
+    @pytest.mark.parametrize("bad", ["0.01", True, None])
+    def test_a_grid_step_that_is_not_a_real_number_rejected(self, bad):
+        with pytest.raises(TypeError) as err:
+            SMALL_BOX.grid(bad)
+        assert str(err.value) == f"grid step must be a real number, got {bad!r}"
+
+    def test_an_integer_grid_step_is_read_as_a_float(self):
+        # 2**64 fits no numpy integer type, so np.arange would make objects of it
+        pts = SMALL_BOX.grid(2**64)
+        assert pts.dtype == np.float64
+        assert np.array_equal(pts, SMALL_BOX.grid(float(2**64)))
+        assert check_a2(SMALL_BOX, MODEL, grid_step=2**64).ok
+        report = worst_case_design(SMALL_BOX, MODEL, grid_step=2**64)
+        assert type(report.grid_step) is float and report.grid_step == 2.0**64
+        assert report.to_dict()["grid_step"] == 2.0**64
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_target_rejected(self, bad):
         base = default_model()
@@ -515,7 +556,7 @@ class TestPatternTableCache:
         check_a1(P0, model)
         assert _pattern_tables.cache_info().misses == misses + 1
 
-    def test_worst_case_builds_its_grid_informations_once(self, monkeypatch):
+    def test_worst_case_builds_each_solved_point_once(self, monkeypatch):
         from serodesign import minimax
 
         model = default_model(rtpcr_cost=100.0)
@@ -523,12 +564,13 @@ class TestPatternTableCache:
         calls = []
 
         def counted(p, *args, **kwargs):
-            calls.append(np.shape(p))
+            calls.append(np.array(p))
             return _fisher_info_grid(p, *args, **kwargs)
 
         monkeypatch.setattr(minimax, "_fisher_info_grid", counted)
         worst_case_design(box, model, grid_step=0.02)
-        assert calls == [box.grid(0.02).shape]
+        assert calls and all(p.shape == (3,) for p in calls)
+        assert len({p.tobytes() for p in calls}) == len(calls)
 
 
 class TestAssumptionChecks:
