@@ -283,6 +283,13 @@ def _integer(value, path: str) -> int:
     return int(value)
 
 
+def _binary(value, path: str) -> int:
+    value = _integer(value, path)
+    if value not in (0, 1):
+        raise ConfigError(path, f"expected 0 or 1, got {value!r}")
+    return value
+
+
 def _vector(value, path: str) -> list[float]:
     if not isinstance(value, list) or not value:
         raise ConfigError(path, f"expected a nonempty list of numbers, got {value!r}")
@@ -315,9 +322,15 @@ def _parse_tests(doc, path: str) -> tuple[TestSpec, ...]:
 
 def _parse_model(doc, path: str = "model") -> DiseaseModel:
     tests = _parse_tests(_require(_object(doc, path), "tests", path), f"{path}.tests")
-    nominal = _require(doc, "nominal", path)
-    if not isinstance(nominal, list) or not all(isinstance(r, list) for r in nominal):
+    rows = _require(doc, "nominal", path)
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ConfigError(f"{path}.nominal", "expected a list of rows")
+    nominal = []
+    for i, row in enumerate(rows):
+        here = f"{path}.nominal[{i}]"
+        if len(row) != len(tests):
+            raise ConfigError(here, f"expected {len(tests)} entries, one per test, got {len(row)}")
+        nominal.append([_binary(x, f"{here}[{j}]") for j, x in enumerate(row)])
     u = doc.get("u")
     u = [1.0] * (len(nominal) - 1) if u is None else _vector(u, f"{path}.u")
     with _at(path):

@@ -14,9 +14,10 @@ Elfving's theorem (Elfving 1952; multiresponse form in Sagnol 2011, JSPI
 
 a convex program in k unknowns whose normalized constraint multipliers
 are the optimal fractions.  A log-barrier Newton path on that dual ends
-in an exact active-set Newton finish, and a returned design carries the
-dual certificate: nonnegative multipliers, a feasible dual point and a
-vanishing finish residual.
+in an exact active-set finish: in closed form when one or two patterns
+are active and identify p, as in most solves, and by Newton steps
+otherwise.  A returned design carries the dual certificate: nonnegative
+multipliers, a feasible dual point and a vanishing finish residual.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from .model import (
     _fisher_info_grid,
     _pattern_tables,
     _require_finite,
+    _require_real,
+    _require_type,
     all_patterns,
     check_a1,
     fisher_info,
@@ -73,7 +76,8 @@ TAU_GROWTH = 100.0
 # it by a hundred, as TAU_GROWTH divides the gap, so a finish follows each
 # later centring.
 FINISH_GAP = 1.0
-# Least-squares Newton steps allowed per finish.
+# Newton steps allowed per finish: least-squares steps in (y, lam), or steps
+# in the blend ratio of a closed-form finish on two patterns.
 FINISH_STEPS = 8
 # Certificate tolerance on dual infeasibility and on the finish residual.
 CERTIFICATE_TOL = 1e-10
@@ -119,7 +123,7 @@ def _fractions(v, n: int) -> np.ndarray:
 
 
 def _require_budget(budget: float) -> None:
-    if not 0 < budget < math.inf:
+    if not 0 < _require_real(budget, "budget") < math.inf:
         raise ValueError(f"budget must be positive and finite, got {budget}")
 
 
@@ -289,6 +293,7 @@ def _sensitivities(infos: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _evaluate(v, p, model: DiseaseModel):
     """Validated fractions, pattern informations and _criterion at p; +inf unless v identifies p."""
+    _require_type(model, DiseaseModel, "model")
     v = _fractions(v, len(all_patterns(model)))
     infos = _pattern_infos(validate_parameter(p, model.k), model)
     if not _pattern_tables(model).identifies(v > SUPPORT_EPS):
@@ -340,34 +345,132 @@ def _kkt_residual_from(g: np.ndarray, mu: float, v: np.ndarray) -> float:
     return resid
 
 
-def _finish(flat: np.ndarray, u: np.ndarray, y: np.ndarray, lam: np.ndarray, active: np.ndarray):
-    """Active-set Newton finish from a centred point of the barrier path.
+def _conditions(b_rows: np.ndarray, unit: np.ndarray, y: np.ndarray, lam_s: np.ndarray):
+    """(B_t y for t in S, the finish conditions ``2 sum_S lam_t B_t y - unit``
+    and ``y' B_t y - 1``); ``b_rows`` stacks the active B_t as (|S| k, k)."""
+    m, k = lam_s.size, unit.size
+    by = (b_rows @ y).reshape(m, k)
+    f = np.empty(k + m)
+    f[:k] = 2.0 * lam_s @ by - unit
+    f[k:] = by @ y - 1.0
+    return by, f
+
+
+def _pencil_derivatives(terms: list, rho: float):
+    """(f'(rho), f''(rho)) of ``f = sum c2 / (base + rho slope)`` over
+    ``terms`` of (c2, slope, base), or None where a denominator is not
+    positive; in Python floats, as there are only k terms."""
+    grad = curv = 0.0
+    for c2, slope, base in terms:
+        d = base + rho * slope
+        if not d > 0.0:
+            return None
+        e = c2 * slope / (d * d)
+        grad -= e
+        curv += 2.0 * e * slope / d
+    return grad, curv
+
+
+def _closed_form(b: np.ndarray, unit: np.ndarray, lam_s: np.ndarray):
+    """(y, lam_S) solving _finish's conditions on one or two active
+    informations ``b`` (m, k, k) against ``unit`` = u / |u|, or None where
+    the Newton finish must run instead.
+
+    With x = A^-1 unit for the blend A of ``b`` that minimizes unit'A^-1 unit,
+    y = x / sqrt(unit'x), and the multipliers share sqrt(unit'x) / 2 in the
+    blend's proportions.  One pattern is its own blend.  For two, with
+    L L' = B_s + B_t and L^-1 (B_s - B_t) L^-T = Q diag(delta) Q', the
+    blend with fractions (rho, 1 - rho) is L Q diag((1 - delta) / 2 +
+    rho delta) Q' L', so its criterion is the convex
+    ``sum_i c_i^2 / ((1 - delta_i) / 2 + rho delta_i)`` with c = Q' L^-1 unit.
+    Newton steps in rho start from the barrier's multiplier ratio and stop
+    at the first that does not shrink the derivative: roundoff at the
+    minimum.  Equal matrices give delta = 0, a flat criterion, and keep the
+    barrier's ratio.  None when the single information or the pair's sum
+    has no Cholesky factor, when a step leaves (0, 1) (the pair's minimum
+    gives a pattern no positive fraction), or when unit'x is not positive.
+    """
+    try:
+        chol = np.linalg.cholesky(b.sum(axis=0))
+    except np.linalg.LinAlgError:
+        return None
+    inv = np.linalg.inv(chol)
+    if len(b) == 1:
+        share, x = np.ones(1), inv.T @ (inv @ unit)
+    else:
+        slope, q = np.linalg.eigh(inv @ (b[0] - b[1]) @ inv.T)
+        c = q.T @ (inv @ unit)
+        base = 0.5 * (1.0 - slope)
+        terms = list(zip((c * c).tolist(), slope.tolist(), base.tolist()))
+        rho = float(lam_s[0] / lam_s.sum())
+        derivatives = _pencil_derivatives(terms, rho)
+        if derivatives is None:
+            return None
+        for _ in range(FINISH_STEPS):
+            grad, curv = derivatives
+            if not curv > 0.0:  # a flat function: every rho is optimal
+                break
+            rho_new = rho - grad / curv
+            if not 0.0 < rho_new < 1.0:
+                return None
+            new = _pencil_derivatives(terms, rho_new)
+            if new is None or not abs(new[0]) < abs(grad):
+                break
+            rho, derivatives = rho_new, new
+        share, x = np.array([rho, 1.0 - rho]), inv.T @ (q @ (c / (base + rho * slope)))
+    ux = unit @ x
+    if not ux > 0.0:
+        return None
+    root = math.sqrt(ux)
+    return x / root, 0.5 * root * share
+
+
+def _finish(
+    flat: np.ndarray, u: np.ndarray, y: np.ndarray, lam: np.ndarray, active: np.ndarray,
+    identified: bool,
+):
+    """Active-set finish from a centred point of the barrier path.
 
     Solves ``2 sum_S lam_t B_t y = u`` and ``y' B_t y = 1`` for t in the
-    active set S by Newton steps in (y, lam_S).  Each step is a least-squares
-    solve truncated at rcond 1e-10, so a singular Jacobian cannot throw y
-    along its null space.  The steps stop once one no longer cuts the
-    residual tenfold: roundoff on the right active set, a stall on a wrong
-    one.  They solve for lam / |u| against u / |u|, so the Jacobian is the
-    same whatever the scale of u.  ``flat`` is the stack of B_t viewed as
-    (T, k*k).  Returns (y, multipliers of every pattern, residual), with
-    the first block of the residual relative to |u|.
+    active set S, for lam / |u| against u / |u|.  A c-optimal design needs
+    at most k support points (Pukelsheim 1993, ch. 2-3), and most finishes
+    get one or two active patterns: when those are ``identified`` (they
+    identify p), _closed_form solves them.  Three or more, one or two that
+    do not identify p (a singular optimum), and any _closed_form declines
+    take _newton_finish.  ``flat`` is the stack of B_t viewed as (T, k*k).
+    Returns (y, multipliers of every pattern, residual), the residual the
+    largest violation of the conditions.
     """
-    b_flat = flat[active]
-    k, m = u.size, b_flat.shape[0]
-    b_rows = b_flat.reshape(m * k, k)
+    index = np.flatnonzero(active)
+    k, m = u.size, index.size
+    b_flat = flat[index]
     norm = float(np.linalg.norm(u))
-    unit, lam_s = u / norm, lam[active] / norm
+    unit, lam_s = u / norm, lam[index] / norm
+    solved = _closed_form(b_flat.reshape(m, k, k), unit, lam_s) if identified and m <= 2 else None
+    if solved is None:
+        y, lam_s, f = _newton_finish(b_flat, unit, y, lam_s)
+    else:
+        y, lam_s = solved
+        f = _conditions(b_flat.reshape(m * k, k), unit, y, lam_s)[1]
+    lam = np.zeros(flat.shape[0])
+    lam[index] = lam_s * norm
+    return y, lam, float(np.abs(f).max())
+
+
+def _newton_finish(b_flat: np.ndarray, unit: np.ndarray, y: np.ndarray, lam_s: np.ndarray):
+    """(y, lam_S, conditions) of _finish by Newton steps in (y, lam_S) from
+    the barrier's point; ``b_flat`` holds the active B_t as (|S|, k*k).
+
+    Each step is a least-squares solve truncated at rcond 1e-10, so a
+    singular Jacobian cannot throw y along its null space.  The steps stop
+    once one no longer cuts the residual tenfold: roundoff on the right
+    active set, a stall on a wrong one.  Against u / |u|, the Jacobian is
+    the same whatever the scale of u.
+    """
+    k, m = unit.size, b_flat.shape[0]
+    b_rows = b_flat.reshape(m * k, k)
     jac = np.zeros((k + m, k + m))
-
-    def conditions(y, lam_s):
-        by = (b_rows @ y).reshape(m, k)
-        f = np.empty(k + m)
-        f[:k] = 2.0 * lam_s @ by - unit
-        f[k:] = by @ y - 1.0
-        return by, f
-
-    by, f = conditions(y, lam_s)
+    by, f = _conditions(b_rows, unit, y, lam_s)
     res = np.abs(f).max()
     for _ in range(FINISH_STEPS):
         jac[:k, :k] = (2.0 * lam_s @ b_flat).reshape(k, k)
@@ -375,16 +478,14 @@ def _finish(flat: np.ndarray, u: np.ndarray, y: np.ndarray, lam: np.ndarray, act
         jac[k:, :k] = 2.0 * by
         dz = np.linalg.lstsq(jac, -f, rcond=1e-10)[0]
         y_new, lam_new = y + dz[:k], lam_s + dz[k:]
-        by_new, f_new = conditions(y_new, lam_new)
+        by_new, f_new = _conditions(b_rows, unit, y_new, lam_new)
         res_new = np.abs(f_new).max()
         if res_new < res:
             y, lam_s, by, f = y_new, lam_new, by_new, f_new
         if not res_new < 0.1 * res:
             break
         res = res_new
-    lam = np.zeros(flat.shape[0])
-    lam[active] = lam_s * norm
-    return y, lam, float(np.abs(f).max())
+    return y, lam_s, f
 
 
 def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
@@ -402,13 +503,15 @@ def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
     exceeds 1, and halved until every slack stays positive; the accepted
     step's products ``B_t y`` and slacks start the next step.  The stack
     is read through its (T, k*k) and (T*k, k) views, so the Hessian blend
-    ``(2/s) @ flat`` and all products ``B_t y`` are one matrix product
-    each, and one formula gives the step ``tau H^-1 u - H^-1 grad`` and
-    its decrement ``(tau u - grad) . step`` at every tau.
+    ``r @ flat`` (r = 2/s) and all products ``B_t y`` are one matrix
+    product each, and one formula gives the step ``tau H^-1 u - H^-1 grad``
+    and its decrement ``(tau u - grad) . step`` at every tau.
 
     Once the duality gap T/tau is at most FINISH_GAP * u'y, _finish solves
     the optimality conditions on the patterns whose share of the barrier
-    multipliers 1/(tau s_t) exceeds their slack.  Its result is certified
+    multipliers 1/(tau s_t) exceeds their slack: in closed form when one or
+    two are active and identify p (_PatternTable.identifies), by Newton
+    steps from the barrier's point otherwise.  Its result is certified
     when its multipliers are nonnegative, y is dual feasible and the finish
     residual is within CERTIFICATE_TOL; otherwise the path continues to a
     gap a hundred times smaller, about that of the next centred point.
@@ -425,7 +528,8 @@ def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
     within MAX_NEWTON_STEPS.
     """
     (n, k), u = infos.shape[:2], model.u
-    if not _pattern_tables(model).identified:
+    table = _pattern_tables(model)
+    if not table.identified:
         raise InfeasibleDesignError("the summed pattern information matrix is singular")
     flat, rows = infos.reshape(n, k * k), infos.reshape(n * k, k)
     try:
@@ -442,9 +546,10 @@ def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
     steps = 0
     indefinite = "barrier Hessian is not positive definite at Newton step"
     while steps < MAX_NEWTON_STEPS:
-        w = by / s[:, None]
-        grad = rhs[:, 0] = 2.0 * w.sum(axis=0)  # of the barrier; the objective adds -tau u
-        hess = ((2.0 / s) @ flat).reshape(k, k) + 4.0 * w.T @ w
+        r = 2.0 / s
+        w = by * r[:, None]
+        grad = rhs[:, 0] = w.sum(axis=0)  # of the barrier; the objective adds -tau u
+        hess = (r @ flat).reshape(k, k) + w.T @ w
         try:
             h_grad, h_u = np.linalg.solve(hess, rhs).T
         except np.linalg.LinAlgError:
@@ -465,7 +570,8 @@ def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
         if dec <= 0.25:
             if n / tau <= gap * (u @ y):
                 lam = 1.0 / (tau * s)
-                y_fin, lam, resid = _finish(flat, u, y, lam, lam / lam.sum() > s)
+                active = lam / lam.sum() > s
+                y_fin, lam, resid = _finish(flat, u, y, lam, active, table.identifies(active))
                 q = (rows @ y_fin).reshape(n, k) @ y_fin
                 total = lam.sum()
                 if (
@@ -474,7 +580,7 @@ def _solve_simplex(infos: np.ndarray, model: DiseaseModel):
                     and resid <= CERTIFICATE_TOL
                 ):
                     v = np.maximum(lam, 0.0) / total
-                    if not _pattern_tables(model).identifies(v > SUPPORT_EPS):
+                    if not table.identifies(v > SUPPORT_EPS):
                         raise ConvergenceError(
                             f"the optimal design found after {steps} Newton steps has a "
                             f"singular information matrix (support of {np.count_nonzero(v)} "
@@ -514,6 +620,7 @@ def solve_c_optimal(p, model: DiseaseModel, budget: float = 1.0) -> SolveReport:
     has positive-definite information at p, and ConvergenceError when the
     solver certifies no optimum or the optimum's support does not identify p.
     """
+    _require_type(model, DiseaseModel, "model")
     p = validate_parameter(p, model.k)
     infos = _fisher_info_grid(p, model)
     if not _all_tests_pd(infos[-1]):
@@ -574,6 +681,7 @@ def budget_for_margin(p, model: DiseaseModel, moe: float, alpha: float = 0.05) -
     z the two-sided normal critical value at level alpha; the fractions do
     not depend on the budget, so ``z * sqrt(min_variance) == moe``.
     """
+    _require_type(model, DiseaseModel, "model")
     if not 0 < moe < math.inf:
         raise ValueError(f"margin of error must be positive and finite, got {moe}")
     if not 0.0 < alpha < 1.0:

@@ -81,9 +81,7 @@ class TestSpec:
         if not self.id:
             raise ValueError("test id must be a nonempty string")
         for name in ("cost", "sensitivity", "specificity"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise TypeError(f"test {self.id!r}: {name} must be a real number, got {value!r}")
+            _require_real(getattr(self, name), f"test {self.id!r}: {name}")
         if not 0 < self.cost < math.inf:
             raise ValueError(f"test {self.id!r}: cost must be positive and finite, got {self.cost}")
         for name in ("sensitivity", "specificity"):
@@ -195,9 +193,10 @@ class TestPattern:
         if not self.cost > 0:
             raise ValueError("pattern cost must be positive")
 
-    @property
+    @cached_property
     def label(self) -> str:
-        return "".join(str(m) for m in self.mask)
+        """The mask as a string of 0s and 1s, computed once per pattern."""
+        return "".join(map(str, self.mask))
 
 
 def make_pattern(mask: Sequence[int], model: DiseaseModel) -> TestPattern:
@@ -246,6 +245,20 @@ def _read_only(values, dtype=np.float64) -> np.ndarray:
     return array
 
 
+def _require_real(value, name: str):
+    """``value``, refused with a TypeError naming ``name`` unless a real number (not a bool)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def _require_type(value, kind: type, name: str):
+    """``value``, refused with a TypeError naming ``name`` unless a ``kind``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _require_finite(values: np.ndarray, name: str) -> None:
     if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
@@ -271,9 +284,7 @@ def validate_parameter(p, k: int) -> np.ndarray:
 
 def _grid_step(step) -> float:
     """``step`` as a float, refused unless a positive real number at most the largest float."""
-    if not isinstance(step, numbers.Real) or isinstance(step, bool):
-        raise TypeError(f"grid step must be a real number, got {step!r}")
-    if not 0 < step <= sys.float_info.max:
+    if not 0 < _require_real(step, "grid step") <= sys.float_info.max:
         raise ValueError(f"grid step must be positive and finite, got {step}")
     return float(step)
 
@@ -367,13 +378,14 @@ PATTERN_TABLE_CACHE_SIZE = 16
 
 @lru_cache(maxsize=PATTERN_TABLE_CACHE_SIZE)
 def _layout(n: int):
-    """(codes, masks, index, spans, starts) of every pattern table of n tests.
+    """(codes, masks, index, spans, starts, labels) of every pattern table of n tests.
 
     The row order of every table: the patterns in all_patterns order and,
     per pattern, the outcomes of its conducted tests in lexicographic
     order, first test most significant.  ``codes[j, r]`` marks test j in
     row r as not conducted (0), outcome 0 (1) or outcome 1 (2), and sorting
-    the 3^n - 1 rows by (mask, outcome bits) puts them in that order."""
+    the 3^n - 1 rows by (mask, outcome bits) puts them in that order.
+    ``labels`` holds each pattern's TestPattern.label, in the same order."""
     weights = 1 << np.arange(n - 1, -1, -1)  # first test most significant
     codes = (np.arange(3**n)[:, None] // 3 ** np.arange(n - 1, -1, -1)) % 3
     codes = codes[np.lexsort(((codes == 2) @ weights, (codes > 0) @ weights))[1:]]  # drop "no test"
@@ -383,7 +395,19 @@ def _layout(n: int):
     for array in (codes, masks, starts):
         array.setflags(write=False)
     index = {mask: i for i, mask in enumerate(map(tuple, masks.astype(np.int64).tolist()))}
-    return codes, masks, index, tuple(map(slice, offsets[:-1], offsets[1:])), starts
+    labels = tuple("".join(map(str, mask)) for mask in index)
+    return codes, masks, index, tuple(map(slice, offsets[:-1], offsets[1:])), starts, labels
+
+
+def _layout_pattern(mask: tuple, cost: float, label: str) -> TestPattern:
+    """The TestPattern of a layout mask, with its label already made.
+
+    A layout mask is a nonempty 0/1 tuple and a pattern's cost is a sum of
+    positive test costs, so TestPattern's checks would pass; this builds
+    the pattern without running them again for every model."""
+    pattern = object.__new__(TestPattern)
+    pattern.__dict__.update(mask=mask, cost=cost, label=label)
+    return pattern
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,7 +471,7 @@ def _pattern_tables(model: DiseaseModel) -> _PatternTable:
     where the outcome matches the state's nominal response and one minus it
     where not, and exactly 1.0 for a test not conducted."""
     k = model.k
-    codes, masks, index, spans, starts = _layout(model.n_tests)
+    codes, masks, index, spans, starts, labels = _layout(model.n_tests)
     sens = np.array([t.sensitivity for t in model.tests])
     spec = np.array([t.specificity for t in model.tests])
     positive = np.where(model.nominal == 1, sens, 1.0 - spec)  # (k+1, n)
@@ -463,7 +487,7 @@ def _pattern_tables(model: DiseaseModel) -> _PatternTable:
         costs += np.where(masks[:, j], test.cost, 0.0)
     outer = (d[:, :, None] * d[:, None, :]).reshape(-1, k * k)
     table = _PatternTable(
-        patterns=tuple(map(TestPattern, index, costs.tolist())),
+        patterns=tuple(map(_layout_pattern, index, costs.tolist(), labels)),
         costs=costs,
         index=index,
         spans=spans,
@@ -543,6 +567,8 @@ def _all_tests_pd(infos: np.ndarray) -> bool:
 
 
 def _box_grid(box: ParameterBox, model: DiseaseModel, grid_step: float) -> np.ndarray:
+    _require_type(box, ParameterBox, "box")
+    _require_type(model, DiseaseModel, "model")
     if box.k != model.k:
         raise ValueError(f"box dimension {box.k} != model parameter dimension {model.k}")
     return box.grid(grid_step)
@@ -554,6 +580,7 @@ def check_a1(p, model: DiseaseModel) -> A1Result:
     Positive definite means a smallest eigenvalue above PD_TOLERANCE.
     Returns the first such pattern in all_patterns order, or (False, None).
     """
+    _require_type(model, DiseaseModel, "model")
     infos = _fisher_info_grid(validate_parameter(p, model.k), model)
     hits = np.flatnonzero(np.linalg.eigvalsh(infos)[:, 0] > PD_TOLERANCE)
     return A1Result(True, all_patterns(model)[hits[0]]) if hits.size else A1Result(False, None)

@@ -39,6 +39,7 @@ from .model import (
     TestPattern,
     _pattern_tables,
     _read_only,
+    _require_type,
     all_patterns,
     validate_parameter,
 )
@@ -376,6 +377,7 @@ def simulation_report(
     """
     if _non_negative_int("replications", replications) < MIN_REPLICATIONS:
         raise ValueError(f"need at least {MIN_REPLICATIONS} replications, got {replications}")
+    _require_type(model, DiseaseModel, "model")
     p = validate_parameter(p, model.k)
     design = Design(patterns=all_patterns(model), fractions=np.asarray(v_star, float), budget=budget)
     criterion = objective(design.fractions, p, model)

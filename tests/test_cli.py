@@ -206,6 +206,18 @@ SHAPE_ERRORS = {
         edited(ROW1, [1, 0, 1], "model", "nominal"),
         "model.nominal: expected a list of rows",
     ),
+    "nominal-true": (
+        edited(ROW1, True, "model", "nominal", 0, 0),
+        "model.nominal[0][0]: expected a number, got True",
+    ),
+    "nominal-two": (
+        edited(ROW1, 2, "model", "nominal", 0, 0),
+        "model.nominal[0][0]: expected 0 or 1, got 2",
+    ),
+    "nominal-ragged": (
+        edited(ROW1, [0, 1], "model", "nominal", 1),
+        "model.nominal[1]: expected 3 entries, one per test, got 2",
+    ),
     "box-length": (
         edited(ROW1, {"box": {"lower": [0.0, 0.1], "upper": [0.1, 0.2]}}, "scenario"),
         "scenario.box: lower and upper must each have 3 entries",
@@ -678,7 +690,20 @@ MALFORMED = {
         [], None, "model.tests[0].cost",
     ),
     "nominal-fractional": (
-        "c-optimal", edited(ROW1, 1.7, "model", "nominal", 0, 0), [], None, "model",
+        "c-optimal", edited(ROW1, 1.7, "model", "nominal", 0, 0), [], None, "model.nominal[0][0]",
+    ),
+    # JSON true is a bool, which no integer field accepts
+    "nominal-true": (
+        "c-optimal", edited(ROW1, True, "model", "nominal", 0, 0), [], None, "model.nominal[0][0]",
+    ),
+    "nominal-two": (
+        "c-optimal", edited(ROW1, 2, "model", "nominal", 2, 1), [], None, "model.nominal[2][1]",
+    ),
+    "nominal-text": (
+        "c-optimal", edited(ROW1, "1", "model", "nominal", 1, 2), [], None, "model.nominal[1][2]",
+    ),
+    "nominal-ragged": (
+        "c-optimal", edited(ROW1, [0, 1], "model", "nominal", 1), [], None, "model.nominal[1]",
     ),
     "design-invalid-json": ("simulate", ROW1, [], "{not json", "design"),
     # deeper than the JSON decoder's recursion limit

@@ -527,11 +527,41 @@ THREE_POINT_CASE = {
 }
 
 
+def certifies(flat, y, lam, resid):
+    """_solve_simplex's certificate on a finish's result: nonnegative
+    multipliers, a feasible dual point and a residual within CERTIFICATE_TOL."""
+    n, k = flat.shape[0], y.size
+    q = (flat.reshape(n * k, k) @ y).reshape(n, k) @ y
+    return bool(
+        lam.min() >= -1e-12 * lam.sum() and q.max() <= 1.0 + CERTIFICATE_TOL
+        and resid <= CERTIFICATE_TOL
+    )
+
+
+@pytest.fixture
+def newton_finishes(monkeypatch):
+    """The number of active patterns of each Newton finish, in order."""
+    calls = []
+    newton_finish = coptimal._newton_finish
+
+    def recorded(b_flat, unit, y, lam_s):
+        calls.append(len(b_flat))
+        return newton_finish(b_flat, unit, y, lam_s)
+
+    monkeypatch.setattr(coptimal, "_newton_finish", recorded)
+    return calls
+
+
 class TestFinish:
-    def test_a_repeated_active_pattern_keeps_the_step_finite(self):
-        # Patterns 0 and 1 are the same matrix, so their two rows of the
-        # Jacobian coincide: the least-squares solve truncates its null
-        # direction and splits the multiplier evenly between them.
+    """_finish in closed form on one or two active patterns that identify p,
+    by Newton steps otherwise (``identified=False`` forces them)."""
+
+    def test_a_repeated_active_pattern_keeps_the_step_finite(self, newton_finishes):
+        # Patterns 0 and 1 are the same matrix.  The closed form finds the
+        # blend's variance flat in the ratio and keeps the barrier's; the
+        # Newton finish's Jacobian has two equal rows, and its truncated
+        # least-squares solve drops that null direction.  Both give the
+        # multipliers the single pattern's sum.
         b = np.array([[2.0, 0.5], [0.5, 1.0]])
         stack = np.stack([b, b, np.diag([1.0, 0.5])])
         u = np.array([1.0, 1.0])
@@ -544,11 +574,76 @@ class TestFinish:
                         [2.0 * by, np.zeros((2, 2))]])
         assert np.linalg.matrix_rank(jac) == 3
         entry = np.abs(np.concatenate([2.0 * lam_s @ by - unit, by @ y - 1.0])).max()
-        y_fin, lam_fin, resid = _finish(stack.reshape(3, 4), u, y, lam, active)
-        assert np.isfinite(y_fin).all() and np.isfinite(lam_fin).all()
-        assert resid <= entry
-        assert lam_fin[0] + lam_fin[1] == pytest.approx(math.sqrt(u @ x) / 2.0, rel=1e-12)
-        assert lam_fin[2] == 0.0
+        closed = _finish(stack.reshape(3, 4), u, y, lam, active, True)
+        assert newton_finishes == []
+        newton = _finish(stack.reshape(3, 4), u, y, lam, active, False)
+        assert newton_finishes == [2]
+        for y_fin, lam_fin, resid in (closed, newton):
+            assert np.isfinite(y_fin).all() and np.isfinite(lam_fin).all()
+            assert resid <= entry
+            assert lam_fin[0] + lam_fin[1] == pytest.approx(math.sqrt(u @ x) / 2.0, rel=1e-12)
+            assert lam_fin[2] == 0.0
+        assert closed[1][0] / closed[1][1] == pytest.approx(0.25 / 0.3, rel=1e-12)
+
+    def test_one_or_two_patterns_agree_with_the_newton_finish(self, monkeypatch):
+        # Every finish of one or two active patterns that identify p, on the
+        # solves of random_model seeds 0-149: the closed form and the Newton
+        # finish from the same barrier point certify alike, and certified
+        # results agree.
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return _finish(*args)
+
+        monkeypatch.setattr(coptimal, "_finish", recorded)
+        for seed in range(150):
+            model, p = random_model(np.random.default_rng(seed))
+            try:
+                solve_c_optimal(p, model)
+            except (ConvergenceError, InfeasibleDesignError):
+                pass
+        monkeypatch.undo()
+        certified = {1: 0, 2: 0}
+        for flat, u, y, lam, active, identified in calls:
+            if not identified or active.sum() > 2:
+                continue
+            closed = _finish(flat, u, y, lam, active, True)
+            newton = _finish(flat, u, y, lam, active, False)
+            assert certifies(flat, *closed) == certifies(flat, *newton)
+            if certifies(flat, *closed):
+                for got, want in zip(closed[:2], newton[:2]):
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                certified[int(active.sum())] += 1
+        assert min(certified.values()) >= 10, certified
+
+    def test_a_pair_that_does_not_identify_p_takes_the_newton_finish(self, newton_finishes):
+        # random_model seed 1 ends at a singular two-pattern optimum, which
+        # the Newton finish certifies and the solve then refuses
+        model, p = random_model(np.random.default_rng(1))
+        with pytest.raises(ConvergenceError, match="support of 2 patterns"):
+            solve_c_optimal(p, model)
+        assert newton_finishes == [2]
+
+    def test_a_pair_with_a_singular_sum_takes_the_newton_finish(self, newton_finishes):
+        # B_0 + B_1 = diag(3, 0) has no Cholesky factor
+        stack = np.stack([np.diag([1.0, 0.0]), np.diag([2.0, 0.0]), np.eye(2)]).reshape(3, 4)
+        u = np.array([1.0, 0.0])
+        active = np.array([True, True, False])
+        y, lam = np.array([0.5, 0.0]), np.array([0.2, 0.3, 0.01])
+        result = _finish(stack, u, y, lam, active, True)
+        assert newton_finishes == [2]
+        newton = _finish(stack, u, y, lam, active, False)
+        assert all(np.array_equal(got, want) for got, want in zip(result, newton))
+
+    def test_three_active_patterns_take_the_newton_finish(self, newton_finishes):
+        case = THREE_POINT_CASE
+        model = DiseaseModel(
+            tests=[TestSpec(*t) for t in case["tests"]], nominal=case["nominal"], u=np.ones(3)
+        )
+        report = solve_c_optimal(case["point"], model)
+        assert np.count_nonzero(report.design.fractions) == 3
+        assert newton_finishes[-1] == 3
 
 
 class TestSolverWork:

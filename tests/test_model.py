@@ -17,14 +17,18 @@ from serodesign import (
     TestPattern,
     TestSpec,
     all_patterns,
+    budget_for_margin,
     check_a1,
     check_a2,
     default_model,
+    design_from_fractions,
     fisher_info,
     kkt_check,
     make_pattern,
     objective,
+    objective_gradient,
     saddle_check,
+    simulation_report,
     solve_c_optimal,
     validate_parameter,
     worst_case_design,
@@ -385,7 +389,7 @@ class TestNonFiniteInputs:
 def outcomes(mask, m):
     """The outcomes of pattern ``mask``'s table rows, in row order: 0 or 1
     at a conducted test, -1 at one not conducted."""
-    codes, _, index, spans, _ = _layout(m.n_tests)
+    codes, _, index, spans, _, _ = _layout(m.n_tests)
     return (codes[:, spans[index[mask]]].T - 1).tolist()
 
 
@@ -618,3 +622,48 @@ class TestAssumptionChecks:
         box = ParameterBox(lower=[0.01, 0.10, 0.00], upper=[0.15, 0.50, 0.02])
         result = check_a2(box, m, grid_step=0.05)
         assert not result.ok
+
+
+# A library call given a model, box or budget of the wrong type: the
+# TypeError it raises, which names the argument.
+V_UNIFORM = np.full(7, 1.0 / 7.0)
+NOT_A_MODEL = "model must be a DiseaseModel, got NoneType"
+NOT_A_BOX = "box must be a ParameterBox, got NoneType"
+WRONG_TYPES = {
+    "solve_c_optimal": (lambda: solve_c_optimal(P0, None), NOT_A_MODEL),
+    "budget_for_margin": (lambda: budget_for_margin(P0, None, 0.01), NOT_A_MODEL),
+    "objective": (lambda: objective(V_UNIFORM, P0, None), NOT_A_MODEL),
+    "objective_gradient": (
+        lambda: objective_gradient(V_UNIFORM, P0, "row1"),
+        "model must be a DiseaseModel, got str",
+    ),
+    "kkt_check": (lambda: kkt_check(V_UNIFORM, P0, None), NOT_A_MODEL),
+    "worst_case_design-model": (lambda: worst_case_design(SMALL_BOX, None), NOT_A_MODEL),
+    "worst_case_design-box": (lambda: worst_case_design(None, MODEL), NOT_A_BOX),
+    "saddle_check-model": (lambda: saddle_check(V_UNIFORM, P0, SMALL_BOX, None), NOT_A_MODEL),
+    "saddle_check-box": (lambda: saddle_check(V_UNIFORM, P0, None, MODEL), NOT_A_BOX),
+    "check_a1": (lambda: check_a1(P0, None), NOT_A_MODEL),
+    "check_a2-model": (
+        lambda: check_a2(SMALL_BOX, [MODEL]), "model must be a DiseaseModel, got list"
+    ),
+    "check_a2-box": (lambda: check_a2(None, MODEL), NOT_A_BOX),
+    "simulation_report-model": (
+        lambda: simulation_report(P0, None, V_UNIFORM, 1e6), NOT_A_MODEL
+    ),
+    "simulation_report-budget": (
+        lambda: simulation_report(P0, MODEL, V_UNIFORM, None),
+        "budget must be a real number, got None",
+    ),
+    "design-budget": (
+        lambda: design_from_fractions(V_UNIFORM, "1e6", all_patterns(MODEL)),
+        "budget must be a real number, got '1e6'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_TYPES))
+def test_a_wrong_argument_type_raises_type_error_naming_it(case):
+    call, message = WRONG_TYPES[case]
+    with pytest.raises(TypeError) as err:
+        call()
+    assert str(err.value) == message

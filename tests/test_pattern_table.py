@@ -208,7 +208,7 @@ def test_a2_report_and_gate_read_the_same_number(data):
 
 
 def shares_layout(table, n_tests):
-    _, _, index, spans, starts = _layout(n_tests)
+    _, _, index, spans, starts, _ = _layout(n_tests)
     return table.index is index and table.spans is spans and table.starts is starts
 
 
